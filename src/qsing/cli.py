@@ -16,10 +16,8 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -31,23 +29,7 @@ from .classification import (
     is_smooth_setting,
     singular_type_classes,
 )
-from .conifold import (
-    ConifoldElement,
-    POLY_X,
-    POLY_Y,
-    POLY_Z,
-    TernaryForm,
-    X,
-    Y,
-    Z,
-    clifford_check,
-    commutator_element,
-    is_central,
-    multiply,
-    rewrite_critical_pairs,
-    trep2_jacobian_rank,
-    trep2_sample,
-)
+from .conifold import verification_battery
 from .core import MarkedQuiverSetting, validate
 from .errors import BudgetExhaustedError, QsingError
 from .local_structure import (
@@ -220,7 +202,11 @@ def _cmd_enumerate(args) -> int:
     budget = args.budget
     env_budget = os.environ.get("QSING_BUDGET_SECS")
     if env_budget is not None:
-        budget = min(float(env_budget), budget) if budget else float(env_budget)
+        try:
+            env_secs = float(env_budget)
+        except ValueError:
+            raise _bad_input(f"QSING_BUDGET_SECS must be a number of seconds, got {env_budget!r}")
+        budget = min(env_secs, budget) if budget else env_secs
     digest = _digest_params("enumerate", args.dim, budget)
 
     def progress(dims, count):
@@ -297,6 +283,8 @@ def _cmd_toric(args) -> int:
             raise _bad_input("toric semistable needs --support")
         idx = [int(x) for x in args.support.split(",")] if args.support else []
         arrows = setting.arrow_list()
+        if any(not 0 <= i < len(arrows) for i in idx):
+            raise _bad_input(f"--support indices must lie in 0..{len(arrows) - 1}")
         support = [arrows[i] for i in idx]
         verdict = is_theta_semistable(setting, support, theta)
         via = semistable_via_semiinvariants(setting, support, theta)
@@ -328,109 +316,11 @@ def _cmd_toric(args) -> int:
     return 0
 
 
-def _conifold_battery(seed: int, triples: int, points: int) -> tuple[list[dict], bool]:
-    rng = random.Random(seed)
-    checks: list[dict] = []
-
-    def record(name: str, passed: bool, detail=None):
-        entry = {"check": name, "passed": passed}
-        if detail is not None and not passed:
-            entry["counterexample"] = detail
-        checks.append(entry)
-
-    record("rewrite_critical_pairs_confluent", not rewrite_critical_pairs())
-
-    relations = [
-        ("Z^2 - 1", multiply(Z, Z) - ConifoldElement.one()),
-        ("XZ + ZX", multiply(X, Z) + multiply(Z, X)),
-        ("YZ + ZY", multiply(Y, Z) + multiply(Z, Y)),
-        (
-            "[X^2, Y]",
-            multiply(multiply(X, X), Y) - multiply(Y, multiply(X, X)),
-        ),
-        (
-            "[Y^2, X]",
-            multiply(multiply(Y, Y), X) - multiply(X, multiply(Y, Y)),
-        ),
-    ]
-    for name, value in relations:
-        record(f"defining relation {name} = 0", value.is_zero, str(value))
-
-    d = commutator_element()
-    record("D = XYZ - YXZ central", is_central(d))
-    expected = ConifoldElement.from_center((POLY_Z * POLY_Z - POLY_X * POLY_Y).scale(4))
-    record("D^2 = 4(z^2 - xy)", multiply(d, d) == expected, str(multiply(d, d)))
-
-    def random_element() -> ConifoldElement:
-        from .conifold import BASIS, CenterPoly
-
-        coeffs = {}
-        for word in rng.sample(BASIS, rng.randint(1, 4)):
-            terms = {}
-            for _ in range(rng.randint(1, 2)):
-                mono = tuple(rng.randint(0, 1) for _ in range(3))
-                terms[mono] = Fraction(rng.randint(-3, 3))
-            coeffs[word] = CenterPoly.from_dict(terms)
-        return ConifoldElement(coeffs)
-
-    assoc_ok = True
-    assoc_example = None
-    for _ in range(triples):
-        a, b, c = random_element(), random_element(), random_element()
-        if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
-            assoc_ok = False
-            assoc_example = [str(a), str(b), str(c)]
-            break
-    record(f"associativity on {triples} random triples", assoc_ok, assoc_example)
-
-    basis_elems = {w: ConifoldElement.from_word(w) if w else ConifoldElement.one() for w in
-                   ("", "X", "Y", "Z", "XY", "XZ", "YZ", "XYZ")}
-    closure_ok = True
-    for w1, e1 in basis_elems.items():
-        for w2, e2 in basis_elems.items():
-            prod = multiply(e1, e2)
-            rebuilt = ConifoldElement.zero()
-            for word, poly in prod.coeffs.items():
-                rebuilt = rebuilt + basis_elems[word].scale_poly(poly)
-            if rebuilt != prod:
-                closure_ok = False
-    record("64 basis products close in the rank-8 basis", closure_ok)
-
-    cliff_ok = all(
-        clifford_check(v, w)
-        for v in (X, Y, Z)
-        for w in (X, Y, Z)
-    )
-    record("Clifford identities for all 9 generator pairs", cliff_ok)
-
-    phi_ok = True
-    for sign in (1, -1):
-        images = {"X": Fraction(0), "Y": Fraction(0), "Z": Fraction(sign)}
-        checks_1d = [
-            images["Z"] * images["Z"] - 1,
-            images["X"] * images["Z"] + images["Z"] * images["X"],
-            images["Y"] * images["Z"] + images["Z"] * images["Y"],
-        ]
-        if any(c != 0 for c in checks_1d):
-            phi_ok = False
-    record("one-dimensional representations phi+/- satisfy the relations", phi_ok)
-
-    pts = trep2_sample(points, seed=seed)
-    ranks = [trep2_jacobian_rank(p) for p in pts]
-    record(
-        f"jacobian rank 3 at {points} sampled representation points",
-        all(r == 3 for r in ranks),
-        [list(map(str, p)) for p, r in zip(pts, ranks) if r != 3][:3] or None,
-    )
-
-    record("ternary form determinant is xy - z^2", str(TernaryForm().determinant()) in ("1*xy + -1*z^2", "-1*z^2 + 1*xy"))
-    return checks, all(c["passed"] for c in checks)
-
-
 def _cmd_conifold_verify(args) -> int:
     started = time.perf_counter()
     digest = _digest_params("conifold-verify", args.seed, args.triples, args.points)
-    checks, ok = _conifold_battery(args.seed, args.triples, args.points)
+    checks = verification_battery(args.seed, args.triples, args.points)
+    ok = all(c["passed"] for c in checks)
     _emit(
         args,
         "conifold-verify",
@@ -555,6 +445,9 @@ def main(argv=None) -> int:
     except QsingError as exc:
         print(f"qsing: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"qsing: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

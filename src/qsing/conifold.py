@@ -15,12 +15,16 @@ by :func:`rewrite_critical_pairs`.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import linalg
+from .core import identity_matrix, mat_mul
 from .errors import QsingError
 
 Monomial = tuple[int, int, int]  # exponents of x, y, z
@@ -85,9 +89,6 @@ class CenterPoly:
         for (a, b, c), coef in self.terms:
             total += coef * vals[0] ** a * vals[1] ** b * vals[2] ** c
         return total
-
-    def degree(self) -> int:
-        return max((sum(m) for m, _ in self.terms), default=-1)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -417,21 +418,7 @@ def trep2_jacobian_rank(point: Sequence, tolerance: float = 1e-9) -> int:
     residuals = trep2_residuals(point)
     if any(abs(float(r)) > tolerance for r in residuals):
         raise QsingError(f"point is not on the scheme: residuals {residuals}")
-    mat = trep2_jacobian(point)
-    rank = 0
-    for col in range(9):
-        pivot_row = next((r for r in range(rank, 3) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        for r in range(3):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / mat[rank][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == 3:
-            break
-    return rank
+    return linalg.rank(trep2_jacobian(point))
 
 
 def trep2_matrices(point: Sequence) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
@@ -456,19 +443,118 @@ def evaluate_at_point(a: ConifoldElement, point: Sequence) -> tuple[tuple[Fracti
     y_val = y1 * y1 + y2 * y3
     z_val = x1 * y1 + Fraction(x2 * y3 + x3 * y2, 2)
 
-    def mat_mul2(a2, b2):
-        return tuple(
-            tuple(sum(a2[i][t] * b2[t][j] for t in range(2)) for j in range(2))
-            for i in range(2)
-        )
-
     total = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
     for word, poly in a.coeffs.items():
         value = poly.evaluate(x_val, y_val, z_val)
-        m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        for ch in word:
-            m = mat_mul2(m, mats[ch])
+        m = functools.reduce(mat_mul, [mats[ch] for ch in word]) if word else identity_matrix(2)
         for i in range(2):
             for j in range(2):
                 total[i][j] += value * m[i][j]
     return tuple(tuple(row) for row in total)
+
+
+# ---------------------------------------------------------------------------
+# the verification battery
+
+
+def _phi(a: ConifoldElement, sign: int) -> Fraction:
+    """Image of an element under the 1-dimensional representation X, Y -> 0, Z -> sign."""
+    images = {"X": 0, "Y": 0, "Z": sign}
+    total = Fraction(0)
+    for word, poly in a.coeffs.items():
+        total += poly.evaluate(0, 0, 0) * math.prod(images[ch] for ch in word)
+    return total
+
+
+def _random_element(rng: random.Random) -> ConifoldElement:
+    coeffs = {}
+    for word in rng.sample(BASIS, rng.randint(1, 4)):
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            mono = tuple(rng.randint(0, 1) for _ in range(3))
+            terms[mono] = Fraction(rng.randint(-3, 3))
+        coeffs[word] = CenterPoly.from_dict(terms)
+    return ConifoldElement(coeffs)
+
+
+def verification_battery(seed: int = 0, triples: int = 200, points: int = 100) -> list[dict]:
+    """Check the algebra's defining identities; one JSON-ready record per check.
+
+    Each record has the check's name and whether it passed, plus a
+    counterexample where one is available for a failed check.  ``seed``
+    drives the random associativity triples and the sampled points of the
+    2-dimensional representation scheme.
+    """
+    rng = random.Random(seed)
+    checks: list[dict] = []
+
+    def record(name: str, passed: bool, detail=None):
+        entry = {"check": name, "passed": passed}
+        if detail is not None and not passed:
+            entry["counterexample"] = detail
+        checks.append(entry)
+
+    record("rewrite_critical_pairs_confluent", not rewrite_critical_pairs())
+
+    relations = [
+        ("Z^2 - 1", multiply(Z, Z) - ConifoldElement.one()),
+        ("XZ + ZX", multiply(X, Z) + multiply(Z, X)),
+        ("YZ + ZY", multiply(Y, Z) + multiply(Z, Y)),
+        ("[X^2, Y]", multiply(multiply(X, X), Y) - multiply(Y, multiply(X, X))),
+        ("[Y^2, X]", multiply(multiply(Y, Y), X) - multiply(X, multiply(Y, Y))),
+    ]
+    for name, value in relations:
+        record(f"defining relation {name} = 0", value.is_zero, str(value))
+
+    d = commutator_element()
+    record("D = XYZ - YXZ central", is_central(d))
+    expected = ConifoldElement.from_center((POLY_Z * POLY_Z - POLY_X * POLY_Y).scale(4))
+    record("D^2 = 4(z^2 - xy)", multiply(d, d) == expected, str(multiply(d, d)))
+
+    assoc_example = None
+    for _ in range(triples):
+        a, b, c = _random_element(rng), _random_element(rng), _random_element(rng)
+        if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
+            assoc_example = [str(a), str(b), str(c)]
+            break
+    record(f"associativity on {triples} random triples", assoc_example is None, assoc_example)
+
+    basis_elems = {w: ConifoldElement.from_word(w) for w in BASIS}
+    products = {
+        (w1, w2): multiply(e1, e2)
+        for w1, e1 in basis_elems.items()
+        for w2, e2 in basis_elems.items()
+    }
+    closure_ok = True
+    for product in products.values():
+        rebuilt = ConifoldElement.zero()
+        for word, poly in product.coeffs.items():
+            rebuilt = rebuilt + basis_elems[word].scale_poly(poly)
+        closure_ok = closure_ok and rebuilt == product
+    record("64 basis products close in the rank-8 basis", closure_ok)
+
+    cliff_ok = all(clifford_check(v, w) for v in (X, Y, Z) for w in (X, Y, Z))
+    record("Clifford identities for all 9 generator pairs", cliff_ok)
+
+    # X, Y -> 0 and Z -> +-1, with the center at x = y = z = 0, must be
+    # multiplicative on every product of basis words
+    phi_ok = all(
+        _phi(product, sign) == _phi(basis_elems[w1], sign) * _phi(basis_elems[w2], sign)
+        for sign in (1, -1)
+        for (w1, w2), product in products.items()
+    )
+    record("one-dimensional representations phi+/- satisfy the relations", phi_ok)
+
+    pts = trep2_sample(points, seed=seed)
+    ranks = [trep2_jacobian_rank(p) for p in pts]
+    record(
+        f"jacobian rank 3 at {points} sampled representation points",
+        all(r == 3 for r in ranks),
+        [list(map(str, p)) for p, r in zip(pts, ranks) if r != 3][:3] or None,
+    )
+
+    record(
+        "ternary form determinant is xy - z^2",
+        TernaryForm().determinant() == POLY_X * POLY_Y - POLY_Z * POLY_Z,
+    )
+    return checks

@@ -7,8 +7,10 @@ loops are only allowed at vertices of dimension at least two (a trace-zero
 1x1 matrix is identically zero).
 
 Arrow multiplicities are stored as a k x k matrix; individual arrows only get
-an identity (tail, head, slot) inside :class:`Representation`.  All matrix
-arithmetic is exact over :class:`fractions.Fraction`.
+an identity (tail, head, slot) inside :class:`Representation`.  Representation
+matrices hold exact :class:`fractions.Fraction` entries; elimination (rank,
+determinants, lattice coordinates) lives in :mod:`qsing.linalg`, which works
+fraction-free over the integers.
 """
 
 from __future__ import annotations
@@ -252,10 +254,6 @@ def validate(s: MarkedQuiverSetting) -> list[str]:
     if not strongly_connected(s):
         problems.append("note: support is not strongly connected")
     return problems
-
-
-def is_valid(s: MarkedQuiverSetting) -> bool:
-    return not [p for p in validate(s) if not p.startswith("note:")]
 
 
 def strip_degenerate_marks(s: MarkedQuiverSetting) -> MarkedQuiverSetting:

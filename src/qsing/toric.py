@@ -17,10 +17,11 @@ solutions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .core import (
     Arrow,
     MarkedQuiverSetting,
@@ -67,12 +68,6 @@ class WeightSystem:
     @property
     def num_arrows(self) -> int:
         return len(self.arrows)
-
-    def weight_of(self, exponents: Sequence[int]) -> Vector:
-        return tuple(
-            sum(self.weights[a][v] * exponents[a] for a in range(len(self.arrows)))
-            for v in range(self.setting.k)
-        )
 
 
 @dataclass(frozen=True)
@@ -145,42 +140,6 @@ def hilbert_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
     return sorted(basis)
 
 
-def _independent_subset(vectors: Sequence[Vector]) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedily from the front."""
-    chosen: list[list[Fraction]] = []
-    idx: list[int] = []
-    for i, vec in enumerate(vectors):
-        work = [list(map(Fraction, v)) for v in chosen] + [list(map(Fraction, vec))]
-        if _lattice_rank([tuple(row) for row in work]) == len(work):
-            chosen.append(list(vec))
-            idx.append(i)
-    return idx
-
-
-def _solve_coordinates(basis: Sequence[Vector], target: Vector) -> list[Fraction] | None:
-    """Rational coordinates of target over a linearly independent basis, or None."""
-    n, m = len(basis[0]), len(basis)
-    aug = [[Fraction(basis[r][c]) for r in range(m)] + [Fraction(target[c])] for c in range(n)]
-    row = 0
-    pivots = []
-    for col in range(m):
-        pivot = next((q for q in range(row, n) if aug[q][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        for q in range(n):
-            if q != row and aug[q][col] != 0:
-                factor = aug[q][col] / aug[row][col]
-                aug[q] = [a - factor * b for a, b in zip(aug[q], aug[row])]
-        pivots.append(row)
-        row += 1
-    sol = [aug[pivots[c]][m] / aug[pivots[c]][c] for c in range(m)]
-    for c in range(n):
-        if sum(sol[r] * basis[r][c] for r in range(m)) != target[c]:
-            return None
-    return sol
-
-
 def _generator_profiles(basis: Sequence[Vector]) -> list[tuple]:
     """Isomorphism-invariant fingerprints of Hilbert-basis elements.
 
@@ -222,11 +181,12 @@ def semigroup_isomorphism(
     prof1, prof2 = _generator_profiles(hb1), _generator_profiles(hb2)
     if sorted(prof1) != sorted(prof2):
         return None
-    base_idx = _independent_subset(hb1)
-    base = [hb1[i] for i in base_idx]
-    coords = [_solve_coordinates(base, v) for v in hb1]
-    if any(c is None for c in coords):
-        return None
+    # one elimination on the columns of hb1: generator j is
+    # sum_q R[q][j] / d * hb1[base_idx[q]], so its image under the map sending
+    # the base to the targets tgt is the same combination of hb2[tgt[q]]
+    R, base_idx, d, _ = linalg.rref(list(zip(*hb1)))
+    coords = [[row[j] for row in R] for j in range(len(hb1))]
+    width = len(hb2[0]) if hb2 else 0
     candidates = [
         [j for j in range(len(hb2)) if prof2[j] == prof1[i]] for i in base_idx
     ]
@@ -234,21 +194,19 @@ def semigroup_isomorphism(
     for tgt in itertools.product(*candidates):
         if len(set(tgt)) != len(base_idx):
             continue
+        targets = [hb2[j] for j in tgt]
         images: dict[int, int] = {}
         seen = set()
-        ok = True
         for src, c in enumerate(coords):
-            img = tuple(
-                sum(c[q] * Fraction(hb2[tgt[q]][col]) for q in range(len(base_idx)))
-                for col in range(len(hb2[0]))
-            )
-            j = target_index.get(img)
+            num = [sum(cq * v[col] for cq, v in zip(c, targets)) for col in range(width)]
+            if any(x % d for x in num):
+                break
+            j = target_index.get(tuple(x // d for x in num))
             if j is None or j in seen or prof2[j] != prof1[src]:
-                ok = False
                 break
             images[src] = j
             seen.add(j)
-        if ok:
+        else:
             return images
     return None
 
@@ -316,17 +274,12 @@ class GradedMonomialAlgebra:
     weights: WeightSystem
     theta: StabilityVector
     generators: tuple[GradedGenerator, ...]
-    relations: tuple[Relation, ...] = field(default_factory=tuple)
 
     def degree_zero(self) -> tuple[GradedGenerator, ...]:
         return tuple(g for g in self.generators if g.degree == 0)
 
     def positive_degree(self) -> tuple[GradedGenerator, ...]:
         return tuple(g for g in self.generators if g.degree > 0)
-
-    def with_relations(self, degree_bound: int = 4) -> "GradedMonomialAlgebra":
-        rels = toric_relations([g.exponents for g in self.generators], degree_bound)
-        return GradedMonomialAlgebra(self.weights, self.theta, self.generators, tuple(rels))
 
 
 def invariant_generators(s: MarkedQuiverSetting) -> list[Vector]:
@@ -546,31 +499,6 @@ class ProjChart:
         }
 
 
-def _lattice_rank(vectors: Sequence[Vector]) -> int:
-    """Rank of the lattice spanned by integer vectors (exact elimination)."""
-    mat = [list(map(Fraction, v)) for v in vectors]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / pivot
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _n_combination(target: Vector, pool: list[Vector], grading: Vector | None) -> bool:
     """Whether target is an N-linear combination of pool vectors.
 
@@ -658,7 +586,7 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
             vec = tuple(u[a] - m * pivot.exponents[a] for a in range(n))
             shifted.append(vec)
         gens = _minimize_monoid_generators(shifted)
-        rank = _lattice_rank(gens) if gens else 0
+        rank = linalg.rank(gens)
         smooth = rank == len(gens)
         charts.append(ProjChart(pivot, tuple(gens), smooth, rank))
     return charts
@@ -800,27 +728,6 @@ class DeterminantalMatrix:
         return cls(rows, cols, tuple(norm), weight)
 
 
-def _determinant(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            det = -det
-        pivot = mat[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pivot
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det
-
-
 def evaluate_determinantal_semi_invariant(
     L: DeterminantalMatrix, rep: Representation
 ) -> Fraction:
@@ -858,7 +765,7 @@ def evaluate_determinantal_semi_invariant(
             for i in range(row_sizes[r]):
                 for j in range(col_sizes[c]):
                     full[row_off[r] + i][col_off[c] + j] += block[i][j]
-    return _determinant(full)
+    return linalg.det(full)
 
 
 def block_diagonal(a: DeterminantalMatrix, b: DeterminantalMatrix) -> DeterminantalMatrix:

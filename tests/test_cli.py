@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,33 @@ class TestReportContract:
         code = main(["toric", "invariants", str(path)])
         capsys.readouterr()
         assert code == 1
+
+
+CONIFOLD = str(FIXTURES / "conifold.json")
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["toric", "charts", CONIFOLD, "--theta=1,1"], {}),
+        (["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "9"], {}),
+        (["classify", CONIFOLD, "--dimx", "-1"], {}),
+        (["local", CONIFOLD, "--tau", "[[2,[1,0]]]"], {}),
+        (["enumerate", "--dim", "3"], {"QSING_BUDGET_SECS": "abc"}),
+    ],
+    ids=["theta", "support", "dimx", "tau", "budget"],
+)
+def test_bad_input_exits_two_without_traceback(args, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsing.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**os.environ, **env},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("qsing: ") and proc.stderr.count("\n") == 1
 
 
 class TestConsoleEntry:

@@ -260,8 +260,3 @@ class TestCenterPoly:
     def test_zero_normalization(self):
         assert (POLY_X - POLY_X).is_zero
         assert CenterPoly.from_dict({(0, 0, 0): 0}).is_zero
-
-    def test_degree(self):
-        assert (POLY_X * POLY_Y).degree() == 2
-        assert CenterPoly.constant(3).degree() == 0
-        assert CenterPoly(()).degree() == -1

@@ -60,7 +60,7 @@ class TestHilbertBasis:
     def test_rank_matches_expected_dim(self):
         # rank of the invariant lattice = arrows - k + 1 = 1 - chi(alpha, alpha)
         from qsing.core import euler_form, strongly_connected
-        from qsing.toric import _lattice_rank
+        from qsing.linalg import rank
 
         rng = random.Random(5)
         checked = 0
@@ -71,7 +71,7 @@ class TestHilbertBasis:
             basis = invariant_generators(s)
             alpha = (1,) * s.k
             assert (
-                _lattice_rank(basis)
+                rank(basis)
                 == s.num_arrows - s.k + 1
                 == 1 - euler_form(s, alpha, alpha)
             )
