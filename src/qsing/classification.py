@@ -234,21 +234,31 @@ def _loop_configs(dims: tuple[int, ...], budget: int, d: int):
 def _offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...], budget: int):
     """Exact-budget distributions of off-diagonal arrows.
 
-    Slot (i, j) costs dims[i] * dims[j] per arrow.  A loop-free vertex must
-    end up with weighted in- and out-degree strictly above its dimension or
-    it would be removable; rows are pruned as soon as that fails.
+    Slot (i, j) costs dims[i] * dims[j] per arrow.  Vertex removal applies at
+    a loop-free vertex v (k >= 2) whose weighted in-degree or out-degree (the
+    sum of the dimensions at the other ends of its arrows) is at most
+    dims[v], so only matrices where both exceed dims[v] at every such vertex
+    are yielded.
+
+    Slots are filled row by row.  Raising the out-weight of row v or the
+    in-weight of column v by one costs at least dims[v], so the rows still to
+    fill need sum dims[v] * (dims[v] + 1) of the budget and the columns
+    dims[v] times their in-weight deficit.  One arrow serves one row and one
+    column, so the larger of the two bounds the cost of any completion; it
+    prunes each row start, and the row part caps every count.  A row's
+    out-weight is final at its last slot and a column's in-weight at its
+    last row, where counts too small to clear dims[v] are cut.
     """
     k = len(dims)
     slots = [(i, j) for i in range(k) for j in range(k) if i != j]
-    loop_free = [sum(loops[v]) == 0 for v in range(k)]
-    min_row_cost = [
-        dims[v] * (dims[v] + 1) if loop_free[v] and k >= 2 else 0 for v in range(k)
-    ]
+    loop_free = [k >= 2 and sum(loops[v]) == 0 for v in range(k)]
+    guarded = [v for v in range(k) if loop_free[v]]
+    row_cost = [dims[v] * (dims[v] + 1) if loop_free[v] else 0 for v in range(k)]
+    rows_left_cost = [sum(row_cost[r:]) for r in range(k + 1)]
+    # the last row with a slot in column j; later rows cannot raise its in-weight
+    last_row = [k - 1 if j != k - 1 else k - 2 for j in range(k)]
     matrix = [[0] * k for _ in range(k)]
-
-    def row_suffix_min(idx: int) -> int:
-        row = slots[idx][0] if idx < len(slots) else k
-        return sum(min_row_cost[v] for v in range(row, k))
+    col_in = [0] * k  # weighted in-degree of each column over the rows so far
 
     def recurse(idx: int, remaining: int):
         if idx == len(slots):
@@ -256,20 +266,33 @@ def _offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...],
                 yield tuple(tuple(r) for r in matrix)
             return
         i, j = slots[idx]
-        row_start = j == (0 if i != 0 else 1)
-        if row_start and remaining < row_suffix_min(idx):
-            return
+        if j == (0 if i != 0 else 1):
+            cols_cost = sum(dims[v] * max(0, dims[v] + 1 - col_in[v]) for v in guarded)
+            if remaining < max(rows_left_cost[i], cols_cost):
+                return
         w = dims[i] * dims[j]
-        last_in_row = idx + 1 == len(slots) or slots[idx + 1][0] != i
-        for count in range(remaining // w, -1, -1):
+        # the rows after this one still need rows_left_cost[i + 1]
+        top = (remaining - rows_left_cost[i + 1]) // w
+        if idx + 1 == len(slots):
+            # the last slot takes whatever budget is left, or nothing fits
+            counts = [top] if top * w == remaining else []
+        else:
+            counts = range(top, -1, -1)
+        row_end = loop_free[i] and (idx + 1 == len(slots) or slots[idx + 1][0] != i)
+        col_end = loop_free[j] and i == last_row[j]
+        out_before = sum(matrix[i][t] * dims[t] for t in range(j)) if row_end else 0
+        col_before = col_in[j]
+        for count in counts:
+            # counts only fall from here, so a too-small row or column is final
+            if row_end and out_before + count * dims[j] <= dims[i]:
+                break
+            if col_end and col_before + count * dims[i] <= dims[j]:
+                break
             matrix[i][j] = count
-            if last_in_row and loop_free[i] and k >= 2:
-                out_weight = sum(matrix[i][t] * dims[t] for t in range(k))
-                if out_weight <= dims[i]:
-                    matrix[i][j] = 0
-                    continue
+            col_in[j] = col_before + count * dims[i]
             yield from recurse(idx + 1, remaining - count * w)
         matrix[i][j] = 0
+        col_in[j] = col_before
 
     yield from recurse(0, budget)
 
@@ -287,26 +310,31 @@ def enumerate_reduced_singular(
     exactly d and does not match the smooth terminal list.  Results are
     deduplicated by canonical key and sorted by it.
 
-    Raises :class:`BudgetExhaustedError` carrying the partial result when the
-    wall-clock budget runs out.
+    Raises :class:`BudgetExhaustedError` carrying the sorted partial result
+    when the wall-clock budget runs out; the budget is checked before each
+    dims block and before each candidate inside it.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     start = time.monotonic()
     found: dict[bytes, MarkedQuiverSetting] = {}
 
-    for dims in _dims_multisets(d):
+    def check_budget(dims: tuple[int, ...]) -> None:
         if budget_secs is not None and time.monotonic() - start > budget_secs:
             raise BudgetExhaustedError(
                 f"enumeration budget exhausted at dims={dims}",
                 partial=sorted(found.values(), key=canonical_key),
             )
+
+    for dims in _dims_multisets(d):
+        check_budget(dims)
         if progress is not None:
             progress(dims, len(found))
         k = len(dims)
         budget = d - 1 + sum(a * a for a in dims)
         for loops, loop_cost in _loop_configs(dims, budget, d):
             for arrows in _offdiag_matrices(dims, loops, budget - loop_cost):
+                check_budget(dims)
                 full = [list(row) for row in arrows]
                 for v in range(k):
                     full[v][v] = loops[v][0]

@@ -63,6 +63,9 @@ def _load_setting(path: str) -> tuple[MarkedQuiverSetting, str]:
         setting = MarkedQuiverSetting.from_json(data)
     except (OSError, ValueError) as exc:
         raise _bad_input(f"cannot read setting from {path}: {exc}")
+    violations = [p for p in validate(setting) if not p.startswith("note:")]
+    if violations:
+        raise _bad_input(f"invalid setting in {path}: {'; '.join(violations)}")
     return setting, hashlib.sha256(raw).hexdigest()
 
 

@@ -23,7 +23,6 @@ from .core import (
     as_dim_vector,
     euler_form,
     strongly_connected,
-    unit_vector,
 )
 from .errors import CapacityError, InconsistencyError, UnsupportedSettingError
 
@@ -98,8 +97,12 @@ def is_simple_dimvector(s: MarkedQuiverSetting, beta: Sequence[int]) -> bool:
         # single oriented cycle
         return all(b[v] == 1 for v in support)
     for v in support:
-        ev = unit_vector(s.k, v)
-        if euler_form(s, b, ev) > 0 or euler_form(s, ev, b) > 0:
+        # chi(b, e_v) and chi(e_v, b): b_v minus the b-weighted arrows into
+        # (out of) v, loops included, minus b_v per marked loop
+        own = b[v] * (1 - s.marked_loops[v])
+        if own - sum(b[w] * s.arrows[w][v] for w in support) > 0:
+            return False
+        if own - sum(s.arrows[v][w] * b[w] for w in support) > 0:
             return False
     return True
 

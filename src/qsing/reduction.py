@@ -4,8 +4,11 @@ Three moves shrink a setting without changing its invariant theory beyond a
 polynomial factor:
 
 * vertex removal at a loop-free vertex v (all paths through v are composed),
-  allowed when the Euler form against the unit vector at v is >= 0 on either
-  side;
+  allowed when the weighted in-degree or the weighted out-degree of v (the
+  sum of the dimensions at the other ends of its arrows) is at most dims[v];
+  this is the Euler form against the unit vector at v being >= 0 on either
+  side, since chi(alpha, e_v) = alpha_v - in_weight(v) and
+  chi(e_v, alpha) = alpha_v - out_weight(v);
 * loop removal at a dimension-1 vertex (one loop at a time, z += 1);
 * big-loop removal at a vertex v of dimension >= 2 carrying exactly one loop,
   when a single arrow connects v to a dimension-1 vertex; the arrow is
@@ -96,10 +99,7 @@ def applicable_moves(s: MarkedQuiverSetting) -> list[Move]:
     for v in range(s.k):
         loops = s.loops_at(v)
         if loops == 0 and s.k >= 2:
-            if (
-                euler_form(s, alpha, unit_vector(s.k, v)) >= 0
-                or euler_form(s, unit_vector(s.k, v), alpha) >= 0
-            ):
+            if s.in_weight(v) <= alpha[v] or s.out_weight(v) <= alpha[v]:
                 moves.append(Move(MoveKind.VERTEX_REMOVAL, v))
         if s.dims[v] == 1 and s.arrows[v][v] >= 1:
             moves.append(Move(MoveKind.SMALL_LOOP_REMOVAL, v))

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from qsing import classification
 from qsing.classification import (
     SmoothShape,
     counting_lower_bound,
@@ -17,10 +20,16 @@ from qsing.classification import (
     match_smooth_list,
     singular_type_classes,
 )
-from qsing.core import MarkedQuiverSetting, canonical_key, strongly_connected
+from qsing.core import (
+    MarkedQuiverSetting,
+    canonical_key,
+    euler_form,
+    strongly_connected,
+    unit_vector,
+)
 from qsing.errors import BudgetExhaustedError, HypothesisError
 from qsing.local_structure import is_simple_dimvector
-from qsing.reduction import applicable_moves
+from qsing.reduction import MoveKind, applicable_moves
 
 from conftest import random_setting
 
@@ -239,12 +248,112 @@ class TestEnumeration:
             enumerate_reduced_singular(6, budget_secs=0.0)
         assert isinstance(info.value.partial, list)
 
+    def test_budget_checked_inside_a_dims_block(self, monkeypatch):
+        # the clock starts ticking one second per reading once the (1, 1, 1)
+        # block begins; with a 1.5 s budget the second candidate of that
+        # block is past it, long before the next block starts
+        ticking = False
+        now = 0.0
+
+        def monotonic():
+            nonlocal now
+            if ticking:
+                now += 1.0
+            return now
+
+        def progress(dims, _found):
+            nonlocal ticking
+            ticking = ticking or dims == (1, 1, 1)
+
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(BudgetExhaustedError) as info:
+            enumerate_reduced_singular(5, budget_secs=1.5, progress=progress)
+        assert "dims=(1, 1, 1)" in str(info.value)
+        partial = info.value.partial
+        full = {canonical_key(s) for s in enumerate_reduced_singular(5)}
+        keys = [canonical_key(s) for s in partial]
+        assert keys == sorted(keys)
+        assert set(keys) <= full
+        # the two settings of the earlier blocks, at most one from this one
+        assert len(partial) in (2, 3)
+
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
             enumerate_reduced_singular(1)
 
     def test_dim2_has_no_singular_settings(self):
         assert enumerate_reduced_singular(2) == []
+
+
+def brute_force_offdiag(dims, loops, budget) -> set:
+    """Every exact-budget off-diagonal arrow matrix with no removable vertex.
+
+    Distributes the budget over all off-diagonal slots (slot (i, j) costs
+    dims[i] * dims[j] per arrow) without pruning, then keeps the matrices in
+    which every loop-free vertex of a multi-vertex setting has weighted in-
+    and out-degree above its dimension.
+    """
+    k = len(dims)
+    slots = [(i, j) for i in range(k) for j in range(k) if i != j]
+    out = set()
+
+    def fill(idx: int, remaining: int, values: list[int]):
+        if idx == len(slots):
+            if remaining:
+                return
+            m = [[0] * k for _ in range(k)]
+            for (i, j), val in zip(slots, values):
+                m[i][j] = val
+            for v in range(k):
+                if k < 2 or sum(loops[v]):
+                    continue
+                w_in = sum(dims[r] * m[r][v] for r in range(k))
+                w_out = sum(m[v][c] * dims[c] for c in range(k))
+                if w_in <= dims[v] or w_out <= dims[v]:
+                    return
+            out.add(tuple(tuple(r) for r in m))
+            return
+        i, j = slots[idx]
+        w = dims[i] * dims[j]
+        for val in range(remaining // w + 1):
+            fill(idx + 1, remaining - val * w, values + [val])
+
+    fill(0, budget, [])
+    return out
+
+
+class TestPrunedGenerator:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_offdiag_matrices_match_brute_force(self, d):
+        blocks = 0
+        for dims in classification._dims_multisets(d):
+            budget = d - 1 + sum(a * a for a in dims)
+            for loops, loop_cost in classification._loop_configs(dims, budget, d):
+                pruned = list(classification._offdiag_matrices(dims, loops, budget - loop_cost))
+                assert len(set(pruned)) == len(pruned)
+                assert set(pruned) == brute_force_offdiag(dims, loops, budget - loop_cost), (
+                    dims,
+                    loops,
+                )
+                blocks += 1
+        assert blocks > 0
+
+    @given(st.integers(0, 10**6))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_vertex_removal_matches_euler_form(self, seed):
+        s = random_setting(random.Random(seed))
+        proposed = {m.vertex for m in applicable_moves(s) if m.kind is MoveKind.VERTEX_REMOVAL}
+        expected = {
+            v
+            for v in range(s.k)
+            if s.k >= 2
+            and s.loops_at(v) == 0
+            and (
+                euler_form(s, s.dims, unit_vector(s.k, v)) >= 0
+                or euler_form(s, unit_vector(s.k, v), s.dims) >= 0
+            )
+        }
+        assert proposed == expected
 
 
 class TestTypeClasses:

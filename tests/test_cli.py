@@ -225,20 +225,30 @@ class TestReportContract:
 
 
 CONIFOLD = str(FIXTURES / "conifold.json")
+# settings that validate() rejects: a dimension-0 vertex, a marked loop at a
+# dimension-1 vertex; "SETTING" in the arguments stands for their file
+ZERO_DIM = {"dims": [0, 1], "arrows": [[0, 1], [1, 0]]}
+MARK_AT_DIM_ONE = {"dims": [1], "arrows": [[0]], "marked_loops": [1]}
 
 
 @pytest.mark.parametrize(
-    "args, env",
+    "args, env, setting",
     [
-        (["toric", "charts", CONIFOLD, "--theta=1,1"], {}),
-        (["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "9"], {}),
-        (["classify", CONIFOLD, "--dimx", "-1"], {}),
-        (["local", CONIFOLD, "--tau", "[[2,[1,0]]]"], {}),
-        (["enumerate", "--dim", "3"], {"QSING_BUDGET_SECS": "abc"}),
+        (["toric", "charts", CONIFOLD, "--theta=1,1"], {}, None),
+        (["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "9"], {}, None),
+        (["classify", CONIFOLD, "--dimx", "-1"], {}, None),
+        (["local", CONIFOLD, "--tau", "[[2,[1,0]]]"], {}, None),
+        (["enumerate", "--dim", "3"], {"QSING_BUDGET_SECS": "abc"}, None),
+        (["dim", "SETTING"], {}, ZERO_DIM),
+        (["classify", "SETTING"], {}, MARK_AT_DIM_ONE),
     ],
-    ids=["theta", "support", "dimx", "tau", "budget"],
+    ids=["theta", "support", "dimx", "tau", "budget", "zero-dim", "mark-at-dim-1"],
 )
-def test_bad_input_exits_two_without_traceback(args, env):
+def test_bad_input_exits_two_without_traceback(args, env, setting, tmp_path):
+    if setting is not None:
+        path = tmp_path / "setting.json"
+        path.write_text(json.dumps(setting))
+        args = [str(path) if a == "SETTING" else a for a in args]
     proc = subprocess.run(
         [sys.executable, "-m", "qsing.cli", *args],
         capture_output=True,

@@ -5,9 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing.classification import expected_dim
-from qsing.core import MarkedQuiverSetting, canonical_key, euler_form, unit_vector
+from qsing.core import (
+    MarkedQuiverSetting,
+    canonical_key,
+    euler_form,
+    strongly_connected,
+    unit_vector,
+)
 from qsing.errors import CapacityError, InconsistencyError, UnsupportedSettingError
 from qsing.local_structure import (
     DecompositionType,
@@ -179,7 +186,34 @@ class TestClassifyPoint:
         assert report.smooth and report.azumaya and report.expected_dim == 0
 
 
+def simple_by_euler_form(s: MarkedQuiverSetting, beta) -> bool:
+    """The simplicity criterion with its last test spelled with euler_form."""
+    support = [v for v in range(s.k) if beta[v] > 0]
+    if not support or not strongly_connected(s, support):
+        return False
+    if len(support) == 1:
+        v = support[0]
+        return beta[v] == 1 if s.loops_at(v) <= 1 else True
+    deg_in = [sum(s.arrows[w][v] for w in support) + s.marked_loops[v] for v in range(s.k)]
+    deg_out = [sum(s.arrows[v][w] for w in support) + s.marked_loops[v] for v in range(s.k)]
+    if all(deg_in[v] == 1 and deg_out[v] == 1 for v in support):
+        return all(beta[v] == 1 for v in support)
+    return all(
+        euler_form(s, beta, unit_vector(s.k, v)) <= 0
+        and euler_form(s, unit_vector(s.k, v), beta) <= 0
+        for v in support
+    )
+
+
 class TestSimplesBelow:
+    @given(st.data())
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_matches_euler_form_criterion(self, data):
+        s = random_setting(random.Random(data.draw(st.integers(0, 10**6))), max_k=4)
+        beta = data.draw(st.tuples(*(st.integers(0, 3) for _ in range(s.k))))
+        assert is_simple_dimvector(s, beta) == simple_by_euler_form(s, beta)
+
+
     def test_conifold(self, conifold):
         simples = enumerate_simples_below(conifold, (1, 1))
         assert set(simples) == {(1, 0), (0, 1), (1, 1)}
