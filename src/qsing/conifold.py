@@ -483,8 +483,13 @@ def verification_battery(seed: int = 0, triples: int = 200, points: int = 100) -
     Each record has the check's name and whether it passed, plus a
     counterexample where one is available for a failed check.  ``seed``
     drives the random associativity triples and the sampled points of the
-    2-dimensional representation scheme.
+    2-dimensional representation scheme.  Fewer than one triple or one point
+    raises ``ValueError``.
     """
+    if triples < 1:
+        raise ValueError("triples must be >= 1")
+    if points < 1:
+        raise ValueError("points must be >= 1")
     rng = random.Random(seed)
     checks: list[dict] = []
 

@@ -322,8 +322,10 @@ def toric_relations(
     of increasing minimal degree; inside a fiber whose monomials are not yet
     all connected by the relations already emitted, every pair of distinct
     connected components contributes one binomial.  Completeness beyond the
-    bound is not claimed.
+    bound is not claimed.  A degree bound below 1 raises ``ValueError``.
     """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
     gens = [tuple(g) for g in generators]
     ng = len(gens)
     if ng == 0:
@@ -483,7 +485,13 @@ def semistable_via_semiinvariants(
 
 @dataclass(frozen=True)
 class ProjChart:
-    """Affine chart of proj at a positive-degree generator."""
+    """Affine chart of proj at a positive-degree generator.
+
+    ``smooth`` means the chart monoid is N^a x Z^b.  ``monoid_generators``
+    is its minimal generating set when the chart has no units, and otherwise
+    a generating set that need not be minimal.  ``free_rank`` is the chart's
+    dimension.
+    """
 
     pivot: GradedGenerator
     monoid_generators: tuple[Vector, ...]
@@ -499,62 +507,23 @@ class ProjChart:
         }
 
 
-def _n_combination(target: Vector, pool: list[Vector], grading: Vector | None) -> bool:
-    """Whether target is an N-linear combination of pool vectors.
+def _chart_generators(
+    shifted: Sequence[Vector], outside: Sequence[int]
+) -> tuple[list[Vector], bool]:
+    """A generating set of a chart monoid, and whether the monoid is N^a x Z^b.
 
-    With a strictly positive grading the search is exact; otherwise the
-    coefficient sum is capped (enough for the pointed monoids arising here).
+    ``shifted`` generates S = {v : W v = 0, v_a >= 0 for a in ``outside``},
+    the coordinates outside the pivot's support.  The projection
+    p(v) = (v_a for a in ``outside``) sends exactly the units of S to 0, and
+    p(S) = p(ker W) meet N^outside is saturated and pointed, so a nonzero
+    image is irreducible iff no other nonzero image lies below it
+    coordinatewise.  S is Z^b x p(S): smooth iff those images are independent.
     """
-    if grading is not None:
-        total = sum(g * t for g, t in zip(grading, target))
-        if total <= 0:
-            return all(x == 0 for x in target)
-
-    def recurse(remaining: Vector, idx: int, cap: int) -> bool:
-        if all(x == 0 for x in remaining):
-            return True
-        if idx == len(pool) or cap == 0:
-            return False
-        vec = pool[idx]
-        max_c = cap
-        if grading is not None:
-            value = sum(g * v for g, v in zip(grading, vec))
-            budget = sum(g * r for g, r in zip(grading, remaining))
-            if value > 0:
-                max_c = min(max_c, budget // value)
-        for c in range(max_c, -1, -1):
-            nxt = tuple(r - c * v for r, v in zip(remaining, vec))
-            if recurse(nxt, idx + 1, cap - c):
-                return True
-        return False
-
-    return recurse(target, 0, 12)
-
-
-def _positive_grading(vectors: Sequence[Vector]) -> Vector | None:
-    """A functional strictly positive on all vectors, if the sum of them works."""
-    if not vectors:
-        return None
-    dim = len(vectors[0])
-    lam = tuple(sum(v[i] for v in vectors) for i in range(dim))
-    if all(sum(l * x for l, x in zip(lam, v)) > 0 for v in vectors):
-        return lam
-    return None
-
-
-def _minimize_monoid_generators(vectors: list[Vector]) -> list[Vector]:
-    gens = sorted(set(v for v in vectors if any(v)))
-    grading = _positive_grading(gens)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if rest and _n_combination(g, rest, grading):
-                gens.remove(g)
-                changed = True
-                break
-    return gens
+    image = {v: tuple(v[a] for a in outside) for v in set(shifted) if any(v)}
+    nonzero = {w for w in image.values() if any(w)}
+    minimal = {w for w in nonzero if not any(u != w and _dominates(w, u) for u in nonzero)}
+    gens = sorted(v for v, w in image.items() if w in minimal or not any(w))
+    return gens, linalg.rank(list(minimal)) == len(minimal)
 
 
 def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]:
@@ -562,8 +531,10 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
 
     The chart at a degree-d generator f is the degree-zero part of the
     localization at f: solutions of W u = m * d * theta shifted by -m times
-    the lift of f.  The chart is flagged smooth when its minimized generating
-    set is Z-linearly independent (the monoid is then free).
+    the lift of f.  These exponent vectors v are exactly those with W v = 0
+    and v_a >= 0 wherever f's exponent is 0.  The chart is flagged smooth
+    when that monoid is N^a x Z^b: the units split off, and the irreducible
+    elements of the unit-free quotient are linearly independent.
     """
     tv = StabilityVector.of(s, theta)
     if tv.is_zero:
@@ -580,15 +551,13 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
             [ws.weights[a][v] for a in range(n)] + [-pivot.degree * tv.theta[v]]
             for v in range(s.k)
         ]
-        shifted = []
-        for sol in hilbert_basis(rows):
-            u, m = sol[:n], sol[n]
-            vec = tuple(u[a] - m * pivot.exponents[a] for a in range(n))
-            shifted.append(vec)
-        gens = _minimize_monoid_generators(shifted)
-        rank = linalg.rank(gens)
-        smooth = rank == len(gens)
-        charts.append(ProjChart(pivot, tuple(gens), smooth, rank))
+        shifted = [
+            tuple(sol[a] - sol[n] * pivot.exponents[a] for a in range(n))
+            for sol in hilbert_basis(rows)
+        ]
+        outside = [a for a in range(n) if pivot.exponents[a] == 0]
+        gens, smooth = _chart_generators(shifted, outside)
+        charts.append(ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
     return charts
 
 

@@ -22,6 +22,13 @@ def run_cli(args, capsys) -> tuple[int, dict]:
     return code, json.loads(out) if out.strip() else {}
 
 
+def with_setting_file(args, setting, tmp_path) -> list[str]:
+    """``args`` with "SETTING" replaced by a temporary file holding ``setting``."""
+    path = tmp_path / "setting.json"
+    path.write_text(json.dumps(setting))
+    return [str(path) if a == "SETTING" else a for a in args]
+
+
 class TestBasicCommands:
     def test_dim_conifold(self, capsys):
         code, report = run_cli(["dim", str(FIXTURES / "conifold.json")], capsys)
@@ -135,6 +142,17 @@ class TestToricCommands:
         stable = [s for s in report["result"]["strata"] if s["stable"]]
         assert len(stable) == 3
 
+    def test_charts_kronecker_doubled_theta_smooth(self, capsys, tmp_path):
+        # theta = (-2, 2) gives the same P^1 as (-1, 1); its middle chart has units
+        kronecker = {"dims": [1, 1], "arrows": [[0, 2], [0, 0]]}
+        args = with_setting_file(
+            ["toric", "charts", "SETTING", "--theta=-2,2"], kronecker, tmp_path
+        )
+        code, report = run_cli(args, capsys)
+        assert code == 0
+        charts = report["result"]["charts"]
+        assert len(charts) == 3 and all(c["smooth"] for c in charts)
+
 
 class TestEnumerateCommand:
     def test_dim3_writes_files(self, capsys, tmp_path):
@@ -241,14 +259,18 @@ MARK_AT_DIM_ONE = {"dims": [1], "arrows": [[0]], "marked_loops": [1]}
         (["enumerate", "--dim", "3"], {"QSING_BUDGET_SECS": "abc"}, None),
         (["dim", "SETTING"], {}, ZERO_DIM),
         (["classify", "SETTING"], {}, MARK_AT_DIM_ONE),
+        (["conifold-verify", "--triples", "-3"], {}, None),
+        (["conifold-verify", "--points", "0"], {}, None),
+        (["toric", "relations", CONIFOLD, "--degree-bound", "-2"], {}, None),
     ],
-    ids=["theta", "support", "dimx", "tau", "budget", "zero-dim", "mark-at-dim-1"],
+    ids=[
+        "theta", "support", "dimx", "tau", "budget", "zero-dim", "mark-at-dim-1",
+        "triples", "points", "degree-bound",
+    ],
 )
 def test_bad_input_exits_two_without_traceback(args, env, setting, tmp_path):
     if setting is not None:
-        path = tmp_path / "setting.json"
-        path.write_text(json.dumps(setting))
-        args = [str(path) if a == "SETTING" else a for a in args]
+        args = with_setting_file(args, setting, tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "qsing.cli", *args],
         capture_output=True,

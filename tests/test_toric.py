@@ -294,6 +294,76 @@ class TestProjCharts:
                     assert chart.free_rank == dim
             checked += 1
 
+    @pytest.mark.parametrize("theta", [(-1, 1), (-2, 2), (-3, 3)])
+    def test_kronecker_charts_are_smooth_for_every_multiple(self, theta):
+        # every multiple of theta gives the same Proj, P^1
+        kronecker = MarkedQuiverSetting.make([1, 1], [[0, 2], [0, 0]])
+        charts = proj_charts(kronecker, theta)
+        assert charts and all(c.smooth and c.free_rank == 1 for c in charts)
+
+    def test_kronecker_chart_with_units(self):
+        # at pivot a1*a2 the chart monoid is Z, generated by a1/a2 and a2/a1
+        kronecker = MarkedQuiverSetting.make([1, 1], [[0, 2], [0, 0]])
+        charts = {c.pivot.exponents: c for c in proj_charts(kronecker, (-2, 2))}
+        chart = charts[(1, 1)]
+        assert set(chart.monoid_generators) == {(1, -1), (-1, 1)}
+        assert chart.smooth
+
+    @staticmethod
+    def _random_charted_settings(seed: int, count: int, max_entry: int):
+        """Strongly connected all-ones settings, k <= 3, <= k + 3 arrows, with theta."""
+        from qsing.core import strongly_connected
+
+        rng = random.Random(seed)
+        while count:
+            s = random_all_ones_setting(rng, max_k=3, max_arrows=6)
+            if s.k < 2 or s.num_arrows > s.k + 3 or not strongly_connected(s):
+                continue
+            theta = [rng.randint(-max_entry, max_entry) for _ in range(s.k - 1)]
+            theta.append(-sum(theta))
+            if not any(theta) or abs(theta[-1]) > max_entry:
+                continue
+            count -= 1
+            yield s, theta
+
+    def test_smoothness_invariant_under_veronese(self):
+        # theta and 2 theta give the same Proj (Veronese embedding)
+        for s, theta in self._random_charted_settings(41, 200, 2):
+            try:
+                charts = proj_charts(s, theta)
+            except EmptyProjError:
+                with pytest.raises(EmptyProjError):
+                    proj_charts(s, [2 * t for t in theta])
+                continue
+            doubled = proj_charts(s, [2 * t for t in theta])
+            assert all(c.smooth for c in charts) == all(c.smooth for c in doubled), (
+                s.to_json(),
+                theta,
+            )
+
+    def test_generators_lie_in_their_chart_monoid(self):
+        for s, theta in self._random_charted_settings(43, 60, 2):
+            try:
+                charts = proj_charts(s, theta)
+            except EmptyProjError:
+                continue
+            arrows = s.arrow_list()
+            for chart in charts:
+                outside = [a for a, e in enumerate(chart.pivot.exponents) if e == 0]
+                for v in chart.monoid_generators:
+                    weight = [0] * s.k
+                    for arrow, e in zip(arrows, v):
+                        weight[arrow.head] += e
+                        weight[arrow.tail] -= e
+                    assert not any(weight), (s.to_json(), theta, v)
+                    assert all(v[a] >= 0 for a in outside), (s.to_json(), theta, v)
+                units = [v for v in chart.monoid_generators if not any(v[a] for a in outside)]
+                if not units:
+                    # a pointed chart lists its Hilbert basis, which the
+                    # coordinates outside the pivot's support determine
+                    images = [tuple(v[a] for a in outside) for v in chart.monoid_generators]
+                    assert check_hilbert_minimality(images) == []
+
     def test_theta_zero_guard(self, conifold):
         with pytest.raises(EmptyProjError):
             proj_charts(conifold, (0, 0))
