@@ -11,6 +11,12 @@ coefficients.  Words multiply through a six-rule rewrite system oriented by
 X < Y < Z; each rule either shortens the word or lowers its inversion count,
 so rewriting terminates, and the critical pairs of the system can be checked
 by :func:`rewrite_critical_pairs`.
+
+Products are computed over the integers.  Every rewrite coefficient (x, y,
+1, 2z, -1) is integral, so the table of the 64 basis products holds integer
+coefficients; :func:`multiply` writes each operand over one common
+denominator, multiplies numerators through that table, and divides by the
+product of the two denominators once per output term.
 """
 
 from __future__ import annotations
@@ -38,11 +44,21 @@ class CenterPoly:
 
     @classmethod
     def from_dict(cls, data: Mapping[Monomial, object]) -> "CenterPoly":
+        """Drop zero coefficients and sort the terms.
+
+        A monomial that is not a 3-tuple of non-negative ints raises ``ValueError``.
+        """
         cleaned = {}
         for mono, coef in data.items():
+            if not (
+                type(mono) is tuple
+                and len(mono) == 3
+                and all(type(e) is int and e >= 0 for e in mono)
+            ):
+                raise ValueError(f"monomial {mono!r} is not a 3-tuple of non-negative ints")
             c = Fraction(coef)
             if c:
-                cleaned[tuple(int(e) for e in mono)] = c
+                cleaned[mono] = c
         return cls(tuple(sorted(cleaned.items())))
 
     @classmethod
@@ -228,25 +244,63 @@ X = ConifoldElement.from_word("X")
 Y = ConifoldElement.from_word("Y")
 Z = ConifoldElement.from_word("Z")
 
-_PRODUCT_TABLE: dict[tuple[str, str], dict[str, CenterPoly]] = {}
+IntTerms = list[tuple[Monomial, int]]  # a polynomial's terms with integer coefficients
+
+# (w1, w2) -> normal form of the word w1 w2 as (word, integer terms) pairs;
+# filled on first use
+_PRODUCT_TABLE: dict[tuple[str, str], tuple[tuple[str, IntTerms], ...]] = {}
 
 
-def _basis_product(w1: str, w2: str) -> dict[str, CenterPoly]:
+def _basis_product(w1: str, w2: str) -> tuple[tuple[str, IntTerms], ...]:
     key = (w1, w2)
     if key not in _PRODUCT_TABLE:
-        _PRODUCT_TABLE[key] = _reduce_word(w1 + w2)
+        # the rewrite coefficients are integral, so every denominator is 1
+        _PRODUCT_TABLE[key] = tuple(
+            (word, [(mono, c.numerator) for mono, c in poly.terms])
+            for word, poly in _reduce_word(w1 + w2).items()
+        )
     return _PRODUCT_TABLE[key]
 
 
+def _integer_terms(a: ConifoldElement) -> tuple[int, list[tuple[str, IntTerms]]]:
+    """The lcm D of a's coefficient denominators, and a's terms as numerators over D."""
+    den = math.lcm(*(c.denominator for poly in a.coeffs.values() for _, c in poly.terms))
+    return den, [
+        (word, [(mono, c.numerator * (den // c.denominator)) for mono, c in poly.terms])
+        for word, poly in a.coeffs.items()
+    ]
+
+
 def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
-    """Bilinear extension of the basis product table (coefficients are central)."""
-    data: dict[str, CenterPoly] = {}
-    for w1, p1 in a.coeffs.items():
-        for w2, p2 in b.coeffs.items():
-            factor = p1 * p2
-            for word, poly in _basis_product(w1, w2).items():
-                data[word] = data.get(word, ZERO) + factor * poly
-    return ConifoldElement(data)
+    """Bilinear extension of the basis product table (coefficients are central).
+
+    The product is computed over the integers: with a = A / D_a and
+    b = B / D_b for integral A and B, the integral product table gives
+    A * B, and each of its coefficients is divided by D_a * D_b once.
+    """
+    den_a, terms_a = _integer_terms(a)
+    den_b, terms_b = _integer_terms(b)
+    acc: dict[str, dict[Monomial, int]] = {}
+    for w1, t1 in terms_a:
+        for w2, t2 in terms_b:
+            factor: dict[Monomial, int] = {}
+            for (i1, j1, k1), c1 in t1:
+                for (i2, j2, k2), c2 in t2:
+                    mono = (i1 + i2, j1 + j2, k1 + k2)
+                    factor[mono] = factor.get(mono, 0) + c1 * c2
+            for word, poly in _basis_product(w1, w2):
+                out = acc.setdefault(word, {})
+                for (i1, j1, k1), c1 in factor.items():
+                    for (i2, j2, k2), c2 in poly:
+                        mono = (i1 + i2, j1 + j2, k1 + k2)
+                        out[mono] = out.get(mono, 0) + c1 * c2
+    den = den_a * den_b
+    return ConifoldElement(
+        {
+            word: CenterPoly(tuple(sorted((m, Fraction(n, den)) for m, n in out.items() if n)))
+            for word, out in acc.items()
+        }
+    )
 
 
 def word_normal_form(word: str, scalar=1) -> ConifoldElement:

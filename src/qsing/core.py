@@ -170,13 +170,26 @@ class MarkedQuiverSetting:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MarkedQuiverSetting":
+        """Read ``to_json`` output; every entry must be a JSON integer, not a float or bool."""
         try:
-            return cls.make(data["dims"], data["arrows"], data.get("marked_loops"))
+            dims = [_json_int(d) for d in data["dims"]]
+            arrows = [[_json_int(a) for a in row] for row in data["arrows"]]
+            marks = data.get("marked_loops")
+            if marks is not None:
+                marks = [_json_int(m) for m in marks]
+            return cls.make(dims, arrows, marks)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed setting JSON: {exc}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _json_int(value) -> int:
+    # bool is a subclass of int, so JSON true would otherwise read as 1
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def euler_matrix(s: MarkedQuiverSetting) -> tuple[tuple[int, ...], ...]:
@@ -245,6 +258,8 @@ def validate(s: MarkedQuiverSetting) -> list[str]:
     as a note prefixed with "note:" rather than a violation.
     """
     problems = []
+    if not s.dims:
+        problems.append("setting must have at least one vertex")
     for v, d in enumerate(s.dims):
         if d < 1:
             problems.append(f"vertex {v}: dimension must be >= 1, got {d}")

@@ -247,6 +247,10 @@ CONIFOLD = str(FIXTURES / "conifold.json")
 # dimension-1 vertex; "SETTING" in the arguments stands for their file
 ZERO_DIM = {"dims": [0, 1], "arrows": [[0, 1], [1, 0]]}
 MARK_AT_DIM_ONE = {"dims": [1], "arrows": [[0]], "marked_loops": [1]}
+# settings that from_json rejects: a non-integer dimension, a boolean one
+FLOAT_DIM = {"dims": [2.9], "arrows": [[1]]}
+BOOL_DIM = {"dims": [True, 1], "arrows": [[0, 1], [1, 0]]}
+EMPTY = {"dims": [], "arrows": []}
 
 
 @pytest.mark.parametrize(
@@ -262,10 +266,15 @@ MARK_AT_DIM_ONE = {"dims": [1], "arrows": [[0]], "marked_loops": [1]}
         (["conifold-verify", "--triples", "-3"], {}, None),
         (["conifold-verify", "--points", "0"], {}, None),
         (["toric", "relations", CONIFOLD, "--degree-bound", "-2"], {}, None),
+        (["classify", "SETTING"], {}, FLOAT_DIM),
+        (["classify", "SETTING"], {}, BOOL_DIM),
+        (["classify", "SETTING"], {}, EMPTY),
+        (["reduce", "SETTING"], {}, EMPTY),
     ],
     ids=[
         "theta", "support", "dimx", "tau", "budget", "zero-dim", "mark-at-dim-1",
-        "triples", "points", "degree-bound",
+        "triples", "points", "degree-bound", "float-dim", "bool-dim", "empty",
+        "empty-reduce",
     ],
 )
 def test_bad_input_exits_two_without_traceback(args, env, setting, tmp_path):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from qsing.conifold import (
     BASIS,
@@ -45,6 +46,23 @@ def random_element(rng: random.Random, max_terms: int = 2) -> ConifoldElement:
         if not poly.is_zero:
             coeffs[word] = poly
     return ConifoldElement(coeffs)
+
+
+# rational elements: up to 8 words, up to 3 terms each, denominators 1-9;
+# an empty draw is the zero element
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+polys = st.dictionaries(monomials, rationals, max_size=3).map(CenterPoly.from_dict)
+rational_elements = st.dictionaries(st.sampled_from(BASIS), polys, max_size=8).map(ConifoldElement)
+
+
+def reference_multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
+    """Word by word: reduce each concatenated word, sum with CenterPoly arithmetic."""
+    total = ConifoldElement.zero()
+    for w1, p1 in a.coeffs.items():
+        for w2, p2 in b.coeffs.items():
+            total = total + word_normal_form(w1 + w2).scale_poly(p1 * p2)
+    return total
 
 
 def mat_mul2(a, b):
@@ -141,6 +159,47 @@ class TestMultiplication:
                     evaluate_at_point(a, point), evaluate_at_point(b, point)
                 )
                 assert lhs == rhs
+
+
+class TestRationalMultiplication:
+    """``multiply`` clears denominators; these operands are not integral."""
+
+    @given(rational_elements, rational_elements)
+    @example(ConifoldElement.zero(), X.scale_poly(CenterPoly.constant(Fraction(2, 3))))
+    @example(Y.scale_poly(POLY_X.scale(Fraction(-5, 7))), ConifoldElement.zero())
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_agrees_with_reference(self, a, b):
+        product = multiply(a, b)
+        expected = reference_multiply(a, b)
+        assert product == expected
+        assert str(product) == str(expected)
+
+    def test_operands_over_different_denominators(self):
+        half_x = X.scale_poly(CenterPoly.constant(Fraction(1, 2)))
+        third_y = Y.scale_poly(CenterPoly.constant(Fraction(1, 3)))
+        fifth_y = Y.scale_poly(CenterPoly.constant(Fraction(1, 5)))
+        # (X/2 + Y/3) * Y/5 = XY/10 + y/15
+        expected = ConifoldElement(
+            {"": POLY_Y.scale(Fraction(1, 15)), "XY": CenterPoly.constant(Fraction(1, 10))}
+        )
+        assert multiply(half_x + third_y, fifth_y) == expected
+        assert multiply(half_x, third_y) == ConifoldElement({"XY": CenterPoly.constant(Fraction(1, 6))})
+
+    @given(rational_elements, rational_elements)
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_products_that_cancel(self, a, b):
+        # (1 + Z)(1 - Z) = 1 - Z^2 = 0, so a (1 + Z) * (1 - Z) b cancels to zero
+        one = ConifoldElement.one()
+        left, right = multiply(a, one + Z), multiply(one - Z, b)
+        assert multiply(left, right).is_zero
+        assert reference_multiply(left, right).is_zero
+
+    @given(rational_elements, rational_elements, rational_elements)
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_associative_and_distributive(self, a, b, c):
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+        assert multiply(a, b + c) == multiply(a, b) + multiply(a, c)
+        assert multiply(a + b, c) == multiply(a, c) + multiply(b, c)
 
 
 class TestCenter:
@@ -260,3 +319,8 @@ class TestCenterPoly:
     def test_zero_normalization(self):
         assert (POLY_X - POLY_X).is_zero
         assert CenterPoly.from_dict({(0, 0, 0): 0}).is_zero
+
+    @pytest.mark.parametrize("mono", [(1, 0), (-1, 0, 0), (1, 0, 0, 0), (1.0, 0, 0), (True, 0, 0)])
+    def test_from_dict_rejects_bad_monomials(self, mono):
+        with pytest.raises(ValueError):
+            CenterPoly.from_dict({mono: 1})

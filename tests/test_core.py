@@ -117,6 +117,10 @@ class TestValidation:
         s = MarkedQuiverSetting.make([0, 1], [[0, 1], [1, 0]])
         assert any("dimension must be >= 1" in p for p in validate(s))
 
+    def test_empty_setting(self):
+        s = MarkedQuiverSetting.make([], [])
+        assert "setting must have at least one vertex" in validate(s)
+
     def test_disconnected_is_a_note(self):
         s = MarkedQuiverSetting.make([1, 1], [[0, 1], [0, 0]])
         problems = validate(s)
@@ -238,3 +242,18 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             MarkedQuiverSetting.from_json({"dims": [1]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dims": [2.9], "arrows": [[1]]},
+            {"dims": [1.5, 1], "arrows": [[0, 1], [1, 0]]},
+            {"dims": [True, 1], "arrows": [[0, 1], [1, 0]]},
+            {"dims": [1, 1], "arrows": [[0, 1.0], [1, 0]]},
+            {"dims": [2], "arrows": [[1]], "marked_loops": [False]},
+            {"dims": ["1"], "arrows": [[1]]},
+        ],
+    )
+    def test_non_integer_entries(self, data):
+        with pytest.raises(ValueError, match="malformed setting JSON"):
+            MarkedQuiverSetting.from_json(data)
