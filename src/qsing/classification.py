@@ -21,6 +21,7 @@ from .core import (
     canonical_key,
     euler_form,
     strongly_connected,
+    validate,
 )
 from .errors import BudgetExhaustedError, HypothesisError
 from .local_structure import is_simple_dimvector
@@ -67,6 +68,12 @@ class SingularityReport:
         }
 
 
+_FORMAL_DIM_WARNING = (
+    "setting admits no simple representation of its full dimension vector; "
+    "expected_dim is formal"
+)
+
+
 def _raw_expected_dim(s: MarkedQuiverSetting) -> int:
     return 1 - euler_form(s, s.dims, s.dims) - s.num_marked_loops
 
@@ -79,12 +86,16 @@ def expected_dim(s: MarkedQuiverSetting, *, warn_if_not_simple: bool = True) -> 
     returned.
     """
     if warn_if_not_simple and not is_simple_dimvector(s, s.dims):
-        warnings.warn(
-            "setting admits no simple representation of its full dimension "
-            "vector; expected_dim is formal",
-            stacklevel=2,
-        )
+        warnings.warn(_FORMAL_DIM_WARNING, stacklevel=2)
     return _raw_expected_dim(s)
+
+
+def dim_report(s: MarkedQuiverSetting) -> dict:
+    """The ``dim`` report: the expected dimension, with a warning when it is formal."""
+    report: dict = {"expected_dim": _raw_expected_dim(s)}
+    if not is_simple_dimvector(s, s.dims):
+        report["warnings"] = [_FORMAL_DIM_WARNING]
+    return report
 
 
 def defect(s: MarkedQuiverSetting, dim_x: int) -> int:
@@ -138,6 +149,20 @@ def is_smooth_setting(s: MarkedQuiverSetting) -> SingularityReport:
         azumaya=azumaya,
         matched_entry=entry,
     )
+
+
+def classify_report(s: MarkedQuiverSetting, dim_x: int | None = None) -> dict:
+    """The ``classify`` report: the smoothness report of ``s``.
+
+    It adds the defect against the central dimension ``dim_x`` when one is
+    given, and the findings of :func:`~qsing.core.validate`.
+    """
+    report = is_smooth_setting(s).to_json()
+    if dim_x is not None:
+        report["defect"] = defect(s, dim_x)
+        report["dim_x"] = dim_x
+    report["violations"] = validate(s)
+    return report
 
 
 def _vertex_contribution(dim: int, loops: int, marks: int) -> int:
@@ -218,16 +243,11 @@ def _loop_configs(dims: tuple[int, ...], budget: int, d: int):
         cost = sum(c for _, _, c in combo)
         if cost > budget:
             continue
-        if k >= 2:
-            try:
-                bound = 1 + sum(
-                    _vertex_contribution(dims[v], combo[v][0], combo[v][1])
-                    for v in range(k)
-                )
-            except HypothesisError:
-                continue
-            if bound > d:
-                continue
+        # dimension-1 vertices only get (0, 0, 0), so no contribution raises
+        if k >= 2 and d < 1 + sum(
+            _vertex_contribution(dims[v], loops, marks) for v, (loops, marks, _) in enumerate(combo)
+        ):
+            continue
         yield tuple((l, m) for l, m, _ in combo), cost
 
 
@@ -316,6 +336,8 @@ def enumerate_reduced_singular(
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    if budget_secs is not None and budget_secs < 0:
+        raise ValueError("budget must be >= 0 seconds")
     start = time.monotonic()
     found: dict[bytes, MarkedQuiverSetting] = {}
 
@@ -410,3 +432,75 @@ def singular_type_classes(
 
 
 EXPECTED_SINGULAR_COUNTS = {3: 1, 4: 3, 5: 10, 6: 53}
+
+
+def census_report(
+    d: int, *, budget_secs: float | None = None, progress=None
+) -> tuple[dict, bool]:
+    """The ``enumerate`` report for dimension d, and whether the census passed.
+
+    The settings of :func:`enumerate_reduced_singular` are grouped into type
+    classes and the type count is compared with ``EXPECTED_SINGULAR_COUNTS``.
+    A run out of budget reports its partial census and fails.  A count that
+    differs adds a diff report, and fails the census for d <= 5; the d = 6
+    count is a stretch goal.
+    """
+    exhausted = None
+    try:
+        settings = enumerate_reduced_singular(d, budget_secs=budget_secs, progress=progress)
+    except BudgetExhaustedError as exc:
+        settings, exhausted = exc.partial, str(exc)
+    types = singular_type_classes(settings)
+    expected = EXPECTED_SINGULAR_COUNTS.get(d)
+    matches = expected is None or len(types) == expected
+    report = {
+        "dim": d,
+        "setting_count": len(settings),
+        "type_count": len(types),
+        "expected_type_count": expected,
+        "type_count_matches": matches,
+        "settings": [s.to_json() for s in settings],
+        "type_classes": [c.to_json() for c in types],
+    }
+    if exhausted is not None:
+        report["budget_exhausted"] = exhausted
+    if not matches:
+        report["diff_report"] = {
+            "expected": expected,
+            "found_types": len(types),
+            "found_settings": len(settings),
+            "note": (
+                "counts follow the permutation/ring-equivalence conventions of "
+                "this tool; the published classification may group differently"
+            ),
+        }
+    return report, exhausted is None and (matches or d > 5)
+
+
+def selftest() -> dict:
+    """The ``selftest`` report: defect fixtures and conifold sanity checks."""
+    fixtures = [
+        (MarkedQuiverSetting.make([1], [[2]]), 0),
+        (MarkedQuiverSetting.make([1, 1], [[1, 1], [1, 0]]), 0),
+        (MarkedQuiverSetting.make([2], [[0]], [2]), 1),
+    ]
+    checks = []
+    for idx, (s, expected) in enumerate(fixtures):
+        got = defect(s, 2)
+        checks.append(
+            {"check": f"defect fixture {idx}", "expected": expected, "got": got, "passed": got == expected}
+        )
+    conifold = MarkedQuiverSetting.make([1, 1], [[0, 2], [2, 0]])
+    got = expected_dim(conifold)
+    checks.append(
+        {"check": "conifold central dimension", "expected": 3, "got": got, "passed": got == 3}
+    )
+    reduced_once = reduce_setting(conifold)
+    reduced_twice = reduce_setting(reduced_once.reduced)
+    checks.append(
+        {
+            "check": "reduction idempotent on the conifold setting",
+            "passed": not reduced_twice.trace and reduced_once.reduced == conifold,
+        }
+    )
+    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}

@@ -2,9 +2,11 @@
 
 Every command reads the JSON interchange format for settings
 ({"dims": [...], "arrows": [[...], ...], "marked_loops": [...]}) and emits a
-schema-versioned report on stdout (or to --out).  Reports are byte-identical
-for identical inputs and seeds; wall-clock timings are only included when
---timings is passed, since they would break that guarantee.
+schema-versioned report on stdout (or to --out).  The report's ``result`` is
+the output of one library report function; this module only parses the
+arguments, loads the setting and formats the report.  Reports are
+byte-identical for identical inputs and seeds; wall-clock timings are only
+included when --timings is passed, since they would break that guarantee.
 
 Exit codes: 0 success, 1 domain error or failed verification, 2 bad input or
 usage error.
@@ -15,38 +17,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .classification import (
-    EXPECTED_SINGULAR_COUNTS,
-    defect,
-    enumerate_reduced_singular,
-    expected_dim,
-    is_smooth_setting,
-    singular_type_classes,
-)
+from .classification import census_report, classify_report, dim_report, selftest
 from .conifold import verification_battery
 from .core import MarkedQuiverSetting, validate
-from .errors import BudgetExhaustedError, QsingError
-from .local_structure import (
-    DecompositionType,
-    classify_point,
-    enumerate_decomposition_types,
-    local_setting,
-)
+from .errors import QsingError
+from .local_structure import DecompositionType, local_report, strata_report
 from .reduction import reduce_setting
-from .toric import (
-    central_fiber,
-    invariant_generators,
-    is_theta_semistable,
-    proj_charts,
-    semistable_via_semiinvariants,
-    toric_relations,
-)
+from .toric import THETA_ACTIONS, toric_report
 
 SCHEMA_VERSION = 1
 
@@ -73,301 +55,82 @@ def _digest_params(*parts) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
-def _emit(args, command: str, digest: str, result, started: float) -> None:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "qsing",
-        "version": __version__,
-        "command": command,
-        "input_digest": digest,
-        "result": result,
-    }
-    if getattr(args, "timings", False):
-        report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+def _input_digest(args, file_digest: str | None) -> str:
+    """The setting file's sha256, folded with the options that select the result."""
+    if file_digest is None:
+        return _digest_params(args.command, *(getattr(args, name) for name in args.digest_args))
+    if args.command == "toric" and args.action in THETA_ACTIONS:
+        return _digest_params(file_digest, args.action, args.theta, args.support)
+    return file_digest
 
 
-def _parse_theta(raw: str, k: int) -> tuple[int, ...]:
+def _int_list(raw: str | None, flag: str) -> list[int] | None:
+    if raw is None:
+        return None
     try:
-        theta = tuple(int(x) for x in raw.split(","))
+        return [int(x) for x in raw.split(",")] if raw else []
     except ValueError:
-        raise _bad_input(f"malformed theta {raw!r}; expected comma-separated integers")
-    if len(theta) != k:
-        raise _bad_input(f"theta has length {len(theta)}, setting has {k} vertices")
-    return theta
+        raise _bad_input(f"malformed {flag} {raw!r}; expected comma-separated integers")
 
 
-def _cmd_reduce(args) -> int:
-    setting, digest = _load_setting(args.setting)
-    started = time.perf_counter()
-    result = reduce_setting(setting, strict=args.strict)
-    _emit(
-        args,
-        "reduce",
-        digest,
-        {
-            "input": setting.to_json(),
-            "reduced": result.reduced.to_json(),
-            "z": result.z,
-            "trace": [m.to_json() for m in result.trace],
-        },
-        started,
-    )
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    setting, digest = _load_setting(args.setting)
-    started = time.perf_counter()
-    report = is_smooth_setting(setting)
-    payload = report.to_json()
-    if args.dimx is not None:
-        payload["defect"] = defect(setting, args.dimx)
-        payload["dim_x"] = args.dimx
-    payload["violations"] = validate(setting)
-    _emit(args, "classify", digest, payload, started)
-    return 0
-
-
-def _cmd_dim(args) -> int:
-    setting, digest = _load_setting(args.setting)
-    started = time.perf_counter()
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = expected_dim(setting)
-    payload = {"expected_dim": value}
-    notes = [str(w.message) for w in caught]
-    if notes:
-        payload["warnings"] = notes
-    _emit(args, "dim", digest, payload, started)
-    return 0
-
-
-def _cmd_local(args) -> int:
-    setting, digest = _load_setting(args.setting)
-    started = time.perf_counter()
+def _parse_tau(raw: str) -> DecompositionType:
     try:
-        tau = DecompositionType.from_json(json.loads(args.tau))
+        return DecompositionType.from_json(json.loads(raw))
     except (ValueError, TypeError) as exc:
         raise _bad_input(f"malformed --tau: {exc}")
-    local = local_setting(setting, tau)
-    report = classify_point(setting, tau)
-    _emit(
-        args,
-        "local",
-        digest,
-        {
-            "tau": tau.to_json(),
-            "local_setting": local.to_json(),
-            "classification": report.to_json(),
-        },
-        started,
+
+
+def _print_progress(dims, count) -> None:
+    print(f"# dims block {dims}, {count} settings so far", file=sys.stderr)
+
+
+# each command maps (args, setting or None) to (result, passed)
+
+
+def _cmd_reduce(args, s):
+    return reduce_setting(s, strict=args.strict).to_json(), True
+
+
+def _cmd_classify(args, s):
+    return classify_report(s, args.dimx), True
+
+
+def _cmd_dim(args, s):
+    return dim_report(s), True
+
+
+def _cmd_local(args, s):
+    return local_report(s, _parse_tau(args.tau)), True
+
+
+def _cmd_strata(args, s):
+    return strata_report(s), True
+
+
+def _cmd_enumerate(args, _):
+    progress = _print_progress if args.dim >= 6 else None
+    return census_report(args.dim, budget_secs=args.budget, progress=progress)
+
+
+def _cmd_toric(args, s):
+    report = toric_report(
+        s,
+        args.action,
+        theta=_int_list(args.theta, "--theta"),
+        support=_int_list(args.support, "--support"),
+        degree_bound=args.degree_bound,
     )
-    return 0
+    return report, True
 
 
-def _cmd_strata(args) -> int:
-    setting, digest = _load_setting(args.setting)
-    started = time.perf_counter()
-    rows = []
-    for tau in enumerate_decomposition_types(setting):
-        report = classify_point(setting, tau)
-        rows.append(
-            {
-                "tau": tau.to_json(),
-                "local_setting": report.setting.to_json(),
-                "smooth": report.smooth,
-                "azumaya": report.azumaya,
-                "expected_dim": report.expected_dim,
-            }
-        )
-    _emit(
-        args,
-        "strata",
-        digest,
-        {
-            "strata": rows,
-            "note": "occurrence of each type over a given moduli point is not verified",
-        },
-        started,
-    )
-    return 0
+def _cmd_conifold_verify(args, _):
+    report = verification_battery(args.seed, args.triples, args.points)
+    return report, report["all_passed"]
 
 
-def _cmd_enumerate(args) -> int:
-    started = time.perf_counter()
-    budget = args.budget
-    env_budget = os.environ.get("QSING_BUDGET_SECS")
-    if env_budget is not None:
-        try:
-            env_secs = float(env_budget)
-        except ValueError:
-            raise _bad_input(f"QSING_BUDGET_SECS must be a number of seconds, got {env_budget!r}")
-        budget = min(env_secs, budget) if budget else env_secs
-    digest = _digest_params("enumerate", args.dim, budget)
-
-    def progress(dims, count):
-        if args.dim >= 6:
-            print(f"# dims block {dims}, {count} settings so far", file=sys.stderr)
-
-    exhausted = None
-    try:
-        settings = enumerate_reduced_singular(args.dim, budget_secs=budget, progress=progress)
-    except BudgetExhaustedError as exc:
-        settings = exc.partial
-        exhausted = str(exc)
-    types = singular_type_classes(settings)
-    expected = EXPECTED_SINGULAR_COUNTS.get(args.dim)
-    payload = {
-        "dim": args.dim,
-        "setting_count": len(settings),
-        "type_count": len(types),
-        "expected_type_count": expected,
-        "type_count_matches": (expected is None or len(types) == expected),
-        "settings": [s.to_json() for s in settings],
-        "type_classes": [c.to_json() for c in types],
-    }
-    if exhausted:
-        payload["budget_exhausted"] = exhausted
-    if expected is not None and len(types) != expected:
-        payload["diff_report"] = {
-            "expected": expected,
-            "found_types": len(types),
-            "found_settings": len(settings),
-            "note": (
-                "counts follow the permutation/ring-equivalence conventions of "
-                "this tool; the published classification may group differently"
-            ),
-        }
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for idx, s in enumerate(settings):
-            (out_dir / f"setting_{idx:03d}.json").write_text(
-                json.dumps(s.to_json(), indent=2, sort_keys=True) + "\n"
-            )
-        summary_args = argparse.Namespace(out=str(out_dir / "summary.json"), timings=args.timings)
-        _emit(summary_args, "enumerate", digest, payload, started)
-    else:
-        _emit(args, "enumerate", digest, payload, started)
-    if exhausted:
-        return 1
-    if expected is not None and len(types) != expected and args.dim <= 5:
-        return 1
-    return 0
-
-
-def _cmd_toric(args) -> int:
-    setting, digest = _load_setting(args.setting)
-    started = time.perf_counter()
-    legend = [
-        {"index": i, "tail": a.tail, "head": a.head, "slot": a.slot}
-        for i, a in enumerate(setting.arrow_list())
-    ]
-    payload: dict = {"arrow_legend": legend}
-    if args.action == "invariants":
-        basis = invariant_generators(setting)
-        payload["generators"] = [list(u) for u in basis]
-    elif args.action == "relations":
-        basis = invariant_generators(setting)
-        rels = toric_relations(basis, args.degree_bound)
-        payload["generators"] = [list(u) for u in basis]
-        payload["relations"] = [r.to_json() for r in rels]
-        payload["degree_bound"] = args.degree_bound
-    elif args.action == "semistable":
-        theta = _parse_theta(args.theta, setting.k)
-        if args.support is None:
-            raise _bad_input("toric semistable needs --support")
-        idx = [int(x) for x in args.support.split(",")] if args.support else []
-        arrows = setting.arrow_list()
-        if any(not 0 <= i < len(arrows) for i in idx):
-            raise _bad_input(f"--support indices must lie in 0..{len(arrows) - 1}")
-        support = [arrows[i] for i in idx]
-        verdict = is_theta_semistable(setting, support, theta)
-        via = semistable_via_semiinvariants(setting, support, theta)
-        payload["theta"] = list(theta)
-        payload["support"] = idx
-        payload["verdict"] = verdict.to_json()
-        payload["via_semi_invariants"] = via
-        payload["verdicts_agree"] = verdict.semistable == via
-    elif args.action == "charts":
-        theta = _parse_theta(args.theta, setting.k)
-        charts = proj_charts(setting, theta)
-        payload["theta"] = list(theta)
-        payload["charts"] = [c.to_json() for c in charts]
-        payload["degree_zero_generators"] = [
-            list(u) for u in invariant_generators(setting)
-        ]
-    elif args.action == "fiber":
-        theta = _parse_theta(args.theta, setting.k)
-        strata = central_fiber(setting, theta)
-        payload["theta"] = list(theta)
-        payload["strata"] = [f.to_json() for f in strata]
-        dims = [f.orbit_space_dim for f in strata if f.orbit_space_dim is not None]
-        payload["max_orbit_space_dim"] = max(dims) if dims else None
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(2)
-    if args.action in ("semistable", "charts", "fiber"):
-        digest = _digest_params(digest, args.action, getattr(args, "theta", None), getattr(args, "support", None))
-    _emit(args, f"toric {args.action}", digest, payload, started)
-    return 0
-
-
-def _cmd_conifold_verify(args) -> int:
-    started = time.perf_counter()
-    digest = _digest_params("conifold-verify", args.seed, args.triples, args.points)
-    checks = verification_battery(args.seed, args.triples, args.points)
-    ok = all(c["passed"] for c in checks)
-    _emit(
-        args,
-        "conifold-verify",
-        digest,
-        {"checks": checks, "all_passed": ok, "seed": args.seed},
-        started,
-    )
-    return 0 if ok else 1
-
-
-def _cmd_selftest(args) -> int:
-    started = time.perf_counter()
-    digest = _digest_params("selftest")
-    fixtures = [
-        (MarkedQuiverSetting.make([1], [[2]]), 0),
-        (MarkedQuiverSetting.make([1, 1], [[1, 1], [1, 0]]), 0),
-        (MarkedQuiverSetting.make([2], [[0]], [2]), 1),
-    ]
-    checks = []
-    for idx, (s, expected) in enumerate(fixtures):
-        got = defect(s, 2)
-        checks.append(
-            {"check": f"defect fixture {idx}", "expected": expected, "got": got, "passed": got == expected}
-        )
-    conifold = MarkedQuiverSetting.make([1, 1], [[0, 2], [2, 0]])
-    checks.append(
-        {
-            "check": "conifold central dimension",
-            "expected": 3,
-            "got": expected_dim(conifold),
-            "passed": expected_dim(conifold) == 3,
-        }
-    )
-    reduced_once = reduce_setting(conifold)
-    reduced_twice = reduce_setting(reduced_once.reduced)
-    checks.append(
-        {
-            "check": "reduction idempotent on the conifold setting",
-            "passed": not reduced_twice.trace and reduced_once.reduced == conifold,
-        }
-    )
-    ok = all(c["passed"] for c in checks)
-    _emit(args, "selftest", digest, {"checks": checks, "all_passed": ok}, started)
-    return 0 if ok else 1
+def _cmd_selftest(args, _):
+    report = selftest()
+    return report, report["all_passed"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,79 +141,100 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsing {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the report to this file instead of stdout")
+    def command(name, run, help, *, setting=True, digest_args=(), out_help=None):
+        """A subcommand with --out and --timings.
+
+        ``digest_args`` name the options folded into the input digest of a
+        command that reads no setting.
+        """
+        p = sub.add_parser(name, help=help)
+        if setting:
+            p.add_argument("setting")
+        p.add_argument("--out", help=out_help or "write the report to this file instead of stdout")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
+        p.set_defaults(run=run, digest_args=digest_args)
+        return p
 
-    p = sub.add_parser("reduce", help="reduce a setting to its terminal form")
-    p.add_argument("setting")
+    p = command("reduce", _cmd_reduce, "reduce a setting to its terminal form")
     p.add_argument("--strict", action="store_true", help="warn when a vertex removal holds with strict inequality")
-    common(p)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("classify", help="smoothness classification of a setting")
-    p.add_argument("setting")
+    p = command("classify", _cmd_classify, "smoothness classification of a setting")
     p.add_argument("--dimx", type=int, help="also report the defect against this central dimension")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("dim", help="expected central dimension of a setting")
-    p.add_argument("setting")
-    common(p)
-    p.set_defaults(func=_cmd_dim)
+    command("dim", _cmd_dim, "expected central dimension of a setting")
 
-    p = sub.add_parser("local", help="local setting at a decomposition type")
-    p.add_argument("setting")
+    p = command("local", _cmd_local, "local setting at a decomposition type")
     p.add_argument("--tau", required=True, help='decomposition type, e.g. "[[1,[1,0]],[1,[0,1]]]"')
-    common(p)
-    p.set_defaults(func=_cmd_local)
 
-    p = sub.add_parser("strata", help="classify every decomposition type of a setting")
-    p.add_argument("setting")
-    common(p)
-    p.set_defaults(func=_cmd_strata)
+    command("strata", _cmd_strata, "classify every decomposition type of a setting")
 
-    p = sub.add_parser("enumerate", help="enumerate singular reduced settings by dimension")
+    p = command(
+        "enumerate",
+        _cmd_enumerate,
+        "enumerate singular reduced settings by dimension",
+        setting=False,
+        digest_args=("dim", "budget"),
+        out_help="directory for per-setting JSON files plus summary.json",
+    )
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--out", help="directory for per-setting JSON files plus summary.json")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("toric", help="toric invariant theory for all-ones settings")
-    p.add_argument("action", choices=["invariants", "relations", "semistable", "charts", "fiber"])
+    # the setting comes after the action here
+    p = command("toric", _cmd_toric, "toric invariant theory for all-ones settings", setting=False)
+    p.add_argument("action", choices=["invariants", "relations", *THETA_ACTIONS])
     p.add_argument("setting")
     p.add_argument("--theta", help='comma-separated stability vector; use --theta=-1,1 for leading minus')
     p.add_argument("--degree-bound", type=int, default=4)
     p.add_argument("--support", help="comma-separated arrow indices (per the arrow legend)")
-    common(p)
-    p.set_defaults(func=_cmd_toric)
 
-    p = sub.add_parser("conifold-verify", help="run the conifold-algebra verification battery")
+    p = command(
+        "conifold-verify",
+        _cmd_conifold_verify,
+        "run the conifold-algebra verification battery",
+        setting=False,
+        digest_args=("seed", "triples", "points"),
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--triples", type=int, default=200, help="random triples for the associativity check")
     p.add_argument("--points", type=int, default=100, help="sampled representation points for the rank check")
-    common(p)
-    p.set_defaults(func=_cmd_conifold_verify)
 
-    p = sub.add_parser("selftest", help="run the built-in defect fixtures")
-    common(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    command("selftest", _cmd_selftest, "run the built-in defect fixtures", setting=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and emit its report; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    setting, file_digest = _load_setting(args.setting) if "setting" in args else (None, None)
     try:
-        return args.func(args)
-    except QsingError as exc:
+        result, passed = args.run(args, setting)
+    except (QsingError, ValueError) as exc:
         print(f"qsing: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"qsing: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, QsingError) else 2
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": "qsing",
+        "version": __version__,
+        "command": f"toric {args.action}" if args.command == "toric" else args.command,
+        "input_digest": _input_digest(args, file_digest),
+        "result": result,
+    }
+    if args.timings:
+        report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
+    text = json.dumps(report, indent=2, sort_keys=True)
+    out = args.out
+    if out and args.command == "enumerate":
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for idx, s in enumerate(result["settings"]):
+            (out_dir / f"setting_{idx:03d}.json").write_text(json.dumps(s, indent=2, sort_keys=True) + "\n")
+        out = out_dir / "summary.json"
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -462,15 +462,14 @@ def trep2_jacobian(point: Sequence) -> list[list[Fraction]]:
     ]
 
 
-def trep2_jacobian_rank(point: Sequence, tolerance: float = 1e-9) -> int:
+def trep2_jacobian_rank(point: Sequence) -> int:
     """Exact rank of the Jacobian at a point of the scheme.
 
-    Rational points must satisfy the equations exactly; float points are
-    accepted up to ``tolerance`` and then re-checked exactly after Fraction
-    conversion of the Jacobian entries.
+    The point must satisfy the equations exactly (a float is read as the
+    rational it stores); any nonzero residual raises ``QsingError``.
     """
     residuals = trep2_residuals(point)
-    if any(abs(float(r)) > tolerance for r in residuals):
+    if any(residuals):
         raise QsingError(f"point is not on the scheme: residuals {residuals}")
     return linalg.rank(trep2_jacobian(point))
 
@@ -531,11 +530,12 @@ def _random_element(rng: random.Random) -> ConifoldElement:
     return ConifoldElement(coeffs)
 
 
-def verification_battery(seed: int = 0, triples: int = 200, points: int = 100) -> list[dict]:
-    """Check the algebra's defining identities; one JSON-ready record per check.
+def verification_battery(seed: int = 0, triples: int = 200, points: int = 100) -> dict:
+    """The ``conifold-verify`` report: the algebra's defining identities checked.
 
-    Each record has the check's name and whether it passed, plus a
-    counterexample where one is available for a failed check.  ``seed``
+    ``checks`` holds one record per check with its name and whether it
+    passed, plus a counterexample where one is available for a failed
+    check; ``all_passed`` says whether every check passed.  ``seed``
     drives the random associativity triples and the sampled points of the
     2-dimensional representation scheme.  Fewer than one triple or one point
     raises ``ValueError``.
@@ -616,4 +616,4 @@ def verification_battery(seed: int = 0, triples: int = 200, points: int = 100) -
         "ternary form determinant is xy - z^2",
         TernaryForm().determinant() == POLY_X * POLY_Y - POLY_Z * POLY_Z,
     )
-    return checks
+    return {"checks": checks, "all_passed": all(c["passed"] for c in checks), "seed": seed}

@@ -99,10 +99,11 @@ class MarkedQuiverSetting:
         arrows: Sequence[Sequence[int]],
         marked_loops: Sequence[int] | None = None,
     ) -> "MarkedQuiverSetting":
-        dims_t = tuple(int(d) for d in dims)
-        arrows_t = tuple(tuple(int(a) for a in row) for row in arrows)
+        """Build a setting; every entry must be an ``int`` (a float or bool raises ``ValueError``)."""
+        dims_t = tuple(exact_int(d) for d in dims)
+        arrows_t = tuple(tuple(exact_int(a) for a in row) for row in arrows)
         marks_t = (
-            tuple(int(m) for m in marked_loops)
+            tuple(exact_int(m) for m in marked_loops)
             if marked_loops is not None
             else tuple(0 for _ in dims_t)
         )
@@ -170,14 +171,9 @@ class MarkedQuiverSetting:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MarkedQuiverSetting":
-        """Read ``to_json`` output; every entry must be a JSON integer, not a float or bool."""
+        """Read ``to_json`` output; entries are checked by :meth:`make`."""
         try:
-            dims = [_json_int(d) for d in data["dims"]]
-            arrows = [[_json_int(a) for a in row] for row in data["arrows"]]
-            marks = data.get("marked_loops")
-            if marks is not None:
-                marks = [_json_int(m) for m in marks]
-            return cls.make(dims, arrows, marks)
+            return cls.make(data["dims"], data["arrows"], data.get("marked_loops"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed setting JSON: {exc}") from exc
 
@@ -185,8 +181,9 @@ class MarkedQuiverSetting:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _json_int(value) -> int:
-    # bool is a subclass of int, so JSON true would otherwise read as 1
+def exact_int(value) -> int:
+    """``value`` itself if it is an ``int``; anything else, bool included, raises ``ValueError``."""
+    # bool is a subclass of int, so True would otherwise read as 1
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
@@ -316,7 +313,7 @@ def _twin_pairs(s: MarkedQuiverSetting) -> list[list[bool]]:
     return twins
 
 
-def canonical_key(s: MarkedQuiverSetting, *, max_vertices: int = CANONICAL_KEY_MAX_VERTICES) -> bytes:
+def canonical_key(s: MarkedQuiverSetting) -> bytes:
     """Permutation-invariant key: equal keys iff the settings are isomorphic.
 
     Isomorphism means a vertex permutation matching dims, arrow
@@ -328,8 +325,10 @@ def canonical_key(s: MarkedQuiverSetting, *, max_vertices: int = CANONICAL_KEY_M
     isomorphic), which tames fully symmetric settings.
     """
     k = s.k
-    if k > max_vertices:
-        raise CapacityError(f"canonical_key supports at most {max_vertices} vertices, got {k}")
+    if k > CANONICAL_KEY_MAX_VERTICES:
+        raise CapacityError(
+            f"canonical_key supports at most {CANONICAL_KEY_MAX_VERTICES} vertices, got {k}"
+        )
 
     sigs = {v: _vertex_signature(s, v) for v in range(k)}
     twins = _twin_pairs(s)

@@ -31,10 +31,6 @@ class UnsupportedSettingError(QsingError):
     """The operation is only defined for a restricted class of settings."""
 
 
-class InconsistencyError(QsingError):
-    """Derived data is inconsistent (e.g. a negative arrow count in a local setting)."""
-
-
 class EmptyProjError(QsingError):
     """The graded algebra has no positive-degree generators; proj is empty."""
 

@@ -22,9 +22,10 @@ from .core import (
     MarkedQuiverSetting,
     as_dim_vector,
     euler_form,
+    exact_int,
     strongly_connected,
 )
-from .errors import CapacityError, InconsistencyError, UnsupportedSettingError
+from .errors import CapacityError, UnsupportedSettingError
 
 DECOMPOSITION_TOTAL_DIM_BOUND = 8
 
@@ -41,7 +42,7 @@ class DecompositionType:
 
     @classmethod
     def make(cls, parts: Sequence[tuple[int, Sequence[int]]]) -> "DecompositionType":
-        norm = tuple(sorted((int(e), tuple(int(b) for b in beta)) for e, beta in parts))
+        norm = tuple(sorted((exact_int(e), tuple(exact_int(b) for b in beta)) for e, beta in parts))
         if any(e < 1 for e, _ in norm):
             raise ValueError("multiplicities must be positive")
         betas = [beta for _, beta in norm]
@@ -119,18 +120,16 @@ def enumerate_simples_below(
     return out
 
 
-def enumerate_decomposition_types(
-    s: MarkedQuiverSetting, *, total_dim_bound: int = DECOMPOSITION_TOTAL_DIM_BOUND
-) -> list[DecompositionType]:
+def enumerate_decomposition_types(s: MarkedQuiverSetting) -> list[DecompositionType]:
     """All decomposition types of the full dimension vector of ``s``.
 
     Enumerates multisets of (multiplicity, simple) pairs with distinct
     simples summing exactly to dims.  Guarded by a bound on the total
     dimension because the search is exponential in it.
     """
-    if s.total_dim > total_dim_bound:
+    if s.total_dim > DECOMPOSITION_TOTAL_DIM_BOUND:
         raise CapacityError(
-            f"total dimension {s.total_dim} exceeds bound {total_dim_bound}"
+            f"total dimension {s.total_dim} exceeds bound {DECOMPOSITION_TOTAL_DIM_BOUND}"
         )
     alpha = s.dims
     simples = enumerate_simples_below(s, alpha)
@@ -158,34 +157,32 @@ def local_setting(s: MarkedQuiverSetting, tau: DecompositionType) -> MarkedQuive
     """The quiver setting seen at a point of decomposition type tau.
 
     One vertex per summand, dimension = multiplicity, and
-    arrows[i][j] = delta_ij - chi(beta_i, beta_j).  A negative count means
-    some beta_i was not simple and is reported as an inconsistency.  The
+    arrows[i][j] = delta_ij - chi(beta_i, beta_j).  Every summand must be a
+    simple dimension vector of length k and the summands must add up to
+    dims; otherwise ``ValueError`` is raised.  For simple summands the
+    counts are Ext dimensions (Hom vanishes between distinct simples and is
+    one-dimensional from a simple to itself), so none is negative.  The
     output carries no marked loops.
     """
     if s.num_marked_loops > 0:
         raise UnsupportedSettingError(
             "local settings are only computed for mark-free ambient settings"
         )
+    for _, beta in tau.parts:
+        if len(beta) != s.k:
+            raise ValueError(f"summand {list(beta)} has length {len(beta)}, setting has {s.k} vertices")
+        if not is_simple_dimvector(s, beta):
+            raise ValueError(f"summand {list(beta)} is not a simple dimension vector")
     if tau.total(s.k) != s.dims:
         raise ValueError(
             f"decomposition type sums to {tau.total(s.k)}, setting has dims {s.dims}"
         )
-    n = len(tau.parts)
-    dims = tuple(e for e, _ in tau.parts)
-    arrows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            delta = 1 if i == j else 0
-            count = delta - euler_form(s, tau.parts[i][1], tau.parts[j][1])
-            if count < 0:
-                raise InconsistencyError(
-                    f"negative arrow count {count} between summands {i} and {j}; "
-                    "a summand is not simple"
-                )
-            row.append(count)
-        arrows.append(tuple(row))
-    return MarkedQuiverSetting(dims, tuple(arrows), tuple(0 for _ in range(n)))
+    betas = [beta for _, beta in tau.parts]
+    arrows = tuple(
+        tuple((1 if i == j else 0) - euler_form(s, bi, bj) for j, bj in enumerate(betas))
+        for i, bi in enumerate(betas)
+    )
+    return MarkedQuiverSetting(tuple(e for e, _ in tau.parts), arrows, (0,) * len(betas))
 
 
 def classify_point(s: MarkedQuiverSetting, tau: DecompositionType):
@@ -197,3 +194,33 @@ def classify_point(s: MarkedQuiverSetting, tau: DecompositionType):
     from .classification import is_smooth_setting
 
     return is_smooth_setting(local_setting(s, tau))
+
+
+def local_report(s: MarkedQuiverSetting, tau: DecompositionType) -> dict:
+    """The ``local`` report: tau, its local setting and that setting's classification."""
+    report = classify_point(s, tau)
+    return {
+        "tau": tau.to_json(),
+        "local_setting": report.setting.to_json(),
+        "classification": report.to_json(),
+    }
+
+
+def strata_report(s: MarkedQuiverSetting) -> dict:
+    """The ``strata`` report: the local type of every decomposition type of ``s``."""
+    rows = []
+    for tau in enumerate_decomposition_types(s):
+        report = classify_point(s, tau)
+        rows.append(
+            {
+                "tau": tau.to_json(),
+                "local_setting": report.setting.to_json(),
+                "smooth": report.smooth,
+                "azumaya": report.azumaya,
+                "expected_dim": report.expected_dim,
+            }
+        )
+    return {
+        "strata": rows,
+        "note": "occurrence of each type over a given moduli point is not verified",
+    }

@@ -87,9 +87,19 @@ class Move:
 
 @dataclass(frozen=True)
 class ReductionResult:
+    setting: MarkedQuiverSetting
     reduced: MarkedQuiverSetting
     z: int
     trace: tuple[Move, ...] = field(default_factory=tuple)
+
+    def to_json(self) -> dict:
+        """The ``reduce`` report: input, terminal form, z and the moves taken."""
+        return {
+            "input": self.setting.to_json(),
+            "reduced": self.reduced.to_json(),
+            "z": self.z,
+            "trace": [m.to_json() for m in self.trace],
+        }
 
 
 def applicable_moves(s: MarkedQuiverSetting) -> list[Move]:
@@ -203,7 +213,7 @@ def reduce_setting(
     while True:
         moves = applicable_moves(current)
         if not moves:
-            return ReductionResult(current, z, tuple(trace))
+            return ReductionResult(s, current, z, tuple(trace))
         move = moves[0] if rng is None else rng.choice(moves)
         current, dz = apply_move(current, move, strict=strict)
         z += dz

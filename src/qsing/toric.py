@@ -451,29 +451,25 @@ def semistable_via_semiinvariants(
     s: MarkedQuiverSetting,
     rep_or_support: Representation | Iterable[Arrow],
     theta: Sequence[int],
-    l_bound: int | None = None,
 ) -> bool:
     """Detect semistability by a nonvanishing positive-weight semi-invariant.
 
-    True when some monomial semi-invariant of weight l, 1 <= l <= l_bound,
-    has support inside the nonzero arrows.  The default bound is
-    sum(|theta_i|) * k, far above the degrees of the minimal generators for
-    the sizes handled here.
+    True when some generator of positive weight of the semi-invariant ring
+    has support inside the nonzero arrows.  Testing the generators is exact:
+    a monomial semi-invariant of positive weight that does not vanish is a
+    product of generators, each supported inside the same arrows, and at
+    least one of them has positive weight.
     """
     _require_all_ones(s)
     tv = StabilityVector.of(s, theta)
     if tv.is_zero:
         # the constant 1 is a weight-zero semi-invariant vanishing nowhere
         return True
-    if l_bound is None:
-        l_bound = max(1, sum(abs(t) for t in tv.theta) * s.k)
     support = _support_arrows(s, rep_or_support)
     arrows = s.arrow_list()
     support_idx = {i for i, a in enumerate(arrows) if a in support}
     algebra = semi_invariant_generators(s, theta)
     for gen in algebra.positive_degree():
-        if gen.degree > l_bound:
-            continue
         if all(e == 0 or i in support_idx for i, e in enumerate(gen.exponents)):
             return True
     return False
@@ -616,6 +612,72 @@ def central_fiber(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[FiberStr
                 )
             )
     return out
+
+
+# the toric_report actions that need a stability vector
+THETA_ACTIONS = ("semistable", "charts", "fiber")
+
+
+def toric_report(
+    s: MarkedQuiverSetting,
+    action: str,
+    *,
+    theta: Sequence[int] | None = None,
+    support: Sequence[int] | None = None,
+    degree_bound: int = 4,
+) -> dict:
+    """The ``toric`` report of one action on an all-ones setting.
+
+    Every report starts with the arrow legend, the order of exponent
+    vectors.  ``invariants`` adds the invariant generators and ``relations``
+    their binomial relations up to ``degree_bound``.  ``semistable`` decides
+    King stability of the arrow indices in ``support`` both combinatorially
+    and through semi-invariants and says whether the two verdicts agree;
+    ``charts`` gives the proj charts and ``fiber`` the central fiber with its
+    largest orbit-space dimension.  The last three need ``theta``.
+    """
+    arrows = s.arrow_list()
+    report: dict = {
+        "arrow_legend": [
+            {"index": i, "tail": a.tail, "head": a.head, "slot": a.slot}
+            for i, a in enumerate(arrows)
+        ]
+    }
+    if action in ("invariants", "relations"):
+        basis = invariant_generators(s)
+        report["generators"] = [list(u) for u in basis]
+        if action == "relations":
+            report["relations"] = [r.to_json() for r in toric_relations(basis, degree_bound)]
+            report["degree_bound"] = degree_bound
+        return report
+    if action not in THETA_ACTIONS:
+        raise ValueError(f"unknown toric action {action!r}")
+    if theta is None:
+        raise ValueError(f"toric {action} needs a stability vector theta")
+    if len(theta) != s.k:
+        raise ValueError(f"theta has length {len(theta)}, setting has {s.k} vertices")
+    report["theta"] = list(theta)
+    if action == "semistable":
+        if support is None:
+            raise ValueError("toric semistable needs a support")
+        if any(not 0 <= i < len(arrows) for i in support):
+            raise ValueError(f"support indices must lie in 0..{len(arrows) - 1}")
+        chosen = [arrows[i] for i in support]
+        verdict = is_theta_semistable(s, chosen, theta)
+        via = semistable_via_semiinvariants(s, chosen, theta)
+        report["support"] = list(support)
+        report["verdict"] = verdict.to_json()
+        report["via_semi_invariants"] = via
+        report["verdicts_agree"] = verdict.semistable == via
+    elif action == "charts":
+        report["charts"] = [c.to_json() for c in proj_charts(s, theta)]
+        report["degree_zero_generators"] = [list(u) for u in invariant_generators(s)]
+    else:
+        strata = central_fiber(s, theta)
+        report["strata"] = [f.to_json() for f in strata]
+        dims = [f.orbit_space_dim for f in strata if f.orbit_space_dim is not None]
+        report["max_orbit_space_dim"] = max(dims) if dims else None
+    return report
 
 
 def _undirected_connected(s: MarkedQuiverSetting, support: frozenset[Arrow]) -> bool:

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from qsing.classification import census_report, classify_report, dim_report, selftest
 from qsing.cli import main
+from qsing.conifold import verification_battery
+from qsing.core import MarkedQuiverSetting
+from qsing.local_structure import DecompositionType, local_report, strata_report
+from qsing.reduction import reduce_setting
+from qsing.toric import toric_report
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -195,8 +200,6 @@ class TestReportContract:
         assert "timings" in report
 
     def test_fixture_round_trip(self):
-        from qsing.core import MarkedQuiverSetting
-
         for path in FIXTURES.glob("*.json"):
             data = json.loads(path.read_text())
             setting = MarkedQuiverSetting.from_json(data)
@@ -254,30 +257,40 @@ EMPTY = {"dims": [], "arrows": []}
 
 
 @pytest.mark.parametrize(
-    "args, env, setting",
+    "args, setting",
     [
-        (["toric", "charts", CONIFOLD, "--theta=1,1"], {}, None),
-        (["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "9"], {}, None),
-        (["classify", CONIFOLD, "--dimx", "-1"], {}, None),
-        (["local", CONIFOLD, "--tau", "[[2,[1,0]]]"], {}, None),
-        (["enumerate", "--dim", "3"], {"QSING_BUDGET_SECS": "abc"}, None),
-        (["dim", "SETTING"], {}, ZERO_DIM),
-        (["classify", "SETTING"], {}, MARK_AT_DIM_ONE),
-        (["conifold-verify", "--triples", "-3"], {}, None),
-        (["conifold-verify", "--points", "0"], {}, None),
-        (["toric", "relations", CONIFOLD, "--degree-bound", "-2"], {}, None),
-        (["classify", "SETTING"], {}, FLOAT_DIM),
-        (["classify", "SETTING"], {}, BOOL_DIM),
-        (["classify", "SETTING"], {}, EMPTY),
-        (["reduce", "SETTING"], {}, EMPTY),
+        (["toric", "charts", CONIFOLD, "--theta=1,1"], None),
+        (["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "9"], None),
+        (["classify", CONIFOLD, "--dimx", "-1"], None),
+        (["local", CONIFOLD, "--tau", "[[2,[1,0]]]"], None),
+        (["dim", "SETTING"], ZERO_DIM),
+        (["classify", "SETTING"], MARK_AT_DIM_ONE),
+        (["conifold-verify", "--triples", "-3"], None),
+        (["conifold-verify", "--points", "0"], None),
+        (["toric", "relations", CONIFOLD, "--degree-bound", "-2"], None),
+        (["classify", "SETTING"], FLOAT_DIM),
+        (["classify", "SETTING"], BOOL_DIM),
+        (["classify", "SETTING"], EMPTY),
+        (["reduce", "SETTING"], EMPTY),
+        (["toric", "charts", CONIFOLD], None),
+        (["toric", "fiber", CONIFOLD], None),
+        (["toric", "semistable", CONIFOLD, "--support", "0"], None),
+        (["enumerate", "--dim", "3", "--budget", "-1"], None),
+        # a summand longer than the setting, one that is not simple, negative entries
+        (["local", CONIFOLD, "--tau", "[[1,[1,0,5]]]"], None),
+        (["local", CONIFOLD, "--tau", "[[1,[0,0]],[1,[1,1]]]"], None),
+        (["local", CONIFOLD, "--tau", "[[1,[2,-1]],[1,[-1,2]]]"], None),
+        (["local", CONIFOLD, "--tau", "[[1,[1.5,0]],[1,[0,1]]]"], None),
     ],
     ids=[
-        "theta", "support", "dimx", "tau", "budget", "zero-dim", "mark-at-dim-1",
+        "theta", "support", "dimx", "tau", "zero-dim", "mark-at-dim-1",
         "triples", "points", "degree-bound", "float-dim", "bool-dim", "empty",
-        "empty-reduce",
+        "empty-reduce", "charts-without-theta", "fiber-without-theta",
+        "semistable-without-theta", "negative-budget", "tau-length",
+        "tau-not-simple", "tau-negative", "tau-float",
     ],
 )
-def test_bad_input_exits_two_without_traceback(args, env, setting, tmp_path):
+def test_bad_input_exits_two_without_traceback(args, setting, tmp_path):
     if setting is not None:
         args = with_setting_file(args, setting, tmp_path)
     proc = subprocess.run(
@@ -285,11 +298,61 @@ def test_bad_input_exits_two_without_traceback(args, env, setting, tmp_path):
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={**os.environ, **env},
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("qsing: ") and proc.stderr.count("\n") == 1
+
+
+def _setting(name: str):
+    return MarkedQuiverSetting.from_json(json.loads((FIXTURES / name).read_text()))
+
+
+@pytest.mark.parametrize(
+    "args, report",
+    [
+        (["reduce", CONIFOLD, "--strict"], lambda: reduce_setting(_setting("conifold.json"), strict=True).to_json()),
+        (["classify", CONIFOLD, "--dimx", "2"], lambda: classify_report(_setting("conifold.json"), 2)),
+        (["dim", CONIFOLD], lambda: dim_report(_setting("conifold.json"))),
+        (
+            ["local", CONIFOLD, "--tau", "[[1,[1,0]],[1,[0,1]]]"],
+            lambda: local_report(
+                _setting("conifold.json"), DecompositionType.make([(1, (1, 0)), (1, (0, 1))])
+            ),
+        ),
+        (["strata", CONIFOLD], lambda: strata_report(_setting("conifold.json"))),
+        (["enumerate", "--dim", "4"], lambda: census_report(4)[0]),
+        (["toric", "invariants", CONIFOLD], lambda: toric_report(_setting("conifold.json"), "invariants")),
+        (["toric", "relations", CONIFOLD], lambda: toric_report(_setting("conifold.json"), "relations")),
+        (
+            ["toric", "charts", CONIFOLD, "--theta=-1,1"],
+            lambda: toric_report(_setting("conifold.json"), "charts", theta=(-1, 1)),
+        ),
+        (
+            ["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "0,1"],
+            lambda: toric_report(
+                _setting("conifold.json"), "semistable", theta=(-1, 1), support=(0, 1)
+            ),
+        ),
+        (
+            ["toric", "fiber", CONIFOLD, "--theta=1,-1"],
+            lambda: toric_report(_setting("conifold.json"), "fiber", theta=(1, -1)),
+        ),
+        (
+            ["conifold-verify", "--seed", "3", "--triples", "4", "--points", "2"],
+            lambda: verification_battery(3, 4, 2),
+        ),
+        (["selftest"], selftest),
+    ],
+    ids=[
+        "reduce", "classify", "dim", "local", "strata", "enumerate", "toric-invariants",
+        "toric-relations", "toric-charts", "toric-semistable", "toric-fiber", "conifold-verify", "selftest",
+    ],
+)
+def test_result_is_the_library_report(args, report, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out["result"] == json.loads(json.dumps(report()))
 
 
 class TestConsoleEntry:

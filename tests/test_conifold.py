@@ -291,6 +291,13 @@ class TestTrep2:
         with pytest.raises(QsingError):
             trep2_jacobian_rank((1, 0, 0, 0, 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("z1", [1 + Fraction(1, 10**12), 1 + 1e-12])
+    def test_nearly_on_scheme_rejected(self, z1):
+        # the residual z1^2 - 1 is about 2e-12, below any float tolerance
+        # like 1e-9, but the point is off the scheme
+        with pytest.raises(QsingError, match="not on the scheme"):
+            trep2_jacobian_rank((0, 0, 0, 0, 0, 0, z1, 0, 0))
+
     def test_jacobian_by_finite_differences(self):
         """Oracle: exact central differences (the equations are quadratic)."""
         points = trep2_sample(5, seed=77)

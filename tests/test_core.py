@@ -137,6 +137,22 @@ class TestValidation:
             MarkedQuiverSetting.make([1], [[-1]])
 
 
+    @pytest.mark.parametrize(
+        "dims, arrows, marks",
+        [
+            ([2.9], [[1]], None),  # int() would truncate it to dims=(2,)
+            ([True, 1], [[0, 1], [1, 0]], None),  # bool is an int subclass
+            ([1, 1], [[0, 1.0], [1, 0]], None),
+            ([2], [[1]], [False]),
+            ([Fraction(2)], [[1]], None),
+            (["1"], [[1]], None),
+        ],
+    )
+    def test_make_rejects_non_int_entries(self, dims, arrows, marks):
+        with pytest.raises(ValueError, match="expected an integer"):
+            MarkedQuiverSetting.make(dims, arrows, marks)
+
+
 class TestCanonicalKey:
     def test_conifold_swap(self, conifold):
         assert canonical_key(conifold) == canonical_key(conifold.permuted([1, 0]))

@@ -15,7 +15,7 @@ from qsing.core import (
     strongly_connected,
     unit_vector,
 )
-from qsing.errors import CapacityError, InconsistencyError, UnsupportedSettingError
+from qsing.errors import CapacityError, UnsupportedSettingError
 from qsing.local_structure import (
     DecompositionType,
     classify_point,
@@ -108,6 +108,12 @@ class TestDecompositionTypes:
         with pytest.raises(ValueError):
             DecompositionType.make([(1, (1, 0)), (2, (1, 0))])
 
+    @pytest.mark.parametrize("parts", [[(1, (1.5, 0))], [(1.0, (1, 0))], [(1, (True, 0))]])
+    def test_non_int_entries_rejected(self, parts):
+        # int() would truncate 1.5 to 1
+        with pytest.raises(ValueError, match="expected an integer"):
+            DecompositionType.make(parts)
+
 
 class TestLocalSetting:
     def test_conifold_self_similarity(self, conifold):
@@ -135,13 +141,27 @@ class TestLocalSetting:
         with pytest.raises(ValueError):
             local_setting(conifold, tau)
 
-    def test_non_simple_summand_inconsistency(self):
+    def test_non_simple_summand_rejected(self):
         # (2, 0) at a loop-free dim-2 vertex is not simple; its self-Ext
-        # count 1 - chi((2,0),(2,0)) = -3 goes negative
+        # count 1 - chi((2,0),(2,0)) = -3 would go negative
         s = MarkedQuiverSetting.make([2, 1], [[0, 1], [0, 0]])
         tau = DecompositionType.make([(1, (2, 0)), (1, (0, 1))])
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(ValueError, match="not a simple dimension vector"):
             local_setting(s, tau)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            # a summand longer than the setting; the zero vector, which with
+            # (1, 1) sums to dims; negative entries that sum to dims
+            ([(1, (1, 0, 5))], "has length 3"),
+            ([(1, (0, 0)), (1, (1, 1))], "not a simple dimension vector"),
+            ([(1, (2, -1)), (1, (-1, 2))], "non-negative"),
+        ],
+    )
+    def test_invalid_summands_rejected(self, conifold, parts, message):
+        with pytest.raises(ValueError, match=message):
+            local_setting(conifold, DecompositionType.make(parts))
 
     def test_finest_decomposition_reconstructs_setting(self):
         # the finest type (vertex simples with multiplicities dims[v]) gives
