@@ -16,6 +16,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
+from . import toric
 from .core import (
     MarkedQuiverSetting,
     canonical_key,
@@ -386,7 +387,8 @@ class SingularTypeClass:
     ring isomorphism is decided exactly by matching Hilbert bases with a
     lattice-linear map.  Settings with higher vertex dimensions or marks have
     non-monomial invariant rings; each stays in its own class with
-    ``equivalence_decided=False``.
+    ``equivalence_decided=False``, and so does every all-ones setting that a
+    grouping budget ran out before placing.
     """
 
     representative: MarkedQuiverSetting
@@ -403,32 +405,62 @@ class SingularTypeClass:
 
 def singular_type_classes(
     settings: list[MarkedQuiverSetting],
+    *,
+    budget_secs: float | None = None,
 ) -> list[SingularTypeClass]:
     """Group settings by isomorphism of their central (invariant) rings.
 
     This is the equivalence under which the classification counts types: two
     non-isomorphic reduced settings can present the same singularity.  Within
-    all-ones settings the grouping is decided exactly; a found isomorphism is
-    a proof, and distinct Hilbert-basis fingerprints are a disproof.
-    """
-    from .toric import invariant_generators, semigroup_isomorphism
+    all-ones settings the grouping is decided exactly: each setting joins the
+    first class whose representative's Hilbert basis it matches, and it is
+    compared only with representatives of an equal
+    :func:`~qsing.toric.isomorphism_invariant`.  A found isomorphism is a
+    proof, and a failed search or distinct invariants a disproof.
 
+    Raises :class:`BudgetExhaustedError` when the wall-clock budget runs out;
+    it is checked before each setting and at every node of the isomorphism
+    search.  Its partial result is the full class list, in which every
+    all-ones setting not yet placed is a singleton class with
+    ``equivalence_decided=False``.
+    """
+    if budget_secs is not None and budget_secs < 0:
+        raise ValueError("budget must be >= 0 seconds")
+    deadline = None if budget_secs is None else time.monotonic() + budget_secs
     all_ones = [s for s in settings if all(d == 1 for d in s.dims)]
-    rest = [s for s in settings if any(d != 1 for d in s.dims)]
-    bases = {id(s): invariant_generators(s) for s in all_ones}
-    classes: list[list[MarkedQuiverSetting]] = []
-    for s in all_ones:
-        for group in classes:
-            if semigroup_isomorphism(bases[id(group[0])], bases[id(s)]) is not None:
-                group.append(s)
-                break
-        else:
-            classes.append([s])
+    undecided = [s for s in settings if any(d != 1 for d in s.dims)]
+    # per invariant, the classes as (representative's basis, members)
+    buckets: dict[tuple, list[tuple[list, list[MarkedQuiverSetting]]]] = {}
+    exhausted = None
+    for placed, s in enumerate(all_ones):
+        try:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhaustedError("grouping budget exhausted")
+            basis = toric.invariant_generators(s)
+            bucket = buckets.setdefault(toric.isomorphism_invariant(basis), [])
+            for rep_basis, group in bucket:
+                if toric.semigroup_isomorphism(rep_basis, basis, deadline=deadline) is not None:
+                    group.append(s)
+                    break
+            else:
+                bucket.append((basis, [s]))
+        except BudgetExhaustedError:
+            exhausted = (
+                f"grouping budget exhausted after {placed} of {len(all_ones)} "
+                "all-ones settings"
+            )
+            undecided.extend(all_ones[placed:])
+            break
     out = [
-        SingularTypeClass(group[0], tuple(group), True) for group in classes
+        SingularTypeClass(group[0], tuple(group), True)
+        for bucket in buckets.values()
+        for _, group in bucket
     ]
-    out.extend(SingularTypeClass(s, (s,), False) for s in rest)
-    return sorted(out, key=lambda c: canonical_key(c.representative))
+    out.extend(SingularTypeClass(s, (s,), False) for s in undecided)
+    out.sort(key=lambda c: canonical_key(c.representative))
+    if exhausted is not None:
+        raise BudgetExhaustedError(exhausted, partial=out)
+    return out
 
 
 EXPECTED_SINGULAR_COUNTS = {3: 1, 4: 3, 5: 10, 6: 53}
@@ -441,16 +473,25 @@ def census_report(
 
     The settings of :func:`enumerate_reduced_singular` are grouped into type
     classes and the type count is compared with ``EXPECTED_SINGULAR_COUNTS``.
-    A run out of budget reports its partial census and fails.  A count that
-    differs adds a diff report, and fails the census for d <= 5; the d = 6
-    count is a stretch goal.
+    The budget bounds enumeration and grouping together: the grouping gets
+    what the enumeration left of it.  A run out of budget reports its
+    partial census, with the settings it could not group as undecided
+    singleton classes, and fails.  A count that differs adds a diff report,
+    and fails the census for d <= 5; the d = 6 count is a stretch goal.
     """
+    start = time.monotonic()
     exhausted = None
     try:
         settings = enumerate_reduced_singular(d, budget_secs=budget_secs, progress=progress)
     except BudgetExhaustedError as exc:
         settings, exhausted = exc.partial, str(exc)
-    types = singular_type_classes(settings)
+    remaining = None
+    if budget_secs is not None:
+        remaining = max(0.0, budget_secs - (time.monotonic() - start))
+    try:
+        types = singular_type_classes(settings, budget_secs=remaining)
+    except BudgetExhaustedError as exc:
+        types, exhausted = exc.partial, exhausted or str(exc)
     expected = EXPECTED_SINGULAR_COUNTS.get(d)
     matches = expected is None or len(types) == expected
     report = {

@@ -35,8 +35,12 @@ CANONICAL_KEY_MAX_VERTICES = 10
 
 
 def as_dim_vector(entries: Sequence[int], k: int | None = None) -> DimVector:
-    """Normalize a sequence of integers to a dimension vector."""
-    vec = tuple(int(e) for e in entries)
+    """Normalize a sequence of integers to a dimension vector.
+
+    Entries must be ``int`` (see :func:`exact_int`); anything else raises
+    ``ValueError`` instead of being truncated.
+    """
+    vec = tuple(map(exact_int, entries))
     if k is not None and len(vec) != k:
         raise DimensionMismatchError(f"expected length {k}, got {len(vec)}")
     if any(e < 0 for e in vec):
@@ -207,10 +211,11 @@ def euler_form(s: MarkedQuiverSetting, beta: Sequence[int], gamma: Sequence[int]
     """Bilinear Euler form beta^T M gamma of the underlying (unmarked) quiver.
 
     Defined on all of Z^k x Z^k; dimension vectors are the usual arguments
-    but negative entries are fine.
+    but negative entries are fine.  Entries must be ``int`` (see
+    :func:`exact_int`).
     """
-    b = tuple(int(x) for x in beta)
-    g = tuple(int(x) for x in gamma)
+    b = tuple(map(exact_int, beta))
+    g = tuple(map(exact_int, gamma))
     if len(b) != s.k or len(g) != s.k:
         raise DimensionMismatchError(
             f"vectors must have length {s.k}, got {len(b)} and {len(g)}"

@@ -17,8 +17,10 @@ solutions.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -30,6 +32,7 @@ from .core import (
     evaluate_path,
 )
 from .errors import (
+    BudgetExhaustedError,
     EmptyProjError,
     ShapeError,
     UnsupportedSettingError,
@@ -140,75 +143,180 @@ def hilbert_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
     return sorted(basis)
 
 
-def _generator_profiles(basis: Sequence[Vector]) -> list[tuple]:
-    """Isomorphism-invariant fingerprints of Hilbert-basis elements.
+class _PairFibers:
+    """The pair-sum fibers of a Hilbert basis and the generator profiles.
 
-    For every unordered pair of generators the sum lands in some fiber of the
-    pair-sum map; a generator's profile is the sorted multiset of
-    (fiber size, is-a-square) it participates in.  Monoid isomorphisms
-    permute the (unique minimal) generating set compatibly with sums, so
-    matched generators must have equal profiles.
+    Every unordered pair {i, j} of generators, i = j included, has its sum
+    g_i + g_j in one fiber of the pair-sum map; ``fiber[i][j]`` is that
+    fiber's id and ``size[f]`` its number of pairs.  A generator's profile
+    is the sorted multiset of (fiber size, is-a-square) over its n pairs,
+    each pair written as the int 2 * size + is-a-square.
     """
-    n = len(basis)
-    fibers: dict[Vector, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            key = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            fibers.setdefault(key, []).append((i, j))
-    profile: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for pairs in fibers.values():
-        size = len(pairs)
-        for i, j in pairs:
-            profile[i].append((size, i == j))
-            if i != j:
-                profile[j].append((size, i == j))
-    return [tuple(sorted(p)) for p in profile]
+
+    __slots__ = ("fiber", "size", "profiles")
+
+    def __init__(self, basis: Sequence[Sequence[int]]):
+        n = len(basis)
+        ids: dict[Vector, int] = {}
+        size: list[int] = []
+        fiber = [[0] * n for _ in range(n)]
+        for i, gi in enumerate(basis):
+            row = fiber[i]
+            for j in range(i, n):
+                key = tuple(map(add, gi, basis[j]))
+                f = ids.get(key)
+                if f is None:
+                    f = ids[key] = len(size)
+                    size.append(0)
+                size[f] += 1
+                row[j] = fiber[j][i] = f
+        self.fiber = fiber
+        self.size = size
+        self.profiles = [
+            tuple(sorted(2 * size[f] + (i == j) for j, f in enumerate(fiber[i])))
+            for i in range(n)
+        ]
+
+
+def isomorphism_invariant(basis: Sequence[Sequence[int]]) -> tuple:
+    """``(len, sorted generator profiles)`` of a Hilbert basis.
+
+    Equal for the Hilbert bases of isomorphic monoids, so two bases whose
+    invariants differ need no :func:`semigroup_isomorphism` call.
+    """
+    return len(basis), tuple(sorted(_PairFibers(basis).profiles))
 
 
 def semigroup_isomorphism(
-    basis1: Sequence[Sequence[int]], basis2: Sequence[Sequence[int]]
+    basis1: Sequence[Sequence[int]],
+    basis2: Sequence[Sequence[int]],
+    *,
+    deadline: float | None = None,
 ) -> dict[int, int] | None:
     """A monoid isomorphism matching two Hilbert bases, or None.
 
-    Searches for a linear map carrying one Hilbert basis bijectively onto the
-    other; such a map identifies the (saturated) solution monoids, hence the
-    semigroup algebras.  Returns the generator matching as a dict.
+    Searches for an injective linear map carrying one Hilbert basis
+    bijectively onto the other; such a map identifies the (saturated)
+    solution monoids, hence the semigroup algebras.  Returns the generator
+    matching as a dict.
+
+    The map is fixed by the images of a base, the pivot generators of one
+    elimination of ``basis1``, and the search backtracks over those images,
+    the base generator with the fewest equal-profile targets first.  A
+    monoid isomorphism carries every relation g_i + g_j = g_k + g_l to the
+    same relation between the images, and it is injective, so it maps each
+    pair-sum fiber onto a fiber of equal size, and distinct fibers to
+    distinct ones.  Every assignment is therefore checked at once against
+    all generators assigned before it: fibers must match in size and the
+    map from fibers to fibers must stay a well-defined bijection.  A
+    generator whose base coordinates are all assigned gets its image at
+    once, which must be a generator of ``basis2`` that is unused and has an
+    equal profile; it then joins the fiber checks.  None of these checks
+    rejects a true isomorphism, and a complete assignment that passes them
+    all is one, so the search is exact.
+
+    ``deadline`` is a ``time.monotonic()`` reading; past it the search
+    raises :class:`~qsing.errors.BudgetExhaustedError` at its next node.
     """
     hb1 = [tuple(v) for v in basis1]
     hb2 = [tuple(v) for v in basis2]
-    if len(hb1) != len(hb2):
+    n = len(hb1)
+    if n != len(hb2):
         return None
-    prof1, prof2 = _generator_profiles(hb1), _generator_profiles(hb2)
+    fib1, fib2 = _PairFibers(hb1), _PairFibers(hb2)
+    prof1, prof2 = fib1.profiles, fib2.profiles
     if sorted(prof1) != sorted(prof2):
         return None
     # one elimination on the columns of hb1: generator j is
-    # sum_q R[q][j] / d * hb1[base_idx[q]], so its image under the map sending
-    # the base to the targets tgt is the same combination of hb2[tgt[q]]
-    R, base_idx, d, _ = linalg.rref(list(zip(*hb1)))
-    coords = [[row[j] for row in R] for j in range(len(hb1))]
+    # sum_q R[q][j] / d * hb1[base[q]], so its image is the same combination
+    # of the images of the base
+    R, base, d, _ = linalg.rref(list(zip(*hb1)))
+    if n and linalg.rank(hb2) != len(base):
+        # an isomorphism preserves the rank of the group the monoid spans
+        return None
+    candidates = [[t for t in range(n) if prof2[t] == prof1[i]] for i in base]
+    order = sorted(range(len(base)), key=lambda q: (len(candidates[q]), q))
+    position = {q: p for p, q in enumerate(order)}
+    # per search position, the non-base generators (with their nonzero base
+    # coordinates) whose last base coordinate is assigned there
+    completes: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in order]
+    for j in sorted(set(range(n)) - set(base)):
+        support = [q for q in range(len(base)) if R[q][j]]
+        completes[max(position[q] for q in support)].append(
+            (j, [(base[q], R[q][j]) for q in support])
+        )
+    F1, F2, size1, size2 = fib1.fiber, fib2.fiber, fib1.size, fib2.size
+    target_index = {v: t for t, v in enumerate(hb2)}
     width = len(hb2[0]) if hb2 else 0
-    candidates = [
-        [j for j in range(len(hb2)) if prof2[j] == prof1[i]] for i in base_idx
-    ]
-    target_index = {v: j for j, v in enumerate(hb2)}
-    for tgt in itertools.product(*candidates):
-        if len(set(tgt)) != len(base_idx):
-            continue
-        targets = [hb2[j] for j in tgt]
-        images: dict[int, int] = {}
-        seen = set()
-        for src, c in enumerate(coords):
-            num = [sum(cq * v[col] for cq, v in zip(c, targets)) for col in range(width)]
-            if any(x % d for x in num):
-                break
-            j = target_index.get(tuple(x // d for x in num))
-            if j is None or j in seen or prof2[j] != prof1[src]:
-                break
-            images[src] = j
-            seen.add(j)
-        else:
-            return images
-    return None
+    image = [-1] * n
+    used = [False] * n
+    assigned: list[int] = []
+    fmap = [-1] * len(size1)
+    finv = [-1] * len(size2)
+    trail: list[int] = []
+
+    def bind(i: int, t: int) -> bool:
+        """Assign i -> t and extend the fiber map; False on a conflict."""
+        row1, row2 = F1[i], F2[t]
+        image[i] = t
+        used[t] = True
+        assigned.append(i)
+        for j in assigned:
+            a, b = row1[j], row2[image[j]]
+            mapped = fmap[a]
+            if mapped == b:
+                continue
+            if mapped >= 0 or finv[b] >= 0 or size1[a] != size2[b]:
+                return False
+            fmap[a], finv[b] = b, a
+            trail.append(a)
+        return True
+
+    def undo(depth: int, mark: int) -> None:
+        while len(assigned) > depth:
+            i = assigned.pop()
+            used[image[i]] = False
+            image[i] = -1
+        while len(trail) > mark:
+            a = trail.pop()
+            finv[fmap[a]] = -1
+            fmap[a] = -1
+
+    def bind_derived(j: int, coords: list[tuple[int, int]]) -> bool:
+        """Bind generator j to its image under the assigned base, if that is valid."""
+        num = [0] * width
+        for i, c in coords:
+            for col, x in enumerate(hb2[image[i]]):
+                num[col] += c * x
+        if any(x % d for x in num):
+            return False
+        t = target_index.get(tuple(x // d for x in num), -1)
+        if t < 0 or used[t] or prof2[t] != prof1[j]:
+            return False
+        return bind(j, t)
+
+    def search(p: int) -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("isomorphism search ran past its deadline")
+        if p == len(order):
+            return True
+        i = base[order[p]]
+        depth, mark = len(assigned), len(trail)
+        for t in candidates[order[p]]:
+            if used[t]:
+                continue
+            if (
+                bind(i, t)
+                and all(bind_derived(j, coords) for j, coords in completes[p])
+                and search(p + 1)
+            ):
+                return True
+            undo(depth, mark)
+        return False
+
+    if not search(0):
+        return None
+    return {src: image[src] for src in range(n)}
 
 
 def check_hilbert_minimality(basis: Iterable[Sequence[int]]) -> list[Vector]:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from qsing import classification
+from qsing import classification, toric
 from qsing.classification import (
     SmoothShape,
     counting_lower_bound,
@@ -396,3 +396,75 @@ class TestTypeClasses:
                 pair_sum(hb2, mapping[i], mapping[j]) for i, j in pairs
             }
             assert len(images) == 1
+
+    def test_budget_leaves_unplaced_settings_undecided(self, monkeypatch):
+        # one second per clock reading: the deadline is read at 1 s and falls
+        # at 3.5 s, the first two settings are placed at 2 s and 3 s, and the
+        # check before the third reads 4 s
+        now = 0.0
+
+        def monotonic():
+            nonlocal now
+            now += 1.0
+            return now
+
+        found = enumerate_reduced_singular(5)
+        assert all(s.dims == (1,) * s.k for s in found)
+        clock = SimpleNamespace(monotonic=monotonic)
+        monkeypatch.setattr(classification, "time", clock)
+        monkeypatch.setattr(toric, "time", clock)
+        with pytest.raises(BudgetExhaustedError) as info:
+            singular_type_classes(found, budget_secs=2.5)
+        assert "after 2 of 11" in str(info.value)
+        classes = info.value.partial
+        keys = [canonical_key(c.representative) for c in classes]
+        assert keys == sorted(keys)
+        decided = [m for c in classes if c.equivalence_decided for m in c.members]
+        undecided = [c for c in classes if not c.equivalence_decided]
+        assert decided == found[:2]
+        assert sorted(canonical_key(c.members[0]) for c in undecided) == sorted(
+            canonical_key(s) for s in found[2:]
+        )
+        assert all(len(c.members) == 1 for c in undecided)
+
+    def test_census_budget_bounds_the_grouping(self, monkeypatch):
+        # the clock stands still through the enumeration and starts ticking
+        # one second per reading at the first Hilbert basis of the grouping
+        ticking = False
+        now = 0.0
+
+        def monotonic():
+            nonlocal now
+            if ticking:
+                now += 1.0
+            return now
+
+        original = toric.invariant_generators
+
+        def start_ticking(s):
+            nonlocal ticking
+            ticking = True
+            return original(s)
+
+        clock = SimpleNamespace(monotonic=monotonic)
+        monkeypatch.setattr(classification, "time", clock)
+        monkeypatch.setattr(toric, "time", clock)
+        monkeypatch.setattr(toric, "invariant_generators", start_ticking)
+        report, passed = classification.census_report(5, budget_secs=3.5)
+        assert not passed
+        assert report["budget_exhausted"].startswith("grouping budget exhausted")
+        assert report["setting_count"] == 11
+        classes = report["type_classes"]
+        assert report["type_count"] == len(classes)
+        assert sum(len(c["members"]) for c in classes) == 11
+        assert any(c["equivalence_decided"] for c in classes)
+        assert any(not c["equivalence_decided"] for c in classes)
+
+    def test_grouping_without_budget_reads_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a budget")
+
+        found = enumerate_reduced_singular(5)
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=no_clock))
+        assert len(singular_type_classes(found)) == 10

@@ -65,6 +65,13 @@ class TestEulerForm:
         with pytest.raises(DimensionMismatchError):
             euler_form(conifold, (1,), (1, 1))
 
+    def test_non_integer_entries_raise(self, conifold):
+        # 0.5 would otherwise be truncated to 0 and give a form value of 0
+        with pytest.raises(ValueError):
+            euler_form(conifold, [0.5, 0], [1, 1])
+        with pytest.raises(ValueError):
+            euler_form(conifold, [1, 1], [1, True])
+
     @given(st.data())
     @hyp_settings(max_examples=60, deadline=None)
     def test_bilinearity(self, data):

@@ -70,6 +70,11 @@ class TestSimples:
     def test_zero_vector(self, conifold):
         assert not is_simple_dimvector(conifold, (0, 0))
 
+    def test_non_integer_entries_raise(self, conifold):
+        # 1.5 would otherwise be read as the simple vertex vector (1, 0)
+        with pytest.raises(ValueError):
+            is_simple_dimvector(conifold, [1.5, 0])
+
 
 class TestDecompositionTypes:
     def test_conifold_two_types(self, conifold):

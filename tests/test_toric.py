@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from qsing import classification, linalg, toric
 from qsing.core import MarkedQuiverSetting, Representation
-from qsing.errors import EmptyProjError, ShapeError, UnsupportedSettingError
+from qsing.errors import (
+    BudgetExhaustedError,
+    EmptyProjError,
+    ShapeError,
+    UnsupportedSettingError,
+)
 from qsing.toric import (
     DeterminantalMatrix,
     block_diagonal,
@@ -19,6 +28,7 @@ from qsing.toric import (
     hilbert_basis,
     invariant_generators,
     is_theta_semistable,
+    isomorphism_invariant,
     proj_charts,
     semi_invariant_generators,
     semigroup_isomorphism,
@@ -424,6 +434,169 @@ class TestSemigroupIsomorphism:
         b = MarkedQuiverSetting.make([1, 1, 1], [[0, 2, 1], [1, 0, 1], [2, 0, 0]])
         match = semigroup_isomorphism(invariant_generators(a), invariant_generators(b))
         assert match is not None
+
+
+def reference_profiles(basis):
+    n = len(basis)
+    fibers = {}
+    for i in range(n):
+        for j in range(i, n):
+            key = tuple(a + b for a, b in zip(basis[i], basis[j]))
+            fibers.setdefault(key, []).append((i, j))
+    profile = [[] for _ in range(n)]
+    for pairs in fibers.values():
+        size = len(pairs)
+        for i, j in pairs:
+            profile[i].append((size, i == j))
+            if i != j:
+                profile[j].append((size, i == j))
+    return [tuple(sorted(p)) for p in profile]
+
+
+def reference_isomorphism(basis1, basis2):
+    """The product search over profile-compatible base images, kept as an oracle.
+
+    It tries every tuple of targets for the base generators and tests the
+    induced linear map only on a full tuple.
+    """
+    hb1 = [tuple(v) for v in basis1]
+    hb2 = [tuple(v) for v in basis2]
+    if len(hb1) != len(hb2):
+        return None
+    prof1, prof2 = reference_profiles(hb1), reference_profiles(hb2)
+    if sorted(prof1) != sorted(prof2):
+        return None
+    R, base_idx, d, _ = linalg.rref(list(zip(*hb1)))
+    coords = [[row[j] for row in R] for j in range(len(hb1))]
+    width = len(hb2[0]) if hb2 else 0
+    candidates = [
+        [j for j in range(len(hb2)) if prof2[j] == prof1[i]] for i in base_idx
+    ]
+    target_index = {v: j for j, v in enumerate(hb2)}
+    for tgt in itertools.product(*candidates):
+        if len(set(tgt)) != len(base_idx):
+            continue
+        targets = [hb2[j] for j in tgt]
+        images = {}
+        seen = set()
+        for src, c in enumerate(coords):
+            num = [sum(cq * v[col] for cq, v in zip(c, targets)) for col in range(width)]
+            if any(x % d for x in num):
+                break
+            j = target_index.get(tuple(x // d for x in num))
+            if j is None or j in seen or prof2[j] != prof1[src]:
+                break
+            images[src] = j
+            seen.add(j)
+        else:
+            return images
+    return None
+
+
+@functools.cache
+def census_bases() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The Hilbert bases of the all-ones settings of the d = 5 and d = 6 censuses."""
+    return tuple(
+        tuple(invariant_generators(s))
+        for d in (5, 6)
+        for s in classification.enumerate_reduced_singular(d)
+        if all(x == 1 for x in s.dims)
+    )
+
+
+def assert_monoid_isomorphism(hb1, hb2, match):
+    """``match`` is a linear bijection of the bases carrying pair-sum fibers to fibers."""
+    n = len(hb1)
+    assert sorted(match) == list(range(n))
+    assert sorted(match.values()) == list(range(n))
+    images = [hb2[match[i]] for i in range(n)]
+    # a linear map on the span exists iff the graph has the domain's rank,
+    # and it is injective iff the image spans the same rank
+    rank = linalg.rank(hb1)
+    assert linalg.rank([tuple(g) + tuple(h) for g, h in zip(hb1, images)]) == rank
+    assert linalg.rank(hb2) == rank
+
+    def pair_sum(hb, i, j):
+        return tuple(a + b for a, b in zip(hb[i], hb[j]))
+
+    fibers = {}
+    for i in range(n):
+        for j in range(i, n):
+            fibers.setdefault(pair_sum(hb1, i, j), []).append((i, j))
+    targets = [{pair_sum(hb2, match[i], match[j]) for i, j in pairs} for pairs in fibers.values()]
+    assert all(len(t) == 1 for t in targets)
+    assert len({t.pop() for t in targets}) == len(fibers)
+
+
+class TestBacktrackingSearch:
+    def test_agrees_with_reference_on_census_pairs(self):
+        bases = census_bases()
+        pairs = matched = 0
+        for b1, b2 in itertools.combinations_with_replacement(bases, 2):
+            if len(b1) != len(b2):
+                continue
+            pairs += 1
+            match = semigroup_isomorphism(b1, b2)
+            assert (match is None) == (reference_isomorphism(b1, b2) is None), (b1, b2)
+            if match is not None:
+                matched += 1
+                assert_monoid_isomorphism(b1, b2, match)
+        # every basis matches itself, and the censuses hold real merges
+        assert matched > len(bases)
+        assert pairs > matched
+
+    @given(st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_permuted_basis_matches(self, data):
+        basis = data.draw(st.sampled_from(census_bases()))
+        gens = data.draw(st.permutations(range(len(basis))))
+        cols = data.draw(st.permutations(range(len(basis[0]))))
+        permuted = [tuple(basis[g][c] for c in cols) for g in gens]
+        match = semigroup_isomorphism(basis, permuted)
+        assert match is not None
+        assert_monoid_isomorphism(basis, permuted, match)
+        assert isomorphism_invariant(basis) == isomorphism_invariant(permuted)
+
+    def test_deadline_checked_at_every_node(self, monkeypatch):
+        basis = max(census_bases(), key=len)
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        assert semigroup_isomorphism(basis, basis, deadline=1e9) is not None
+        # one reading per node: the root and one per assigned base generator
+        nodes = readings
+        assert nodes > linalg.rank(basis)
+        readings = 0
+        with pytest.raises(BudgetExhaustedError):
+            semigroup_isomorphism(basis, basis, deadline=nodes - 0.5)
+        assert readings == nodes
+
+
+class TestGroupingCalls:
+    def test_search_runs_only_on_equal_invariants(self, monkeypatch):
+        original = toric.semigroup_isomorphism
+        calls = []
+
+        def counting(basis1, basis2, **kwargs):
+            calls.append((basis1, basis2))
+            return original(basis1, basis2, **kwargs)
+
+        monkeypatch.setattr(toric, "semigroup_isomorphism", counting)
+        classes = classification.singular_type_classes(
+            classification.enumerate_reduced_singular(6)
+        )
+        assert len(classes) == 49
+        assert calls
+
+        def invariant(basis):
+            return len(basis), sorted(reference_profiles(basis))
+
+        assert all(invariant(b1) == invariant(b2) for b1, b2 in calls)
 
 
 class TestDeterminantal:
