@@ -28,9 +28,8 @@ print("relation:  ", toric_relations(basis)[0].lhs, "=", toric_relations(basis)[
 
 # Stability theta = (-1, 1): the arrows out of the theta < 0 vertex become
 # the degree-one semi-invariants.
-algebra = semi_invariant_generators(conifold, (-1, 1))
 print("\ntheta = (-1, 1) generators (exponents, degree):")
-for g in algebra.generators:
+for g in semi_invariant_generators(conifold, (-1, 1)):
     print("   ", g.exponents, g.degree)
 
 # proj is covered by one smooth chart per degree-one generator; each chart

@@ -33,7 +33,6 @@ from .local_structure import (
 from .reduction import Move, ReductionResult, applicable_moves, apply_move, reduce_setting
 from .toric import (
     DeterminantalMatrix,
-    GradedMonomialAlgebra,
     ProjChart,
     central_fiber,
     evaluate_determinantal_semi_invariant,

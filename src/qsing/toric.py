@@ -3,9 +3,10 @@
 With one-dimensional vertex spaces the base-change torus acts on each arrow
 coordinate by a character, so invariants and semi-invariants are spanned by
 monomials and everything reduces to lattice-point computations: the
-invariant ring is the semigroup ring of the kernel of the weight matrix, a
-stability structure grades it, and moduli charts are shifted copies of the
-degree-zero part.
+invariant ring is the semigroup ring of the kernel of the weight matrix W,
+a stability vector theta grades the semi-invariants by the multiple l in
+W u = l * theta, and every chart of their proj is a shift of that one graded
+Hilbert basis.
 
 The Hilbert-basis computation is a Contejean-Devie completion: breadth-first
 growth from unit vectors, extending u by e_i only when the defect vectors
@@ -30,6 +31,7 @@ from .core import (
     Matrix,
     Representation,
     evaluate_path,
+    exact_int,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -48,47 +50,25 @@ def _require_all_ones(s: MarkedQuiverSetting) -> None:
         raise UnsupportedSettingError("operation requires a mark-free setting")
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Torus weights of the arrow coordinates: e_head - e_tail per arrow."""
-
-    setting: MarkedQuiverSetting
-    arrows: tuple[Arrow, ...]
-    weights: tuple[Vector, ...]
-
-    @classmethod
-    def of(cls, s: MarkedQuiverSetting) -> "WeightSystem":
-        _require_all_ones(s)
-        arrows = s.arrow_list()
-        weights = []
-        for a in arrows:
-            w = [0] * s.k
-            w[a.head] += 1
-            w[a.tail] -= 1
-            weights.append(tuple(w))
-        return cls(s, arrows, tuple(weights))
-
-    @property
-    def num_arrows(self) -> int:
-        return len(self.arrows)
+def _weight_rows(s: MarkedQuiverSetting) -> list[list[int]]:
+    """The weight matrix W, one row per vertex: column a is e_head - e_tail of arrow a."""
+    _require_all_ones(s)
+    arrows = s.arrow_list()
+    rows = [[0] * len(arrows) for _ in range(s.k)]
+    for col, a in enumerate(arrows):
+        rows[a.head][col] += 1
+        rows[a.tail][col] -= 1
+    return rows
 
 
-@dataclass(frozen=True)
-class StabilityVector:
-    theta: Vector
-
-    @classmethod
-    def of(cls, s: MarkedQuiverSetting, theta: Sequence[int]) -> "StabilityVector":
-        t = tuple(int(x) for x in theta)
-        if len(t) != s.k:
-            raise ValueError(f"theta must have length {s.k}")
-        if sum(t[v] * s.dims[v] for v in range(s.k)) != 0:
-            raise ValueError("theta . alpha must vanish")
-        return cls(t)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.theta)
+def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
+    """``theta`` as a tuple of ints of length k with theta . alpha = 0, else ``ValueError``."""
+    t = tuple(exact_int(x) for x in theta)
+    if len(t) != s.k:
+        raise ValueError(f"theta has length {len(t)}, setting has {s.k} vertices")
+    if sum(x * d for x, d in zip(t, s.dims)) != 0:
+        raise ValueError("theta . alpha must vanish")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -375,49 +355,32 @@ class Relation:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
-@dataclass(frozen=True)
-class GradedMonomialAlgebra:
-    """Semigroup algebra of monomials whose weight is a multiple of theta."""
-
-    weights: WeightSystem
-    theta: StabilityVector
-    generators: tuple[GradedGenerator, ...]
-
-    def degree_zero(self) -> tuple[GradedGenerator, ...]:
-        return tuple(g for g in self.generators if g.degree == 0)
-
-    def positive_degree(self) -> tuple[GradedGenerator, ...]:
-        return tuple(g for g in self.generators if g.degree > 0)
-
-
 def invariant_generators(s: MarkedQuiverSetting) -> list[Vector]:
     """Hilbert basis of the weight-zero monomials (traces along cycles)."""
-    ws = WeightSystem.of(s)
-    rows = [[ws.weights[a][v] for a in range(ws.num_arrows)] for v in range(s.k)]
-    return hilbert_basis(rows)
+    return hilbert_basis(_weight_rows(s))
 
 
 def semi_invariant_generators(
     s: MarkedQuiverSetting, theta: Sequence[int]
-) -> GradedMonomialAlgebra:
+) -> tuple[GradedGenerator, ...]:
     """Generators of the graded ring of semi-invariants for theta.
 
     Solves W u = l * theta for (u, l) in N^(arrows+1); the minimal solutions
-    are the algebra generators, graded by the multiple l.  theta = 0 returns
-    the plain invariant ring in degree zero.
+    are the algebra generators, graded by the multiple l and sorted by
+    (degree, exponents).  theta = 0 returns the plain invariant ring in
+    degree zero.
+
+    Every degree is 0 or 1.  W is the incidence matrix of a digraph, hence
+    totally unimodular, so {u >= 0 : W u = theta} has the integer
+    decomposition property (Baum-Trotter 1977): a solution of degree l is a
+    sum of l solutions of degree 1.
     """
-    ws = WeightSystem.of(s)
-    tv = StabilityVector.of(s, theta)
-    if tv.is_zero:
-        gens = tuple(GradedGenerator(u, 0) for u in invariant_generators(s))
-        return GradedMonomialAlgebra(ws, tv, gens)
-    n = ws.num_arrows
-    rows = [
-        [ws.weights[a][v] for a in range(n)] + [-tv.theta[v]] for v in range(s.k)
-    ]
-    basis = hilbert_basis(rows)
-    gens = tuple(GradedGenerator(u[:n], u[n]) for u in basis)
-    return GradedMonomialAlgebra(ws, tv, tuple(sorted(gens, key=lambda g: (g.degree, g.exponents))))
+    t = _theta(s, theta)
+    if not any(t):
+        return tuple(GradedGenerator(u, 0) for u in invariant_generators(s))
+    basis = hilbert_basis([row + [-x] for row, x in zip(_weight_rows(s), t)])
+    gens = (GradedGenerator(u[:-1], u[-1]) for u in basis)
+    return tuple(sorted(gens, key=lambda g: (g.degree, g.exponents)))
 
 
 def toric_relations(
@@ -458,20 +421,18 @@ def toric_relations(
         comp: dict[Vector, int] = {}
         for idx, m in enumerate(members):
             comp[m] = idx
-        changed = True
-        while changed:
-            changed = False
-            for m in members:
-                for rel in relations:
-                    for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-                        if _dominates(m, src):
-                            m2 = tuple(a - b + c for a, b, c in zip(m, src, dst))
-                            if m2 in comp and comp[m2] != comp[m]:
-                                old, new = max(comp[m], comp[m2]), min(comp[m], comp[m2])
-                                for key in comp:
-                                    if comp[key] == old:
-                                        comp[key] = new
-                                changed = True
+        # one pass suffices: a merge relabels a whole component, so the two
+        # ends of every move visited stay in one component from then on
+        for m in members:
+            for rel in relations:
+                for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
+                    if _dominates(m, src):
+                        m2 = tuple(a - b + c for a, b, c in zip(m, src, dst))
+                        if m2 in comp and comp[m2] != comp[m]:
+                            old, new = max(comp[m], comp[m2]), min(comp[m], comp[m2])
+                            for key in comp:
+                                if comp[key] == old:
+                                    comp[key] = new
         groups: dict[int, list[Vector]] = {}
         for m in members:
             groups.setdefault(comp[m], []).append(m)
@@ -532,8 +493,8 @@ def is_theta_semistable(
     proper nonempty closed subset, stable means > 0; the witness is a
     minimizing subset when the verdict is negative.
     """
+    t = _theta(s, theta)
     _require_all_ones(s)
-    tv = StabilityVector.of(s, theta)
     support = _support_arrows(s, rep_or_support)
     verts = range(s.k)
     worst: tuple[int, tuple[int, ...]] | None = None
@@ -542,7 +503,7 @@ def is_theta_semistable(
             inside = set(subset)
             if any(a.tail in inside and a.head not in inside for a in support):
                 continue
-            value = sum(tv.theta[v] for v in subset)
+            value = sum(t[v] for v in subset)
             if worst is None or value < worst[0]:
                 worst = (value, subset)
     if worst is None:
@@ -568,19 +529,17 @@ def semistable_via_semiinvariants(
     product of generators, each supported inside the same arrows, and at
     least one of them has positive weight.
     """
+    t = _theta(s, theta)
     _require_all_ones(s)
-    tv = StabilityVector.of(s, theta)
-    if tv.is_zero:
+    if not any(t):
         # the constant 1 is a weight-zero semi-invariant vanishing nowhere
         return True
     support = _support_arrows(s, rep_or_support)
-    arrows = s.arrow_list()
-    support_idx = {i for i, a in enumerate(arrows) if a in support}
-    algebra = semi_invariant_generators(s, theta)
-    for gen in algebra.positive_degree():
-        if all(e == 0 or i in support_idx for i, e in enumerate(gen.exponents)):
-            return True
-    return False
+    support_idx = {i for i, a in enumerate(s.arrow_list()) if a in support}
+    return any(
+        g.degree and all(e == 0 or i in support_idx for i, e in enumerate(g.exponents))
+        for g in semi_invariant_generators(s, t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -633,33 +592,31 @@ def _chart_generators(
 def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]:
     """One affine chart per positive-degree generator of the semi-invariant ring.
 
-    The chart at a degree-d generator f is the degree-zero part of the
-    localization at f: solutions of W u = m * d * theta shifted by -m times
-    the lift of f.  These exponent vectors v are exactly those with W v = 0
-    and v_a >= 0 wherever f's exponent is 0.  The chart is flagged smooth
-    when that monoid is N^a x Z^b: the units split off, and the irreducible
-    elements of the unit-free quotient are linearly independent.
+    The chart at a generator f is the degree-zero part of the localization
+    at f.  Every positive degree is 1 (see :func:`semi_invariant_generators`),
+    so f is some (e, 1), and the chart is generated by the shifts u - l * e
+    of the generators (u, l) of that one graded Hilbert basis.  These
+    exponent vectors v are exactly those with W v = 0 and v_a >= 0 wherever
+    e is 0.  The chart is flagged smooth when that monoid is N^a x Z^b: the
+    units split off, and the irreducible elements of the unit-free quotient
+    are linearly independent.
     """
-    tv = StabilityVector.of(s, theta)
-    if tv.is_zero:
+    t = _theta(s, theta)
+    if not any(t):
         raise EmptyProjError("theta = 0 has no proj; use invariant_generators")
-    algebra = semi_invariant_generators(s, theta)
-    pivots = algebra.positive_degree()
+    graded = semi_invariant_generators(s, t)
+    pivots = [g for g in graded if g.degree]
     if not pivots:
         raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
-    ws = algebra.weights
-    n = ws.num_arrows
     charts = []
     for pivot in pivots:
-        rows = [
-            [ws.weights[a][v] for a in range(n)] + [-pivot.degree * tv.theta[v]]
-            for v in range(s.k)
-        ]
+        # W u = l * theta is the chart system of a degree-1 pivot, and
+        # Baum-Trotter leaves no other degree
         shifted = [
-            tuple(sol[a] - sol[n] * pivot.exponents[a] for a in range(n))
-            for sol in hilbert_basis(rows)
+            tuple(x - g.degree * e for x, e in zip(g.exponents, pivot.exponents))
+            for g in graded
         ]
-        outside = [a for a in range(n) if pivot.exponents[a] == 0]
+        outside = [a for a, e in enumerate(pivot.exponents) if e == 0]
         gens, smooth = _chart_generators(shifted, outside)
         charts.append(ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
     return charts
@@ -690,8 +647,7 @@ def central_fiber(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[FiberStr
     the support spans a connected graph on all vertices; otherwise the
     stratum is flagged non_free_action and no dimension is reported.
     """
-    _require_all_ones(s)
-    StabilityVector.of(s, theta)
+    _theta(s, theta)
     arrows = s.arrow_list()
     inv_supports = [
         frozenset(i for i, e in enumerate(u) if e) for u in invariant_generators(s)
@@ -762,8 +718,6 @@ def toric_report(
         raise ValueError(f"unknown toric action {action!r}")
     if theta is None:
         raise ValueError(f"toric {action} needs a stability vector theta")
-    if len(theta) != s.k:
-        raise ValueError(f"theta has length {len(theta)}, setting has {s.k} vertices")
     report["theta"] = list(theta)
     if action == "semistable":
         if support is None:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing import classification, linalg, toric
-from qsing.core import MarkedQuiverSetting, Representation
+from qsing.core import MarkedQuiverSetting, Representation, strongly_connected
 from qsing.errors import (
     BudgetExhaustedError,
     EmptyProjError,
@@ -37,6 +37,21 @@ from qsing.toric import (
 )
 
 from conftest import random_all_ones_setting
+
+
+def random_charted_settings(seed: int, count: int, max_entry: int):
+    """Strongly connected all-ones settings, k <= 3, <= k + 3 arrows, with theta."""
+    rng = random.Random(seed)
+    while count:
+        s = random_all_ones_setting(rng, max_k=3, max_arrows=6)
+        if s.k < 2 or s.num_arrows > s.k + 3 or not strongly_connected(s):
+            continue
+        theta = [rng.randint(-max_entry, max_entry) for _ in range(s.k - 1)]
+        theta.append(-sum(theta))
+        if not any(theta) or abs(theta[-1]) > max_entry:
+            continue
+        count -= 1
+        yield s, theta
 
 
 class TestHilbertBasis:
@@ -189,29 +204,60 @@ class TestToricRelations:
 
 class TestSemiInvariants:
     def test_conifold_theta_minus_plus(self, conifold):
-        algebra = semi_invariant_generators(conifold, (-1, 1))
-        degree0 = {g.exponents for g in algebra.degree_zero()}
-        degree1 = {g.exponents for g in algebra.positive_degree()}
+        gens = semi_invariant_generators(conifold, (-1, 1))
+        degree0 = {g.exponents for g in gens if g.degree == 0}
+        degree1 = {g.exponents for g in gens if g.degree}
         assert degree0 == set(invariant_generators(conifold))
         # degree-one generators are the two arrows out of the theta<0 vertex
         assert degree1 == {(1, 0, 0, 0), (0, 1, 0, 0)}
-        assert all(g.degree == 1 for g in algebra.positive_degree())
+        assert all(g.degree == 1 for g in gens if g.degree)
+        assert gens == tuple(sorted(gens, key=lambda g: (g.degree, g.exponents)))
 
     def test_conifold_theta_plus_minus(self, conifold):
-        algebra = semi_invariant_generators(conifold, (1, -1))
-        degree1 = {g.exponents for g in algebra.positive_degree()}
+        gens = semi_invariant_generators(conifold, (1, -1))
+        degree1 = {g.exponents for g in gens if g.degree}
         assert degree1 == {(0, 0, 1, 0), (0, 0, 0, 1)}
 
     def test_theta_zero_is_invariants(self, conifold):
-        algebra = semi_invariant_generators(conifold, (0, 0))
-        assert {g.exponents for g in algebra.generators} == set(
-            invariant_generators(conifold)
-        )
-        assert all(g.degree == 0 for g in algebra.generators)
+        gens = semi_invariant_generators(conifold, (0, 0))
+        assert {g.exponents for g in gens} == set(invariant_generators(conifold))
+        assert all(g.degree == 0 for g in gens)
 
     def test_theta_alpha_nonzero_rejected(self, conifold):
         with pytest.raises(ValueError):
             semi_invariant_generators(conifold, (1, 1))
+
+    def test_degrees_are_zero_or_one(self):
+        # W is totally unimodular, so every positive degree is 1 (Baum-Trotter),
+        # for theta and for each of its multiples
+        for s, theta in random_charted_settings(47, 100, 5):
+            for m in (1, 2, 3):
+                gens = semi_invariant_generators(s, [m * t for t in theta])
+                assert {g.degree for g in gens} <= {0, 1}, (s.to_json(), theta, m)
+
+
+class TestThetaCheck:
+    """theta is taken exactly: entries must be ints, never truncated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: proj_charts(s, [0.5, -0.5]),
+            lambda s: is_theta_semistable(s, [], [1.7, -1.2]),
+            lambda s: semi_invariant_generators(s, [True, -1]),
+            lambda s: semistable_via_semiinvariants(s, [], [1.0, -1]),
+            lambda s: central_fiber(s, [-1, Fraction(1)]),
+        ],
+        ids=["charts-half", "king-float", "semi-bool", "via-float", "fiber-fraction"],
+    )
+    def test_non_int_entries_rejected(self, conifold, call):
+        with pytest.raises(ValueError, match="expected an integer"):
+            call(conifold)
+
+    @pytest.mark.parametrize("theta", [(-1, 1, 0), (1,)])
+    def test_length_must_be_k(self, conifold, theta):
+        with pytest.raises(ValueError, match="length"):
+            is_theta_semistable(conifold, [], theta)
 
 
 class TestStability:
@@ -319,26 +365,9 @@ class TestProjCharts:
         assert set(chart.monoid_generators) == {(1, -1), (-1, 1)}
         assert chart.smooth
 
-    @staticmethod
-    def _random_charted_settings(seed: int, count: int, max_entry: int):
-        """Strongly connected all-ones settings, k <= 3, <= k + 3 arrows, with theta."""
-        from qsing.core import strongly_connected
-
-        rng = random.Random(seed)
-        while count:
-            s = random_all_ones_setting(rng, max_k=3, max_arrows=6)
-            if s.k < 2 or s.num_arrows > s.k + 3 or not strongly_connected(s):
-                continue
-            theta = [rng.randint(-max_entry, max_entry) for _ in range(s.k - 1)]
-            theta.append(-sum(theta))
-            if not any(theta) or abs(theta[-1]) > max_entry:
-                continue
-            count -= 1
-            yield s, theta
-
     def test_smoothness_invariant_under_veronese(self):
         # theta and 2 theta give the same Proj (Veronese embedding)
-        for s, theta in self._random_charted_settings(41, 200, 2):
+        for s, theta in random_charted_settings(41, 200, 2):
             try:
                 charts = proj_charts(s, theta)
             except EmptyProjError:
@@ -352,7 +381,7 @@ class TestProjCharts:
             )
 
     def test_generators_lie_in_their_chart_monoid(self):
-        for s, theta in self._random_charted_settings(43, 60, 2):
+        for s, theta in random_charted_settings(43, 60, 2):
             try:
                 charts = proj_charts(s, theta)
             except EmptyProjError:
@@ -374,6 +403,41 @@ class TestProjCharts:
                     images = [tuple(v[a] for a in outside) for v in chart.monoid_generators]
                     assert check_hilbert_minimality(images) == []
 
+    def test_one_basis_equals_per_pivot_bases(self):
+        # the chart of a degree-1 pivot needs no basis of its own
+        compared = 0
+        for s, theta in random_charted_settings(53, 150, 2):
+            try:
+                expected = reference_charts(s, theta)
+            except EmptyProjError:
+                with pytest.raises(EmptyProjError):
+                    proj_charts(s, theta)
+                continue
+            assert proj_charts(s, theta) == expected, (s.to_json(), theta)
+            compared += 1
+        assert compared >= 100
+
+    def test_one_hilbert_basis_per_call(self, monkeypatch):
+        original = toric.hilbert_basis
+        calls = 0
+
+        def counting(matrix):
+            nonlocal calls
+            calls += 1
+            return original(matrix)
+
+        monkeypatch.setattr(toric, "hilbert_basis", counting)
+        kronecker = MarkedQuiverSetting.make([1, 1], [[0, 2], [0, 0]])
+        cases = [(kronecker, (-2, 2)), (kronecker, (3, -3))]
+        cases += list(random_charted_settings(59, 20, 2))
+        for s, theta in cases:
+            calls = 0
+            try:
+                proj_charts(s, theta)
+            except EmptyProjError:
+                pass
+            assert calls == 1, (s.to_json(), theta)
+
     def test_theta_zero_guard(self, conifold):
         with pytest.raises(EmptyProjError):
             proj_charts(conifold, (0, 0))
@@ -382,6 +446,41 @@ class TestProjCharts:
         s = MarkedQuiverSetting.make([1], [[2]])
         with pytest.raises(EmptyProjError):
             proj_charts(s, (0,))
+
+
+def reference_charts(s, theta):
+    """The per-pivot charts, kept as an oracle: one Hilbert basis per pivot.
+
+    The chart at a degree-d pivot f is read off the basis of W u = m * d * theta,
+    each solution shifted by -m times f.
+    """
+    arrows = s.arrow_list()
+    n = len(arrows)
+    weights = [[0] * s.k for _ in arrows]
+    for a, arrow in enumerate(arrows):
+        weights[a][arrow.head] += 1
+        weights[a][arrow.tail] -= 1
+    graded = hilbert_basis([[weights[a][v] for a in range(n)] + [-theta[v]] for v in range(s.k)])
+    pivots = sorted(
+        (toric.GradedGenerator(u[:n], u[n]) for u in graded if u[n]),
+        key=lambda g: (g.degree, g.exponents),
+    )
+    if not pivots:
+        raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
+    charts = []
+    for pivot in pivots:
+        rows = [
+            [weights[a][v] for a in range(n)] + [-pivot.degree * theta[v]]
+            for v in range(s.k)
+        ]
+        shifted = [
+            tuple(sol[a] - sol[n] * pivot.exponents[a] for a in range(n))
+            for sol in hilbert_basis(rows)
+        ]
+        outside = [a for a in range(n) if pivot.exponents[a] == 0]
+        gens, smooth = toric._chart_generators(shifted, outside)
+        charts.append(toric.ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
+    return charts
 
 
 class TestCentralFiber:
