@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
@@ -322,6 +323,64 @@ def brute_force_offdiag(dims, loops, budget) -> set:
     return out
 
 
+def slot_sequence(m) -> tuple:
+    k = len(m)
+    return tuple(m[i][j] for i in range(k) for j in range(k) if i != j)
+
+
+def survives_tie_break(dims, loops, m) -> bool:
+    """No swap of adjacent vertices with equal dim and (loops, marks) makes m larger.
+
+    Each such swap is applied as a vertex permutation and the off-diagonal
+    slot sequences, row by row, are compared lexicographically.
+    """
+    k = len(dims)
+    for v in range(k - 1):
+        if (dims[v], loops[v]) != (dims[v + 1], loops[v + 1]):
+            continue
+        perm = list(range(k))
+        perm[v], perm[v + 1] = v + 1, v
+        swapped = [[m[perm[i]][perm[j]] for j in range(k)] for i in range(k)]
+        if slot_sequence(swapped) > slot_sequence(m):
+            return False
+    return True
+
+
+def unbroken_loop_configs(dims, budget, d):
+    """Every per-vertex (loops, marks) choice, with no symmetry break.
+
+    The same options, costs and counting-bound cut as
+    ``classification._loop_configs``, over the full product of the vertices.
+    """
+    k = len(dims)
+    per_vertex = []
+    for v in range(k):
+        options = [(0, 0, 0)]
+        if dims[v] >= 2:
+            w_loop, w_mark = dims[v] ** 2, dims[v] ** 2 - 1
+            for loops in range(budget // w_loop + 1):
+                rem = budget - loops * w_loop
+                for marks in range(0 if loops else 1, rem // w_mark + 1):
+                    options.append((loops, marks, loops * w_loop + marks * w_mark))
+        per_vertex.append(options)
+    for combo in itertools.product(*per_vertex):
+        cost = sum(c for _, _, c in combo)
+        if cost > budget:
+            continue
+        if k >= 2 and d < 1 + sum(
+            classification._vertex_contribution(dims[v], l, m) for v, (l, m, _) in enumerate(combo)
+        ):
+            continue
+        yield tuple((l, m) for l, m, _ in combo), cost
+
+
+def sorted_within_runs(dims, loops) -> tuple:
+    out = []
+    for _, run in itertools.groupby(range(len(dims)), key=lambda v: dims[v]):
+        out.extend(sorted(loops[v] for v in run))
+    return tuple(out)
+
+
 class TestPrunedGenerator:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_offdiag_matrices_match_brute_force(self, d):
@@ -331,12 +390,44 @@ class TestPrunedGenerator:
             for loops, loop_cost in classification._loop_configs(dims, budget, d):
                 pruned = list(classification._offdiag_matrices(dims, loops, budget - loop_cost))
                 assert len(set(pruned)) == len(pruned)
-                assert set(pruned) == brute_force_offdiag(dims, loops, budget - loop_cost), (
-                    dims,
-                    loops,
-                )
+                expected = {
+                    m
+                    for m in brute_force_offdiag(dims, loops, budget - loop_cost)
+                    if survives_tie_break(dims, loops, m)
+                }
+                assert set(pruned) == expected, (dims, loops)
                 blocks += 1
         assert blocks > 0
+
+    @pytest.mark.parametrize(
+        "dims, loops, budget",
+        [
+            # tied pairs next to untied vertices of the same dimension
+            ((2, 2, 2), ((0, 1), (0, 1), (1, 0)), 16),
+            ((2, 2, 1, 1), ((1, 0), (0, 1), (0, 0), (0, 0)), 14),
+            ((1, 1, 1, 1), ((0, 0),) * 4, 8),
+        ],
+    )
+    def test_tie_break_on_chosen_blocks(self, dims, loops, budget):
+        pruned = list(classification._offdiag_matrices(dims, loops, budget))
+        assert len(set(pruned)) == len(pruned)
+        full = brute_force_offdiag(dims, loops, budget)
+        assert set(pruned) == {m for m in full if survives_tie_break(dims, loops, m)}
+        assert 0 < len(pruned) < len(full)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_loop_break_drops_only_relabellings(self, d):
+        for dims in classification._dims_multisets(d):
+            budget = d - 1 + sum(a * a for a in dims)
+            kept = list(classification._loop_configs(dims, budget, d))
+            full = list(unbroken_loop_configs(dims, budget, d))
+            kept_set = set(kept)
+            # the kept configurations in their unbroken order
+            assert kept == [c for c in full if c in kept_set], dims
+            for loops, cost in full:
+                assert (sorted_within_runs(dims, loops), cost) in kept_set, (dims, loops)
+            for loops, _ in kept:
+                assert sorted_within_runs(dims, loops) == loops
 
     @given(st.integers(0, 10**6))
     @hyp_settings(max_examples=200, deadline=None)
@@ -354,6 +445,67 @@ class TestPrunedGenerator:
             )
         }
         assert proposed == expected
+
+
+def unbroken_enumerate(d: int) -> list[MarkedQuiverSetting]:
+    """The enumeration loop with no symmetry break, in the generation order.
+
+    Every within-run relabelling of a setting is a candidate, and each class
+    keeps its first candidate.  ``classification._fully_tied`` must be
+    patched to find no ties, so that ``_offdiag_matrices`` yields every
+    matrix.
+    """
+    found: dict[bytes, MarkedQuiverSetting] = {}
+    for dims in classification._dims_multisets(d):
+        budget = d - 1 + sum(a * a for a in dims)
+        for loops, loop_cost in unbroken_loop_configs(dims, budget, d):
+            for arrows in classification._offdiag_matrices(dims, loops, budget - loop_cost):
+                full = [list(row) for row in arrows]
+                for v in range(len(dims)):
+                    full[v][v] = loops[v][0]
+                s = MarkedQuiverSetting(
+                    dims, tuple(tuple(r) for r in full), tuple(m for _, m in loops)
+                )
+                if not strongly_connected(s) or applicable_moves(s):
+                    continue
+                if not is_simple_dimvector(s, s.dims) or match_smooth_list(s) is not None:
+                    continue
+                found.setdefault(canonical_key(s), s)
+    return sorted(found.values(), key=canonical_key)
+
+
+# sha256 of the newline-joined dumps() of enumerate_reduced_singular(7),
+# recorded from the enumeration before the symmetry break
+DIM7_DIGEST = "9346330641dc78c5a1f2f7cb9b9c118b81d8b84c6f3ba57577a96d8aa5a034fa"
+
+
+class TestSymmetryBreak:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_same_representatives_as_unbroken(self, d, monkeypatch):
+        broken = [s.dumps() for s in enumerate_reduced_singular(d)]
+        with monkeypatch.context() as m:
+            m.setattr(classification, "_fully_tied", lambda dims, loops: [])
+            unbroken = [s.dumps() for s in unbroken_enumerate(d)]
+        assert broken == unbroken
+
+    def test_dim6_canonical_key_calls(self, monkeypatch):
+        calls = 0
+
+        def counting(s):
+            nonlocal calls
+            calls += 1
+            return canonical_key(s)
+
+        monkeypatch.setattr(classification, "canonical_key", counting)
+        assert len(enumerate_reduced_singular(6)) == 67
+        # 1,697 before the break: one per relabelling, one more per setting to sort
+        assert calls <= 200
+
+    def test_dim7_census_unchanged(self):
+        found = enumerate_reduced_singular(7)
+        assert len(found) == 579
+        text = "\n".join(s.dumps() for s in found)
+        assert hashlib.sha256(text.encode()).hexdigest() == DIM7_DIGEST
 
 
 class TestTypeClasses:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing.classification import census_report, classify_report, dim_report, selftest
 from qsing.cli import main
@@ -365,3 +368,50 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["expected_dim"] == 3
+
+
+# small JSON values of every kind, and dicts shaped like a setting whose
+# entries are small integers or, in the second shape, any JSON values
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["dims", "arrows", "marked_loops", "x"]), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _setting_like(k: int, dims, entries):
+    row = st.lists(entries, min_size=k, max_size=k)
+    return st.fixed_dictionaries(
+        {"dims": st.lists(dims, min_size=k, max_size=k), "arrows": st.lists(row, min_size=k, max_size=k)},
+        optional={"marked_loops": row},
+    )
+
+
+SETTING_FILES = (
+    JSON_VALUES
+    | st.integers(0, 3).flatmap(lambda k: _setting_like(k, st.integers(0, 3), st.integers(0, 2)))
+    | st.integers(0, 3).flatmap(lambda k: _setting_like(k, JSON_VALUES, JSON_VALUES))
+)
+
+
+class TestFuzzedSettingFiles:
+    @given(command=st.sampled_from(["classify", "dim", "reduce"]), data=SETTING_FILES)
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_any_json_exits_cleanly(self, command, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-setting.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([command, str(path)])
+            except SystemExit as exc:
+                assert exc.code in (0, 1, 2)
+            else:
+                assert code == 0
