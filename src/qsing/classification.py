@@ -471,10 +471,10 @@ def singular_type_classes(
     proof, and a failed search or distinct invariants a disproof.
 
     Raises :class:`BudgetExhaustedError` when the wall-clock budget runs out;
-    it is checked before each setting and at every node of the isomorphism
-    search.  Its partial result is the full class list, in which every
-    all-ones setting not yet placed is a singleton class with
-    ``equivalence_decided=False``.
+    it is checked before each setting, once per round of each Hilbert basis
+    and at every node of the isomorphism search.  Its partial result is the
+    full class list, in which every all-ones setting not yet placed is a
+    singleton class with ``equivalence_decided=False``.
     """
     if budget_secs is not None and budget_secs < 0:
         raise ValueError("budget must be >= 0 seconds")
@@ -488,7 +488,7 @@ def singular_type_classes(
         try:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhaustedError("grouping budget exhausted")
-            basis = toric.invariant_generators(s)
+            basis = toric.invariant_generators(s, deadline=deadline)
             bucket = buckets.setdefault(toric.isomorphism_invariant(basis), [])
             for rep_basis, group in bucket:
                 if toric.semigroup_isomorphism(rep_basis, basis, deadline=deadline) is not None:

@@ -8,11 +8,16 @@ a stability vector theta grades the semi-invariants by the multiple l in
 W u = l * theta, and every chart of their proj is a shift of that one graded
 Hilbert basis.
 
-The Hilbert-basis computation is a Contejean-Devie completion: breadth-first
-growth from unit vectors, extending u by e_i only when the defect vectors
-M u and M e_i have negative inner product, pruning anything dominated by a
-known solution.  This terminates and returns exactly the minimal nonzero
-solutions.
+The Hilbert-basis computation is a Contejean-Devie completion (Contejean and
+Devie 1994): breadth-first growth from unit vectors, extending u by e_i only
+when the defect vectors M u and M e_i have negative inner product, pruning
+anything dominated by a known solution.  This terminates and returns exactly
+the minimal nonzero solutions.  Each vector carries G u with G = M^T M in
+place of its defect, so that inner product is the i-th entry of G u and a
+child's vector is one addition of a row of G.  Since no frontier vector
+dominates a known solution, a child u + e_i can only dominate a solution
+whose i-th coordinate is u_i + 1, and the found solutions are indexed by
+coordinate and value so that only those are compared.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, ge, mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -79,47 +84,63 @@ def _dominates(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(u, v))
 
 
-def hilbert_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
+def hilbert_basis(
+    matrix: Sequence[Sequence[int]], *, deadline: float | None = None
+) -> list[Vector]:
     """Minimal nonzero solutions of M u = 0, u in N^n (Contejean-Devie).
 
     ``matrix`` is a list of rows of length n.  Always terminates; the result
     is the Hilbert basis of the solution monoid, sorted.
+
+    Round r holds the frontier of degree r.  Each frontier vector u carries
+    g(u) = G u with G = M^T M, so the Contejean-Devie condition
+    <M u, M e_i> < 0 reads g(u)_i < 0, the child u + e_i carries
+    g(u) + G e_i, and u is a solution iff g(u) = 0 (u . g(u) = |M u|^2).
+    A round first moves its solutions into the basis and then extends the
+    rest, so every solution of lower degree is known when a child is made.
+    No frontier vector dominates a known solution, so if u + e_i dominates
+    a solution b then b_i = u_i + 1, and only the solutions with that i-th
+    coordinate need to be compared.
+
+    ``deadline`` is a ``time.monotonic()`` reading, checked once per round;
+    past it the completion raises
+    :class:`~qsing.errors.BudgetExhaustedError`.
     """
     rows = [tuple(r) for r in matrix]
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-
-    def defect(u: Sequence[int]) -> Vector:
-        return tuple(sum(r[i] * u[i] for i in range(n)) for r in rows)
-
-    columns = [defect(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    columns = list(zip(*rows))
+    gram = [tuple(sum(map(mul, ci, cj)) for cj in columns) for ci in columns]
     basis: list[Vector] = []
-    frontier: dict[Vector, Vector] = {}
-    for i in range(n):
-        u = tuple(1 if j == i else 0 for j in range(n))
-        frontier[u] = columns[i]
+    # by_coord[i][c]: the known solutions b with b_i = c > 0
+    by_coord: list[dict[int, list[Vector]]] = [{} for _ in range(n)]
+    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    frontier: dict[Vector, Vector] = dict(zip(unit, gram))
     while frontier:
-        next_frontier: dict[Vector, Vector] = {}
-        for u, du in frontier.items():
-            if all(x == 0 for x in du):
-                basis.append(u)
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("Hilbert basis ran past its deadline")
+        growing = []
+        for u, g in frontier.items():
+            if any(g):
+                growing.append((u, g))
                 continue
-            for i in range(n):
-                if sum(a * b for a, b in zip(du, columns[i])) >= 0:
+            basis.append(u)
+            for i, c in enumerate(u):
+                if c:
+                    by_coord[i].setdefault(c, []).append(u)
+        frontier = {}
+        for u, g in growing:
+            for i, x in enumerate(g):
+                if x >= 0:
                     continue
-                child = tuple(u[j] + (1 if j == i else 0) for j in range(n))
-                if child in next_frontier:
+                c = u[i] + 1
+                child = u[:i] + (c,) + u[i + 1 :]
+                if child in frontier or any(
+                    all(map(ge, child, b)) for b in by_coord[i].get(c, ())
+                ):
                     continue
-                if any(_dominates(child, b) for b in basis):
-                    continue
-                next_frontier[child] = tuple(a + b for a, b in zip(du, columns[i]))
-        # prune against solutions found this round
-        frontier = {
-            u: du
-            for u, du in next_frontier.items()
-            if not any(_dominates(u, b) for b in basis)
-        }
+                frontier[child] = tuple(map(add, g, gram[i]))
     return sorted(basis)
 
 
@@ -355,9 +376,14 @@ class Relation:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
-def invariant_generators(s: MarkedQuiverSetting) -> list[Vector]:
-    """Hilbert basis of the weight-zero monomials (traces along cycles)."""
-    return hilbert_basis(_weight_rows(s))
+def invariant_generators(
+    s: MarkedQuiverSetting, *, deadline: float | None = None
+) -> list[Vector]:
+    """Hilbert basis of the weight-zero monomials (traces along cycles).
+
+    ``deadline`` bounds the completion as in :func:`hilbert_basis`.
+    """
+    return hilbert_basis(_weight_rows(s), deadline=deadline)
 
 
 def semi_invariant_generators(
@@ -601,6 +627,13 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
     units split off, and the irreducible elements of the unit-free quotient
     are linearly independent.
     """
+    return _charts_and_graded_basis(s, theta)[0]
+
+
+def _charts_and_graded_basis(
+    s: MarkedQuiverSetting, theta: Sequence[int]
+) -> tuple[list[ProjChart], tuple[GradedGenerator, ...]]:
+    """:func:`proj_charts` and the graded Hilbert basis they are read off."""
     t = _theta(s, theta)
     if not any(t):
         raise EmptyProjError("theta = 0 has no proj; use invariant_generators")
@@ -619,7 +652,7 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
         outside = [a for a, e in enumerate(pivot.exponents) if e == 0]
         gens, smooth = _chart_generators(shifted, outside)
         charts.append(ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
-    return charts
+    return charts, graded
 
 
 @dataclass(frozen=True)
@@ -732,8 +765,11 @@ def toric_report(
         report["via_semi_invariants"] = via
         report["verdicts_agree"] = verdict.semistable == via
     elif action == "charts":
-        report["charts"] = [c.to_json() for c in proj_charts(s, theta)]
-        report["degree_zero_generators"] = [list(u) for u in invariant_generators(s)]
+        charts, graded = _charts_and_graded_basis(s, theta)
+        report["charts"] = [c.to_json() for c in charts]
+        # whatever lies below some (u, 0) has degree 0 too, so the degree-0
+        # part of the graded basis is the invariant Hilbert basis, in order
+        report["degree_zero_generators"] = [list(g.exponents) for g in graded if not g.degree]
     else:
         strata = central_fiber(s, theta)
         report["strata"] = [f.to_json() for f in strata]

@@ -550,9 +550,10 @@ class TestTypeClasses:
             assert len(images) == 1
 
     def test_budget_leaves_unplaced_settings_undecided(self, monkeypatch):
-        # one second per clock reading: the deadline is read at 1 s and falls
-        # at 3.5 s, the first two settings are placed at 2 s and 3 s, and the
-        # check before the third reads 4 s
+        # one second per reading of the grouping's clock: the deadline is
+        # read at 1 s and falls at 3.5 s, the first two settings are placed
+        # at 2 s and 3 s, and the check before the third reads 4 s; the
+        # Hilbert bases and searches read the same clock without moving it
         now = 0.0
 
         def monotonic():
@@ -562,9 +563,8 @@ class TestTypeClasses:
 
         found = enumerate_reduced_singular(5)
         assert all(s.dims == (1,) * s.k for s in found)
-        clock = SimpleNamespace(monotonic=monotonic)
-        monkeypatch.setattr(classification, "time", clock)
-        monkeypatch.setattr(toric, "time", clock)
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: now))
         with pytest.raises(BudgetExhaustedError) as info:
             singular_type_classes(found, budget_secs=2.5)
         assert "after 2 of 11" in str(info.value)
@@ -581,7 +581,8 @@ class TestTypeClasses:
 
     def test_census_budget_bounds_the_grouping(self, monkeypatch):
         # the clock stands still through the enumeration and starts ticking
-        # one second per reading at the first Hilbert basis of the grouping
+        # one second per reading of the grouping's own checks at the first
+        # Hilbert basis of the grouping; toric code reads it without moving it
         ticking = False
         now = 0.0
 
@@ -593,14 +594,13 @@ class TestTypeClasses:
 
         original = toric.invariant_generators
 
-        def start_ticking(s):
+        def start_ticking(s, **kwargs):
             nonlocal ticking
             ticking = True
-            return original(s)
+            return original(s, **kwargs)
 
-        clock = SimpleNamespace(monotonic=monotonic)
-        monkeypatch.setattr(classification, "time", clock)
-        monkeypatch.setattr(toric, "time", clock)
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: now))
         monkeypatch.setattr(toric, "invariant_generators", start_ticking)
         report, passed = classification.census_report(5, budget_secs=3.5)
         assert not passed
@@ -611,6 +611,31 @@ class TestTypeClasses:
         assert sum(len(c["members"]) for c in classes) == 11
         assert any(c["equivalence_decided"] for c in classes)
         assert any(not c["equivalence_decided"] for c in classes)
+
+    def test_budget_bounds_the_hilbert_bases(self, monkeypatch):
+        # the grouping's clock stands still and the toric clock ticks one
+        # second per reading, so only the once-per-round check inside the
+        # first Hilbert basis can exhaust the budget: its rounds read 1 s
+        # and 2 s, past the deadline at 1.5 s
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the first setting needs no search")
+
+        found = enumerate_reduced_singular(5)
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(toric, "semigroup_isomorphism", no_search)
+        with pytest.raises(BudgetExhaustedError) as info:
+            singular_type_classes(found, budget_secs=1.5)
+        assert "after 0 of 11" in str(info.value)
+        assert readings == 2
+        assert not any(c.equivalence_decided for c in info.value.partial)
 
     def test_grouping_without_budget_reads_no_clock(self, monkeypatch):
         def no_clock():

@@ -18,7 +18,7 @@ from qsing.conifold import verification_battery
 from qsing.core import MarkedQuiverSetting
 from qsing.local_structure import DecompositionType, local_report, strata_report
 from qsing.reduction import reduce_setting
-from qsing.toric import toric_report
+from qsing.toric import THETA_ACTIONS, toric_report
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -402,6 +402,62 @@ SETTING_FILES = (
 )
 
 
+def either(first, second):
+    """``first`` or ``second``, each half the time however many branches they hold."""
+    return st.booleans().flatmap(lambda pick: first if pick else second)
+
+
+def fuzzed_settings(k: int):
+    """A fuzzed setting file, or an all-ones setting on k vertices.
+
+    The all-ones settings have at most one arrow per slot, which keeps the
+    central fiber, one King test per arrow subset, small.
+    """
+    arrows = st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=k, max_size=k)
+    all_ones = st.fixed_dictionaries({"dims": st.just([1] * k), "arrows": arrows})
+    return either(all_ones, SETTING_FILES)
+
+
+def option_strings(lists):
+    """Half the time ``lists`` comma-joined, else None or a string that is
+    nearly a list of ints."""
+    return either(
+        lists.map(lambda xs: ",".join(map(str, xs))),
+        st.none() | st.text(alphabet="-0123456789, .x", max_size=6),
+    )
+
+
+def theta_strings(k: int):
+    """``--theta`` values, half of them with theta . (1, ..., 1) = 0 on k vertices."""
+    balanced = st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1).map(
+        lambda head: head + [-sum(head)]
+    )
+    return option_strings(either(balanced, st.lists(st.integers(-3, 3), max_size=4)))
+
+
+SUPPORT_STRINGS = option_strings(st.lists(st.integers(-1, 9), max_size=5))
+
+
+def tau_values(k: int):
+    """A decomposition of (1, ..., 1) on k vertices into blocks, or any small
+    JSON value, or a list of (multiplicity, 0/1 vector of length k)."""
+    partitions = st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(
+        lambda block: [[1, [int(b == c) for b in block]] for c in sorted(set(block))]
+    )
+    summand = st.tuples(st.integers(0, 2), st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return either(partitions, JSON_VALUES | st.lists(summand, min_size=1, max_size=3))
+
+
+def run_fuzzed(args, data, tmp_path_factory) -> int:
+    """The exit code of ``args`` with "SETTING" as a file holding ``data``."""
+    args = with_setting_file(args, data, tmp_path_factory.getbasetemp())
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(args)
+        except SystemExit as exc:
+            return exc.code
+
+
 class TestFuzzedSettingFiles:
     @given(command=st.sampled_from(["classify", "dim", "reduce"]), data=SETTING_FILES)
     @hyp_settings(max_examples=300, deadline=None)
@@ -415,3 +471,30 @@ class TestFuzzedSettingFiles:
                 assert exc.code in (0, 1, 2)
             else:
                 assert code == 0
+
+    @given(k=st.integers(1, 3), data=st.data())
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_strata_exits_cleanly(self, k, data, tmp_path_factory):
+        setting = data.draw(fuzzed_settings(k))
+        assert run_fuzzed(["strata", "SETTING"], setting, tmp_path_factory) in (0, 1, 2)
+
+    @given(k=st.integers(1, 3), data=st.data())
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_local_tau_exits_cleanly(self, k, data, tmp_path_factory):
+        setting = data.draw(fuzzed_settings(k))
+        args = ["local", "SETTING", f"--tau={json.dumps(data.draw(tau_values(k)))}"]
+        assert run_fuzzed(args, setting, tmp_path_factory) in (0, 1, 2)
+
+    @given(
+        action=st.sampled_from(["invariants", "relations", *THETA_ACTIONS]),
+        k=st.integers(1, 3),
+        data=st.data(),
+    )
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_toric_options_exit_cleanly(self, action, k, data, tmp_path_factory):
+        setting = data.draw(fuzzed_settings(k))
+        args = ["toric", action, "SETTING"]
+        for flag, values in (("theta", theta_strings(k)), ("support", SUPPORT_STRINGS)):
+            raw = data.draw(values)
+            args += [] if raw is None else [f"--{flag}={raw}"]
+        assert run_fuzzed(args, setting, tmp_path_factory) in (0, 1, 2)

@@ -417,14 +417,15 @@ class TestProjCharts:
             compared += 1
         assert compared >= 100
 
-    def test_one_hilbert_basis_per_call(self, monkeypatch):
+    @staticmethod
+    def assert_one_hilbert_basis_per_call(monkeypatch, call):
         original = toric.hilbert_basis
         calls = 0
 
-        def counting(matrix):
+        def counting(matrix, **kwargs):
             nonlocal calls
             calls += 1
-            return original(matrix)
+            return original(matrix, **kwargs)
 
         monkeypatch.setattr(toric, "hilbert_basis", counting)
         kronecker = MarkedQuiverSetting.make([1, 1], [[0, 2], [0, 0]])
@@ -433,10 +434,20 @@ class TestProjCharts:
         for s, theta in cases:
             calls = 0
             try:
-                proj_charts(s, theta)
+                call(s, theta)
             except EmptyProjError:
                 pass
             assert calls == 1, (s.to_json(), theta)
+
+    def test_one_hilbert_basis_per_call(self, monkeypatch):
+        self.assert_one_hilbert_basis_per_call(monkeypatch, proj_charts)
+
+    def test_one_hilbert_basis_per_charts_report(self, monkeypatch):
+        # the report reads its degree-zero generators off the graded basis
+        # of its charts
+        self.assert_one_hilbert_basis_per_call(
+            monkeypatch, lambda s, theta: toric.toric_report(s, "charts", theta=theta)
+        )
 
     def test_theta_zero_guard(self, conifold):
         with pytest.raises(EmptyProjError):
@@ -827,3 +838,121 @@ class TestHilbertBasisAlgorithm:
 
     def test_no_nontrivial_solutions(self):
         assert hilbert_basis([[1, 1]]) == []
+
+
+def _reference_dominates(u, v):
+    return all(a >= b for a, b in zip(u, v))
+
+
+def reference_hilbert_basis(matrix):
+    """The completion as it was written before the Gram recurrence, kept as an oracle."""
+    _dominates = _reference_dominates
+    rows = [tuple(r) for r in matrix]
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+
+    def defect(u):
+        return tuple(sum(r[i] * u[i] for i in range(n)) for r in rows)
+
+    columns = [defect(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    basis = []
+    frontier = {}
+    for i in range(n):
+        u = tuple(1 if j == i else 0 for j in range(n))
+        frontier[u] = columns[i]
+    while frontier:
+        next_frontier = {}
+        for u, du in frontier.items():
+            if all(x == 0 for x in du):
+                basis.append(u)
+                continue
+            for i in range(n):
+                if sum(a * b for a, b in zip(du, columns[i])) >= 0:
+                    continue
+                child = tuple(u[j] + (1 if j == i else 0) for j in range(n))
+                if child in next_frontier:
+                    continue
+                if any(_dominates(child, b) for b in basis):
+                    continue
+                next_frontier[child] = tuple(a + b for a, b in zip(du, columns[i]))
+        # prune against solutions found this round
+        frontier = {
+            u: du
+            for u, du in next_frontier.items()
+            if not any(_dominates(u, b) for b in basis)
+        }
+    return sorted(basis)
+
+
+def complete_quiver(k: int) -> MarkedQuiverSetting:
+    """The all-ones setting with one arrow between every ordered pair of vertices."""
+    return MarkedQuiverSetting.make([1] * k, [[int(i != j) for j in range(k)] for i in range(k)])
+
+
+class TestGramCompletion:
+    def test_random_matrices_match_reference(self):
+        rng = random.Random(71)
+        not_unimodular = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            not_unimodular += any(abs(x) > 1 for r in rows for x in r)
+            basis = hilbert_basis(rows)
+            assert basis == reference_hilbert_basis(rows), rows
+            assert check_hilbert_minimality(basis) == []
+        assert not_unimodular > 100
+
+    def test_graded_systems_match_reference(self):
+        compared = 0
+        for s, theta in random_charted_settings(73, 120, 3):
+            rows = [row + [-x] for row, x in zip(toric._weight_rows(s), theta)]
+            basis = hilbert_basis(rows)
+            assert basis == reference_hilbert_basis(rows), (s.to_json(), theta)
+            compared += len(basis) > 0
+        assert compared > 100
+
+    def test_census_weight_matrices_match_reference(self):
+        settings = [
+            s
+            for d in (5, 6)
+            for s in classification.enumerate_reduced_singular(d)
+            if all(x == 1 for x in s.dims)
+        ]
+        assert len(settings) == 74
+        for s in settings:
+            rows = toric._weight_rows(s)
+            assert hilbert_basis(rows) == reference_hilbert_basis(rows), s.to_json()
+
+    @pytest.mark.parametrize("k,size", [(5, 84), (6, 409)])
+    def test_complete_quivers(self, k, size):
+        basis = invariant_generators(complete_quiver(k))
+        assert len(basis) == size
+        assert check_hilbert_minimality(basis) == []
+
+    def test_deadline_checked_once_per_round(self, monkeypatch):
+        rows = toric._weight_rows(complete_quiver(4))
+        basis = hilbert_basis(rows)
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        assert hilbert_basis(rows, deadline=1e9) == basis
+        # a basis element of degree r is found in round r
+        rounds = readings
+        assert rounds >= max(sum(u) for u in basis) > 1
+        readings = 0
+        with pytest.raises(BudgetExhaustedError):
+            hilbert_basis(rows, deadline=rounds - 0.5)
+        assert readings == rounds
+
+    def test_no_clock_without_deadline(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        assert len(invariant_generators(complete_quiver(5))) == 84
