@@ -119,6 +119,7 @@ def _cmd_toric(args, s):
         theta=_int_list(args.theta, "--theta"),
         support=_int_list(args.support, "--support"),
         degree_bound=args.degree_bound,
+        budget_secs=args.budget,
     )
     return report, True
 
@@ -186,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help='comma-separated stability vector; use --theta=-1,1 for leading minus')
     p.add_argument("--degree-bound", type=int, default=4)
     p.add_argument("--support", help="comma-separated arrow indices (per the arrow legend)")
+    p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
 
     p = command(
         "conifold-verify",

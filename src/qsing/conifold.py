@@ -17,6 +17,12 @@ Products are computed over the integers.  Every rewrite coefficient (x, y,
 coefficients; :func:`multiply` writes each operand over one common
 denominator, multiplies numerators through that table, and divides by the
 product of the two denominators once per output term.
+
+Points of the 2-dimensional trace-zero representation scheme are cleared
+the same way, once per point: the lcm q of a point's denominators turns
+p into the integer 9-tuple P = q p, and the residuals, the Jacobian rank
+and the evaluation of an element all run on P in integers.  A ``Fraction``
+is made only for a returned value.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .core import identity_matrix, mat_mul
 from .errors import QsingError
 
 Monomial = tuple[int, int, int]  # exponents of x, y, z
@@ -389,16 +394,45 @@ def clifford_check(v: ConifoldElement, w: ConifoldElement, form: TernaryForm | N
 
 
 Trep2Point = tuple[Fraction, ...]  # (x1, x2, x3, y1, y2, y3, z1, z2, z3)
+IntMatrix2 = tuple[tuple[int, int], tuple[int, int]]
+_EXACT = (int, Fraction)
+
+
+def _scaled_point(point: Sequence) -> tuple[int, list[int]]:
+    """The lcm q of a point's denominators and its integer coordinates P = q * p.
+
+    Ints and Fractions are taken as they are and every other coordinate is
+    read with ``Fraction(v)``, so a float counts as the rational it stores.
+    """
+    coords = [v if type(v) in _EXACT else Fraction(v) for v in point]
+    q = math.lcm(*(c.denominator for c in coords))
+    return q, [c.numerator * (q // c.denominator) for c in coords]
+
+
+def _scaled_residuals(q: int, P: Sequence[int]) -> tuple[int, int, int]:
+    """q^2 times the three defining equations at the point P / q."""
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = P
+    return (
+        2 * x1 * z1 + x2 * z3 + x3 * z2,
+        2 * y1 * z1 + y2 * z3 + y3 * z2,
+        z1 * z1 + z2 * z3 - q * q,
+    )
+
+
+def _scaled_jacobian(P: Sequence[int]) -> list[list[int]]:
+    """q times the Jacobian at the point P / q (its entries are linear)."""
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = P
+    return [
+        [2 * z1, z3, z2, 0, 0, 0, 2 * x1, x3, x2],
+        [0, 0, 0, 2 * z1, z3, z2, 2 * y1, y3, y2],
+        [0, 0, 0, 0, 0, 0, 2 * z1, z3, z2],
+    ]
 
 
 def trep2_residuals(point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     """The three defining equations evaluated at a 9-tuple."""
-    x1, x2, x3, y1, y2, y3, z1, z2, z3 = (Fraction(v) for v in point)
-    return (
-        2 * x1 * z1 + x2 * z3 + x3 * z2,
-        2 * y1 * z1 + y2 * z3 + y3 * z2,
-        z1 * z1 + z2 * z3 - 1,
-    )
+    q, P = _scaled_point(point)
+    return tuple(Fraction(r, q * q) for r in _scaled_residuals(q, P))
 
 
 def _nonzero_fraction(rng: random.Random, span: int = 4) -> Fraction:
@@ -446,32 +480,29 @@ def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
             x1 = -(x2 * z3 + x3 * z2) / (2 * z1)
             y1 = -(y2 * z3 + y3 * z2) / (2 * z1)
         point = (x1, x2, x3, y1, y2, y3, z1, z2, z3)
-        assert trep2_residuals(point) == (0, 0, 0)
+        assert not any(_scaled_residuals(*_scaled_point(point)))
         points.append(point)
     return points
 
 
 def trep2_jacobian(point: Sequence) -> list[list[Fraction]]:
     """The 3 x 9 Jacobian of the defining equations at a point."""
-    x1, x2, x3, y1, y2, y3, z1, z2, z3 = (Fraction(v) for v in point)
-    zero = Fraction(0)
-    return [
-        [2 * z1, z3, z2, zero, zero, zero, 2 * x1, x3, x2],
-        [zero, zero, zero, 2 * z1, z3, z2, 2 * y1, y3, y2],
-        [zero, zero, zero, zero, zero, zero, 2 * z1, z3, z2],
-    ]
+    q, P = _scaled_point(point)
+    return [[Fraction(v, q) for v in row] for row in _scaled_jacobian(P)]
 
 
 def trep2_jacobian_rank(point: Sequence) -> int:
     """Exact rank of the Jacobian at a point of the scheme.
 
     The point must satisfy the equations exactly (a float is read as the
-    rational it stores); any nonzero residual raises ``QsingError``.
+    rational it stores); any nonzero residual raises ``QsingError``.  The
+    point is scaled to integers once, p = P / q: the residuals are tested
+    as the integers q^2 r, and the rank is taken of the integer matrix q J.
     """
-    residuals = trep2_residuals(point)
-    if any(residuals):
-        raise QsingError(f"point is not on the scheme: residuals {residuals}")
-    return linalg.rank(trep2_jacobian(point))
+    q, P = _scaled_point(point)
+    if any(_scaled_residuals(q, P)):
+        raise QsingError(f"point is not on the scheme: residuals {trep2_residuals(point)}")
+    return linalg.rank(_scaled_jacobian(P))
 
 
 def trep2_matrices(point: Sequence) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
@@ -484,26 +515,64 @@ def trep2_matrices(point: Sequence) -> dict[str, tuple[tuple[Fraction, ...], ...
     }
 
 
+def _mat_mul2(a: IntMatrix2, b: IntMatrix2) -> IntMatrix2:
+    (a11, a12), (a21, a22) = a
+    (b11, b12), (b21, b22) = b
+    return (
+        (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22),
+        (a21 * b11 + a22 * b21, a21 * b12 + a22 * b22),
+    )
+
+
 def evaluate_at_point(a: ConifoldElement, point: Sequence) -> tuple[tuple[Fraction, ...], ...]:
     """Evaluate an element in the 2-dimensional representation at a point.
 
     The center values are x = x1^2 + x2 x3, y and z analogously; basis words
     map to the corresponding matrix products.
-    """
-    mats = trep2_matrices(point)
-    x1, x2, x3, y1, y2, y3, z1, z2, z3 = (Fraction(v) for v in point)
-    x_val = x1 * x1 + x2 * x3
-    y_val = y1 * y1 + y2 * y3
-    z_val = x1 * y1 + Fraction(x2 * y3 + x3 * y2, 2)
 
-    total = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    The point is scaled to integers once, p = P / q, and everything after
+    that is integral: a word w maps to the integer matrix of P, which is
+    q^len(w) times its matrix at p; the center values are integers over
+    2 q^2 (z carries the 1/2).  All terms are summed over one common
+    denominator, and each entry of the result is one ``Fraction``.
+    """
+    q, (x1, x2, x3, y1, y2, y3, z1, z2, z3) = _scaled_point(point)
+    letters = {
+        "X": ((x1, x2), (x3, -x1)),
+        "Y": ((y1, y2), (y3, -y1)),
+        "Z": ((z1, z2), (z3, -z1)),
+    }
+    center_den = 2 * q * q
+    xn = 2 * (x1 * x1 + x2 * x3)
+    yn = 2 * (y1 * y1 + y2 * y3)
+    zn = 2 * x1 * y1 + x2 * y3 + x3 * y2
+    # the common denominator coef_den * center_den^top_deg * q^top_len
+    coef_den = math.lcm(*(c.denominator for poly in a.coeffs.values() for _, c in poly.terms))
+    top_deg = max((sum(m) for poly in a.coeffs.values() for m, _ in poly.terms), default=0)
+    top_len = max(map(len, a.coeffs), default=0)
+    t11 = t12 = t21 = t22 = 0
     for word, poly in a.coeffs.items():
-        value = poly.evaluate(x_val, y_val, z_val)
-        m = functools.reduce(mat_mul, [mats[ch] for ch in word]) if word else identity_matrix(2)
-        for i in range(2):
-            for j in range(2):
-                total[i][j] += value * m[i][j]
-    return tuple(tuple(row) for row in total)
+        value = 0
+        for (i, j, k), c in poly.terms:
+            value += (
+                c.numerator * (coef_den // c.denominator)
+                * xn**i * yn**j * zn**k * center_den ** (top_deg - i - j - k)
+            )
+        value *= q ** (top_len - len(word))
+        if word:
+            (m11, m12), (m21, m22) = functools.reduce(_mat_mul2, map(letters.__getitem__, word))
+            t11 += value * m11
+            t12 += value * m12
+            t21 += value * m21
+            t22 += value * m22
+        else:
+            t11 += value
+            t22 += value
+    den = coef_den * center_den**top_deg * q**top_len
+    return (
+        (Fraction(t11, den), Fraction(t12, den)),
+        (Fraction(t21, den), Fraction(t22, den)),
+    )
 
 
 # ---------------------------------------------------------------------------

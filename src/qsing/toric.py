@@ -387,7 +387,7 @@ def invariant_generators(
 
 
 def semi_invariant_generators(
-    s: MarkedQuiverSetting, theta: Sequence[int]
+    s: MarkedQuiverSetting, theta: Sequence[int], *, deadline: float | None = None
 ) -> tuple[GradedGenerator, ...]:
     """Generators of the graded ring of semi-invariants for theta.
 
@@ -400,11 +400,15 @@ def semi_invariant_generators(
     totally unimodular, so {u >= 0 : W u = theta} has the integer
     decomposition property (Baum-Trotter 1977): a solution of degree l is a
     sum of l solutions of degree 1.
+
+    ``deadline`` bounds the completion as in :func:`hilbert_basis`.
     """
     t = _theta(s, theta)
     if not any(t):
-        return tuple(GradedGenerator(u, 0) for u in invariant_generators(s))
-    basis = hilbert_basis([row + [-x] for row, x in zip(_weight_rows(s), t)])
+        return tuple(GradedGenerator(u, 0) for u in invariant_generators(s, deadline=deadline))
+    basis = hilbert_basis(
+        [row + [-x] for row, x in zip(_weight_rows(s), t)], deadline=deadline
+    )
     gens = (GradedGenerator(u[:-1], u[-1]) for u in basis)
     return tuple(sorted(gens, key=lambda g: (g.degree, g.exponents)))
 
@@ -546,14 +550,21 @@ def semistable_via_semiinvariants(
     s: MarkedQuiverSetting,
     rep_or_support: Representation | Iterable[Arrow],
     theta: Sequence[int],
+    *,
+    deadline: float | None = None,
 ) -> bool:
     """Detect semistability by a nonvanishing positive-weight semi-invariant.
 
     True when some generator of positive weight of the semi-invariant ring
-    has support inside the nonzero arrows.  Testing the generators is exact:
-    a monomial semi-invariant of positive weight that does not vanish is a
-    product of generators, each supported inside the same arrows, and at
-    least one of them has positive weight.
+    has support inside the nonzero arrows S.  Testing the generators is
+    exact: a monomial semi-invariant of positive weight that does not vanish
+    is a product of generators, each supported inside S, and at least one of
+    them has positive weight.  The generators supported inside S are the
+    Hilbert basis of W_S u = l * theta, with W_S the columns of S: the
+    solutions supported inside S form a face of the solution monoid, and
+    the Hilbert basis of a face is the part of the basis that lies in it.
+
+    ``deadline`` bounds the completion as in :func:`hilbert_basis`.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
@@ -561,11 +572,9 @@ def semistable_via_semiinvariants(
         # the constant 1 is a weight-zero semi-invariant vanishing nowhere
         return True
     support = _support_arrows(s, rep_or_support)
-    support_idx = {i for i, a in enumerate(s.arrow_list()) if a in support}
-    return any(
-        g.degree and all(e == 0 or i in support_idx for i, e in enumerate(g.exponents))
-        for g in semi_invariant_generators(s, t)
-    )
+    cols = [i for i, a in enumerate(s.arrow_list()) if a in support]
+    face = [[row[i] for i in cols] + [-x] for row, x in zip(_weight_rows(s), t)]
+    return any(u[-1] for u in hilbert_basis(face, deadline=deadline))
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +640,13 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
 
 
 def _charts_and_graded_basis(
-    s: MarkedQuiverSetting, theta: Sequence[int]
+    s: MarkedQuiverSetting, theta: Sequence[int], deadline: float | None = None
 ) -> tuple[list[ProjChart], tuple[GradedGenerator, ...]]:
     """:func:`proj_charts` and the graded Hilbert basis they are read off."""
     t = _theta(s, theta)
     if not any(t):
         raise EmptyProjError("theta = 0 has no proj; use invariant_generators")
-    graded = semi_invariant_generators(s, t)
+    graded = semi_invariant_generators(s, t, deadline=deadline)
     pivots = [g for g in graded if g.degree]
     if not pivots:
         raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
@@ -671,7 +680,9 @@ class FiberStratum:
         }
 
 
-def central_fiber(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[FiberStratum]:
+def central_fiber(
+    s: MarkedQuiverSetting, theta: Sequence[int], *, deadline: float | None = None
+) -> list[FiberStratum]:
     """Semistable strata of the fiber over the origin of the quotient.
 
     Enumerates arrow-support sets on which every nonconstant invariant
@@ -679,15 +690,23 @@ def central_fiber(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[FiberStr
     theta-semistable ones.  The orbit-space dimension |S| - (k - 1) assumes
     the support spans a connected graph on all vertices; otherwise the
     stratum is flagged non_free_action and no dimension is reported.
+
+    There are 2^arrows supports.  ``deadline`` is a ``time.monotonic()``
+    reading, checked once per support and passed to the invariant Hilbert
+    basis; past it the search raises
+    :class:`~qsing.errors.BudgetExhaustedError`.
     """
     _theta(s, theta)
     arrows = s.arrow_list()
     inv_supports = [
-        frozenset(i for i, e in enumerate(u) if e) for u in invariant_generators(s)
+        frozenset(i for i, e in enumerate(u) if e)
+        for u in invariant_generators(s, deadline=deadline)
     ]
     out = []
     for size in range(len(arrows) + 1):
         for idx in itertools.combinations(range(len(arrows)), size):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhaustedError("central fiber ran past its deadline")
             chosen = frozenset(idx)
             if any(supp <= chosen for supp in inv_supports):
                 continue
@@ -722,6 +741,7 @@ def toric_report(
     theta: Sequence[int] | None = None,
     support: Sequence[int] | None = None,
     degree_bound: int = 4,
+    budget_secs: float | None = None,
 ) -> dict:
     """The ``toric`` report of one action on an all-ones setting.
 
@@ -732,7 +752,15 @@ def toric_report(
     and through semi-invariants and says whether the two verdicts agree;
     ``charts`` gives the proj charts and ``fiber`` the central fiber with its
     largest orbit-space dimension.  The last three need ``theta``.
+
+    ``budget_secs`` bounds the wall-clock time of the Hilbert bases and the
+    fiber search; past it they raise
+    :class:`~qsing.errors.BudgetExhaustedError`.  A negative budget raises
+    ``ValueError``.
     """
+    if budget_secs is not None and budget_secs < 0:
+        raise ValueError("budget must be >= 0 seconds")
+    deadline = None if budget_secs is None else time.monotonic() + budget_secs
     arrows = s.arrow_list()
     report: dict = {
         "arrow_legend": [
@@ -741,7 +769,7 @@ def toric_report(
         ]
     }
     if action in ("invariants", "relations"):
-        basis = invariant_generators(s)
+        basis = invariant_generators(s, deadline=deadline)
         report["generators"] = [list(u) for u in basis]
         if action == "relations":
             report["relations"] = [r.to_json() for r in toric_relations(basis, degree_bound)]
@@ -759,19 +787,19 @@ def toric_report(
             raise ValueError(f"support indices must lie in 0..{len(arrows) - 1}")
         chosen = [arrows[i] for i in support]
         verdict = is_theta_semistable(s, chosen, theta)
-        via = semistable_via_semiinvariants(s, chosen, theta)
+        via = semistable_via_semiinvariants(s, chosen, theta, deadline=deadline)
         report["support"] = list(support)
         report["verdict"] = verdict.to_json()
         report["via_semi_invariants"] = via
         report["verdicts_agree"] = verdict.semistable == via
     elif action == "charts":
-        charts, graded = _charts_and_graded_basis(s, theta)
+        charts, graded = _charts_and_graded_basis(s, theta, deadline)
         report["charts"] = [c.to_json() for c in charts]
         # whatever lies below some (u, 0) has degree 0 too, so the degree-0
         # part of the graded basis is the invariant Hilbert basis, in order
         report["degree_zero_generators"] = [list(g.exponents) for g in graded if not g.degree]
     else:
-        strata = central_fiber(s, theta)
+        strata = central_fiber(s, theta, deadline=deadline)
         report["strata"] = [f.to_json() for f in strata]
         dims = [f.orbit_space_dim for f in strata if f.orbit_space_dim is not None]
         report["max_orbit_space_dim"] = max(dims) if dims else None

@@ -279,6 +279,7 @@ EMPTY = {"dims": [], "arrows": []}
         (["toric", "fiber", CONIFOLD], None),
         (["toric", "semistable", CONIFOLD, "--support", "0"], None),
         (["enumerate", "--dim", "3", "--budget", "-1"], None),
+        (["toric", "fiber", CONIFOLD, "--theta=-1,1", "--budget", "-1"], None),
         # a summand longer than the setting, one that is not simple, negative entries
         (["local", CONIFOLD, "--tau", "[[1,[1,0,5]]]"], None),
         (["local", CONIFOLD, "--tau", "[[1,[0,0]],[1,[1,1]]]"], None),
@@ -289,7 +290,7 @@ EMPTY = {"dims": [], "arrows": []}
         "theta", "support", "dimx", "tau", "zero-dim", "mark-at-dim-1",
         "triples", "points", "degree-bound", "float-dim", "bool-dim", "empty",
         "empty-reduce", "charts-without-theta", "fiber-without-theta",
-        "semistable-without-theta", "negative-budget", "tau-length",
+        "semistable-without-theta", "negative-budget", "toric-negative-budget", "tau-length",
         "tau-not-simple", "tau-negative", "tau-float",
     ],
 )
@@ -356,6 +357,41 @@ def test_result_is_the_library_report(args, report, capsys):
     code, out = run_cli(args, capsys)
     assert code == 0
     assert out["result"] == json.loads(json.dumps(report()))
+
+
+COMPLETE_5 = {"dims": [1] * 5, "arrows": [[int(i != j) for j in range(5)] for i in range(5)]}
+
+
+class TestToricBudget:
+    def test_exhausted_budget_exits_one(self, tmp_path):
+        # the complete 5-vertex fiber visits 2^20 supports, far more than a
+        # budget of 0 s allows
+        args = with_setting_file(
+            ["toric", "fiber", "SETTING", "--theta=1,1,1,1,-4", "--budget", "0"],
+            COMPLETE_5,
+            tmp_path,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsing.cli", *args], capture_output=True, text=True, cwd=REPO
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("qsing: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["toric", "invariants", CONIFOLD],
+            ["toric", "charts", CONIFOLD, "--theta=-1,1"],
+            ["toric", "semistable", CONIFOLD, "--theta=-1,1", "--support", "0"],
+            ["toric", "fiber", CONIFOLD, "--theta=1,-1"],
+        ],
+        ids=["invariants", "charts", "semistable", "fiber"],
+    )
+    def test_ample_budget_leaves_the_report_unchanged(self, args, capsys):
+        # the budget is not folded into the input digest
+        assert run_cli(args + ["--budget", "60"], capsys) == run_cli(args, capsys)
 
 
 class TestConsoleEntry:

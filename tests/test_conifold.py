@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from qsing.conifold import (
     trep2_sample,
     word_normal_form,
 )
+from qsing.cli import main
 from qsing.errors import QsingError
 
 
@@ -314,6 +316,121 @@ class TestTrep2:
                         trep2_residuals(plus)[row] - trep2_residuals(minus)[row]
                     ) / (2 * h)
                     assert jac[row][col] == fd
+
+
+def reference_residuals(point):
+    """The defining equations in Fraction arithmetic."""
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = (Fraction(v) for v in point)
+    return (
+        2 * x1 * z1 + x2 * z3 + x3 * z2,
+        2 * y1 * z1 + y2 * z3 + y3 * z2,
+        z1 * z1 + z2 * z3 - 1,
+    )
+
+
+def reference_evaluate(a: ConifoldElement, point):
+    """CenterPoly.evaluate at the center values times the product of trep2_matrices."""
+    mats = trep2_matrices(point)
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = (Fraction(v) for v in point)
+    x, y, z = x1 * x1 + x2 * x3, y1 * y1 + y2 * y3, x1 * y1 + (x2 * y3 + x3 * y2) / 2
+    total = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    for word, poly in a.coeffs.items():
+        m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        for letter in word:
+            m = mat_mul2(m, mats[letter])
+        value = poly.evaluate(x, y, z)
+        total = tuple(
+            tuple(total[i][j] + value * m[i][j] for j in range(2)) for i in range(2)
+        )
+    return total
+
+
+# coordinates: ints, floats, small rationals and rationals with denominators
+# above 10^6; z1 = 0 chart points come from the sampler
+coordinates = st.one_of(
+    st.integers(-50, 50),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    rationals,
+    st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(10**6 + 1, 10**12)),
+)
+z1_zero_points = [p for p in trep2_sample(40, seed=9) if p[6] == 0]
+points = st.one_of(st.tuples(*[coordinates] * 9), st.sampled_from(z1_zero_points))
+# center polynomials of degree >= 1 with rational coefficients, on any words
+positive_degree_polys = st.dictionaries(
+    monomials.filter(any), rationals, min_size=1, max_size=3
+).map(CenterPoly.from_dict)
+elements = st.one_of(
+    rational_elements,
+    st.dictionaries(st.sampled_from(BASIS), positive_degree_polys, max_size=8).map(ConifoldElement),
+)
+
+
+class TestIntegerPointKernel:
+    """The point layer scales each point to integers once; values stay exact."""
+
+    @given(elements, points)
+    @hyp_settings(max_examples=200, deadline=None)
+    @example(ConifoldElement.zero(), (0, 1, 1, 0, 1, -1, 1, 0, 0))
+    @example(ConifoldElement.one(), (0.5, 1, 1, 0, 1, -1, 1, 0, 0))
+    @example(ConifoldElement.from_center(POLY_Z), z1_zero_points[0])
+    def test_evaluation_matches_fraction_reference(self, a, point):
+        value = evaluate_at_point(a, point)
+        assert value == reference_evaluate(a, point)
+        assert all(type(v) is Fraction for row in value for v in row)
+
+    def test_zero_element_and_empty_word(self):
+        point = trep2_sample(1, seed=4)[0]
+        zero = evaluate_at_point(ConifoldElement.zero(), point)
+        assert zero == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+        assert all(type(v) is Fraction for row in zero for v in row)
+        half = ConifoldElement({"": CenterPoly.constant(Fraction(1, 2))})
+        assert evaluate_at_point(half, point) == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+
+    def test_z1_zero_chart(self):
+        assert z1_zero_points
+        d = commutator_element()
+        for point in z1_zero_points:
+            assert trep2_jacobian_rank(point) == 3
+            assert evaluate_at_point(d, point) == reference_evaluate(d, point)
+
+    @given(points)
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_residuals_match_fraction_reference(self, point):
+        residuals = trep2_residuals(point)
+        assert residuals == reference_residuals(point)
+        assert all(type(r) is Fraction for r in residuals)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (1, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1 + Fraction(1, 10**12), 0, 0),
+            (0, 0, 0, 0, 0, 0, 1 + 1e-12, 0, 0),
+            (Fraction(1, 3), 0.25, 2, 0, 0, 0, Fraction(1, 7), 0, 0),
+        ],
+    )
+    def test_off_scheme_message(self, point):
+        expected = f"point is not on the scheme: residuals {reference_residuals(point)}"
+        with pytest.raises(QsingError) as info:
+            trep2_jacobian_rank(point)
+        assert str(info.value) == expected
+
+
+class TestByteIdentity:
+    """Digests recorded before the point layer moved to integer arithmetic."""
+
+    def test_verification_report(self, capsys):
+        assert main(["conifold-verify", "--seed", "7", "--points", "500"]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "7c437bbc086af64024cf8628d74baa22aa20e91fa4f5209a79a33173699b5edf"
+
+    def test_sampler(self):
+        points = trep2_sample(1000, seed=3)
+        assert all(type(v) is Fraction for p in points for v in p)
+        text = "\n".join(" ".join(map(str, p)) for p in points)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "1e623b631f724ae933071a2d6cee03722354e7f1f399fee1790d387b3b09f231"
 
 
 class TestCenterPoly:

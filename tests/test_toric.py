@@ -304,6 +304,29 @@ class TestStability:
             assert king == mono, (s.to_json(), theta, support)
             checked += 1
 
+    def test_face_basis_matches_full_basis_filter(self):
+        # the Hilbert basis of the support's face against the positive-degree
+        # generators of the full graded basis that lie inside the support
+        rng = random.Random(61)
+        checked = 0
+        while checked < 200:
+            s = random_all_ones_setting(rng, max_k=4, max_arrows=7)
+            theta = [rng.randint(-3, 3) for _ in range(s.k - 1)]
+            theta.append(-sum(theta))
+            if not any(theta):
+                continue
+            arrows = s.arrow_list()
+            chosen = {i for i in range(len(arrows)) if rng.random() < 0.6}
+            full_filter = any(
+                g.degree and all(e == 0 or i in chosen for i, e in enumerate(g.exponents))
+                for g in semi_invariant_generators(s, theta)
+            )
+            support = [arrows[i] for i in chosen]
+            assert semistable_via_semiinvariants(s, support, theta) == full_filter, (
+                s.to_json(), theta, sorted(chosen)
+            )
+            checked += 1
+
 
 class TestProjCharts:
     def test_conifold_resolution(self, conifold):
@@ -511,6 +534,70 @@ class TestCentralFiber:
         s = MarkedQuiverSetting.make([1, 1], [[0, 2], [2, 0]])
         strata = central_fiber(s, (-1, 1))
         assert all(f.support for f in strata)
+
+    def test_deadline_checked_once_per_support(self, conifold, monkeypatch):
+        # with a clock that never passes the deadline, the fiber search reads
+        # it once per Hilbert-basis round and once per support (2^4)
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return 0.0
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        invariant_generators(conifold, deadline=1.0)
+        rounds, readings = readings, 0
+        strata = central_fiber(conifold, (-1, 1), deadline=1.0)
+        assert readings == rounds + 2**4
+        monkeypatch.undo()
+        assert strata == central_fiber(conifold, (-1, 1))
+
+    def test_deadline_stops_the_search(self, monkeypatch):
+        # the clock passes the deadline at its 50th reading, well inside the
+        # 2^20 supports of the complete 5-vertex quiver
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        complete = MarkedQuiverSetting.make(
+            [1] * 5, [[int(i != j) for j in range(5)] for i in range(5)]
+        )
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(BudgetExhaustedError, match="central fiber"):
+            central_fiber(complete, (1, 1, 1, 1, -4), deadline=49.5)
+        assert readings == 50
+
+    def test_without_deadline_reads_no_clock(self, conifold, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        assert central_fiber(conifold, (-1, 1))
+
+
+class TestToricReportBudget:
+    @pytest.mark.parametrize("action", ["invariants", "relations", *toric.THETA_ACTIONS])
+    def test_budget_bounds_every_action(self, conifold, action, monkeypatch):
+        # the clock ticks one second per reading, so a zero budget runs out
+        # at the first check of whichever search the action starts
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(BudgetExhaustedError):
+            toric.toric_report(conifold, action, theta=(-1, 1), support=(0,), budget_secs=0)
+
+    def test_negative_budget_rejected(self, conifold):
+        with pytest.raises(ValueError, match="budget"):
+            toric.toric_report(conifold, "invariants", budget_secs=-1)
 
 
 class TestSemigroupIsomorphism:
