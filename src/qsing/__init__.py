@@ -16,11 +16,8 @@ from .classification import (
 from .core import (
     Arrow,
     MarkedQuiverSetting,
-    Representation,
     canonical_key,
     euler_form,
-    evaluate_path,
-    strip_degenerate_marks,
     validate,
 )
 from .local_structure import (
@@ -32,10 +29,8 @@ from .local_structure import (
 )
 from .reduction import Move, ReductionResult, applicable_moves, apply_move, reduce_setting
 from .toric import (
-    DeterminantalMatrix,
     ProjChart,
     central_fiber,
-    evaluate_determinantal_semi_invariant,
     hilbert_basis,
     invariant_generators,
     is_theta_semistable,

@@ -1,4 +1,4 @@
-"""Marked quiver settings, dimension vectors, representations and the Euler form.
+"""Marked quiver settings, dimension vectors and the Euler form.
 
 A setting is a finite directed multigraph with a positive dimension at every
 vertex and an optional number of *marked* loops per vertex.  A representation
@@ -6,30 +6,19 @@ of a marked loop is constrained to a trace-zero matrix, which is why marked
 loops are only allowed at vertices of dimension at least two (a trace-zero
 1x1 matrix is identically zero).
 
-Arrow multiplicities are stored as a k x k matrix; individual arrows only get
-an identity (tail, head, slot) inside :class:`Representation`.  Representation
-matrices hold exact :class:`fractions.Fraction` entries; elimination (rank,
-determinants, lattice coordinates) lives in :mod:`qsing.linalg`, which works
-fraction-free over the integers.
+Arrow multiplicities are stored as a k x k matrix; an individual arrow is
+identified by (tail, head, slot), see :class:`Arrow`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    CapacityError,
-    CompositionError,
-    DimensionMismatchError,
-)
+from .errors import CapacityError, DimensionMismatchError
 
 DimVector = tuple[int, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 CANONICAL_KEY_MAX_VERTICES = 10
 
@@ -273,22 +262,6 @@ def validate(s: MarkedQuiverSetting) -> list[str]:
     return problems
 
 
-def strip_degenerate_marks(s: MarkedQuiverSetting) -> MarkedQuiverSetting:
-    """Drop marked loops sitting at dimension-1 vertices, with a warning.
-
-    Such loops carry no representation data (the only trace-zero 1x1 matrix
-    is zero); external tools occasionally emit them.
-    """
-    bad = [v for v in range(s.k) if s.marked_loops[v] > 0 and s.dims[v] < 2]
-    if not bad:
-        return s
-    warnings.warn(
-        f"dropping marked loops at dimension-1 vertices {bad}", stacklevel=2
-    )
-    marks = tuple(0 if v in bad else m for v, m in enumerate(s.marked_loops))
-    return MarkedQuiverSetting(s.dims, s.arrows, marks)
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 
@@ -372,107 +345,3 @@ def canonical_key(s: MarkedQuiverSetting) -> bytes:
     encoding = partial[0][0]
     return repr(encoding).encode("utf-8")
 
-
-# ---------------------------------------------------------------------------
-# representations
-
-
-def _as_matrix(rows: Sequence[Sequence], nrows: int, ncols: int) -> Matrix:
-    mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if len(mat) != nrows or any(len(row) != ncols for row in mat):
-        raise DimensionMismatchError(
-            f"matrix must be {nrows} x {ncols}, got {len(mat)} x "
-            f"{len(mat[0]) if mat else 0}"
-        )
-    return mat
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b or len(a[0]) != len(b):
-        raise DimensionMismatchError("inner matrix dimensions do not match")
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-@dataclass(frozen=True)
-class Representation:
-    """Exact matrices assigned to every arrow of a setting.
-
-    An arrow a: t -> h carries a dims[h] x dims[t] matrix; marked loops carry
-    trace-zero square matrices.
-    """
-
-    setting: MarkedQuiverSetting
-    matrices: Mapping[Arrow, Matrix]
-
-    @classmethod
-    def make(
-        cls, setting: MarkedQuiverSetting, assignments: Mapping[Arrow, Sequence[Sequence]]
-    ) -> "Representation":
-        mats: dict[Arrow, Matrix] = {}
-        for arrow in setting.arrow_list():
-            rows = assignments.get(arrow)
-            nrows, ncols = setting.dims[arrow.head], setting.dims[arrow.tail]
-            if rows is None:
-                mat = tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
-            else:
-                mat = _as_matrix(rows, nrows, ncols)
-            if arrow.marked and mat_trace(mat) != 0:
-                raise ValueError(f"marked loop {arrow} must carry a trace-zero matrix")
-            mats[arrow] = mat
-        unknown = set(assignments) - set(mats)
-        if unknown:
-            raise ValueError(f"assignments for arrows not in the setting: {sorted(unknown, key=repr)}")
-        return cls(setting, mats)
-
-    @classmethod
-    def from_scalars(
-        cls, setting: MarkedQuiverSetting, values: Mapping[Arrow, object]
-    ) -> "Representation":
-        """Convenience for all-ones settings: each arrow gets a 1x1 matrix."""
-        return cls.make(setting, {a: [[v]] for a, v in values.items()})
-
-    def matrix(self, arrow: Arrow) -> Matrix:
-        return self.matrices[arrow]
-
-    def support(self) -> frozenset[Arrow]:
-        return frozenset(a for a, m in self.matrices.items() if not mat_is_zero(m))
-
-
-def evaluate_path(
-    rep: Representation, path: Sequence[Arrow], at: int | None = None
-) -> Matrix:
-    """Product of arrow matrices along a composable path.
-
-    The path is given in traversal order (head of each arrow is the tail of
-    the next); the product is applied right to left so the result maps the
-    first tail's space to the last head's space.  The empty path needs ``at``
-    and yields the identity there.
-    """
-    if not path:
-        if at is None:
-            raise CompositionError("empty path needs a base vertex")
-        return identity_matrix(rep.setting.dims[at])
-    for a, b in itertools.pairwise(path):
-        if a.head != b.tail:
-            raise CompositionError(f"{a} then {b}: endpoints do not match")
-    result = rep.matrix(path[0])
-    for arrow in path[1:]:
-        result = mat_mul(rep.matrix(arrow), result)
-    return result

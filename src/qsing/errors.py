@@ -11,10 +11,6 @@ class DimensionMismatchError(QsingError):
     """A dimension vector has the wrong length for the setting it is paired with."""
 
 
-class CompositionError(QsingError):
-    """A path is not composable (head of one arrow does not meet tail of the next)."""
-
-
 class CapacityError(QsingError):
     """An input exceeds a configured size bound."""
 
@@ -33,10 +29,6 @@ class UnsupportedSettingError(QsingError):
 
 class EmptyProjError(QsingError):
     """The graded algebra has no positive-degree generators; proj is empty."""
-
-
-class ShapeError(QsingError):
-    """A block matrix does not evaluate to a square matrix."""
 
 
 class BudgetExhaustedError(QsingError):

@@ -12,30 +12,29 @@ of the scaled matrix and never grow into fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 Number = int | Fraction
 
 
-def _integer_rows(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], list[int]]:
-    """Each row scaled to integers by the lcm of its denominators, and the scales."""
+def _integer_rows(rows: Sequence[Sequence[Number]]) -> list[list[int]]:
+    """Each row scaled to integers by the lcm of its denominators."""
     width = len(rows[0]) if rows else 0
-    mat, scales = [], []
+    mat = []
     for row in rows:
         if len(row) != width:
             raise ValueError("ragged matrix")
         scale = lcm(*(x.denominator for x in row))
         mat.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return mat, scales
+    return mat
 
 
-def _bareiss(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+def _bareiss(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place."""
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    d, sign = 1, 1
+    d = 1
     for col in range(ncols):
         top = len(pivots)
         if top == len(mat):
@@ -45,7 +44,6 @@ def _bareiss(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
             continue
         if found != top:
             mat[top], mat[found] = mat[found], mat[top]
-            sign = -sign
         prow = mat[top]
         p = prow[col]
         for r, row in enumerate(mat):
@@ -54,33 +52,23 @@ def _bareiss(mat: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
                 mat[r] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         pivots.append(col)
         d = p
-    return mat[: len(pivots)], pivots, d, sign
+    return mat[: len(pivots)], pivots, d
 
 
-def rref(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free reduced row echelon form: ``(R, pivots, d, sign)``.
+def rref(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form: ``(R, pivots, d)``.
 
     ``R`` has one integer row per pivot with ``R[q][pivots[p]] == d`` when
     p == q and 0 otherwise, so ``R / d`` is the reduced row echelon form of
     ``rows``.  The pivot columns are the greedy choice from the left; every
     column j satisfies column_j = sum_q R[q][j] / d * column_{pivots[q]}.
-    ``d`` is the pivot minor of the integer-scaled rows after the row swaps,
-    whose parity is ``sign``; it is 1 when there is no pivot.
+    ``d`` is the pivot minor of the integer-scaled rows after the row swaps;
+    it is 1 when there is no pivot.
     """
-    return _bareiss(_integer_rows(rows)[0])
+    return _bareiss(_integer_rows(rows))
 
 
 def rank(rows: Sequence[Sequence[Number]]) -> int:
     """Rank over the rationals."""
     return len(rref(rows)[1])
 
-
-def det(rows: Sequence[Sequence[Number]]) -> Fraction:
-    """Determinant of a square matrix; the 0 x 0 determinant is 1."""
-    mat, scales = _integer_rows(rows)
-    if any(len(row) != len(mat) for row in mat):
-        raise ValueError("determinant needs a square matrix")
-    _, pivots, d, sign = _bareiss(mat)
-    if len(pivots) < len(mat):
-        return Fraction(0)
-    return Fraction(sign * d, prod(scales))

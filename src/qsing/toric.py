@@ -1,4 +1,4 @@
-"""Toric invariant theory for all-ones settings, plus determinantal evaluation.
+"""Toric invariant theory for all-ones settings.
 
 With one-dimensional vertex spaces the base-change torus acts on each arrow
 coordinate by a character, so invariants and semi-invariants are spanned by
@@ -25,25 +25,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, ge, mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .core import (
-    Arrow,
-    MarkedQuiverSetting,
-    Matrix,
-    Representation,
-    evaluate_path,
-    exact_int,
-)
-from .errors import (
-    BudgetExhaustedError,
-    EmptyProjError,
-    ShapeError,
-    UnsupportedSettingError,
-)
+from .core import Arrow, MarkedQuiverSetting, exact_int
+from .errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 
 Vector = tuple[int, ...]
 
@@ -231,7 +218,7 @@ def semigroup_isomorphism(
     # one elimination on the columns of hb1: generator j is
     # sum_q R[q][j] / d * hb1[base[q]], so its image is the same combination
     # of the images of the base
-    R, base, d, _ = linalg.rref(list(zip(*hb1)))
+    R, base, d = linalg.rref(list(zip(*hb1)))
     if n and linalg.rank(hb2) != len(base):
         # an isomorphism preserves the rank of the group the monoid spans
         return None
@@ -501,31 +488,38 @@ class StabilityVerdict:
         }
 
 
-def _support_arrows(
-    s: MarkedQuiverSetting, rep_or_support: Representation | Iterable[Arrow]
-) -> frozenset[Arrow]:
-    if isinstance(rep_or_support, Representation):
-        if rep_or_support.setting != s:
-            raise ValueError("representation belongs to a different setting")
-        return rep_or_support.support()
-    return frozenset(rep_or_support)
+def _support_arrows(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> frozenset[Arrow]:
+    """``support`` as a set; an arrow that is not in ``s`` raises ``ValueError``."""
+    chosen = frozenset(support)
+    for a in chosen:
+        if not (
+            a.tail in range(s.k)
+            and a.head in range(s.k)
+            and a.slot in range(s.marked_loops[a.tail] if a.marked else s.arrows[a.tail][a.head])
+        ):
+            raise ValueError(f"{a} is not an arrow of the setting")
+    return chosen
 
 
 def is_theta_semistable(
-    s: MarkedQuiverSetting,
-    rep_or_support: Representation | Iterable[Arrow],
-    theta: Sequence[int],
+    s: MarkedQuiverSetting, support: Iterable[Arrow], theta: Sequence[int]
 ) -> StabilityVerdict:
     """King's test for an all-ones setting, exact and combinatorial.
 
     Every subrepresentation is a coordinate subspace, i.e. a vertex subset
-    closed under the nonzero arrows.  Semistable means theta is >= 0 on every
-    proper nonempty closed subset, stable means > 0; the witness is a
-    minimizing subset when the verdict is negative.
+    closed under the nonzero arrows ``support``.  Semistable means theta is
+    >= 0 on every proper nonempty closed subset, stable means > 0; the
+    witness is a minimizing subset when the verdict is negative.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    support = _support_arrows(s, rep_or_support)
+    return _king_verdict(s, _support_arrows(s, support), t)
+
+
+def _king_verdict(
+    s: MarkedQuiverSetting, support: frozenset[Arrow], t: Vector
+) -> StabilityVerdict:
+    """:func:`is_theta_semistable` on arrows and a theta already checked."""
     verts = range(s.k)
     worst: tuple[int, tuple[int, ...]] | None = None
     for size in range(1, s.k):
@@ -548,7 +542,7 @@ def is_theta_semistable(
 
 def semistable_via_semiinvariants(
     s: MarkedQuiverSetting,
-    rep_or_support: Representation | Iterable[Arrow],
+    support: Iterable[Arrow],
     theta: Sequence[int],
     *,
     deadline: float | None = None,
@@ -568,11 +562,11 @@ def semistable_via_semiinvariants(
     """
     t = _theta(s, theta)
     _require_all_ones(s)
+    chosen = _support_arrows(s, support)
     if not any(t):
         # the constant 1 is a weight-zero semi-invariant vanishing nowhere
         return True
-    support = _support_arrows(s, rep_or_support)
-    cols = [i for i, a in enumerate(s.arrow_list()) if a in support]
+    cols = [i for i, a in enumerate(s.arrow_list()) if a in chosen]
     face = [[row[i] for i in cols] + [-x] for row, x in zip(_weight_rows(s), t)]
     return any(u[-1] for u in hilbert_basis(face, deadline=deadline))
 
@@ -696,7 +690,7 @@ def central_fiber(
     basis; past it the search raises
     :class:`~qsing.errors.BudgetExhaustedError`.
     """
-    _theta(s, theta)
+    t = _theta(s, theta)
     arrows = s.arrow_list()
     inv_supports = [
         frozenset(i for i, e in enumerate(u) if e)
@@ -711,7 +705,7 @@ def central_fiber(
             if any(supp <= chosen for supp in inv_supports):
                 continue
             support = frozenset(arrows[i] for i in idx)
-            verdict = is_theta_semistable(s, support, theta)
+            verdict = _king_verdict(s, support, t)
             if not verdict.semistable:
                 continue
             touched = set()
@@ -822,120 +816,3 @@ def _undirected_connected(s: MarkedQuiverSetting, support: frozenset[Arrow]) -> 
                 seen.add(w)
                 stack.append(w)
     return seen == set(range(s.k))
-
-
-# ---------------------------------------------------------------------------
-# determinantal semi-invariants
-
-
-PathCombination = tuple[tuple[Fraction, tuple[Arrow, ...]], ...]
-
-
-@dataclass(frozen=True)
-class DeterminantalMatrix:
-    """Block-rectangular matrix of path combinations.
-
-    Block row r accepts paths ending at row_vertices[r]; block column c
-    accepts paths starting at col_vertices[c].  Evaluation plugs a
-    representation into every path and sums with the coefficients; the result
-    must be square.
-    """
-
-    row_vertices: tuple[int, ...]
-    col_vertices: tuple[int, ...]
-    entries: tuple[tuple[PathCombination, ...], ...]
-    weight: int | None = None
-
-    @classmethod
-    def make(
-        cls,
-        row_vertices: Sequence[int],
-        col_vertices: Sequence[int],
-        entries: Sequence[Sequence[Iterable[tuple[object, Sequence[Arrow]]]]],
-        weight: int | None = None,
-    ) -> "DeterminantalMatrix":
-        rows = tuple(int(v) for v in row_vertices)
-        cols = tuple(int(v) for v in col_vertices)
-        norm = []
-        if len(entries) != len(rows):
-            raise ShapeError("entry grid must have one row per block row")
-        for r, row in enumerate(entries):
-            if len(row) != len(cols):
-                raise ShapeError("entry grid must have one column per block column")
-            norm_row = []
-            for c, combo in enumerate(row):
-                terms = []
-                for coef, path in combo:
-                    path_t = tuple(path)
-                    if not path_t and rows[r] != cols[c]:
-                        raise ShapeError(
-                            f"entry ({r},{c}): empty path needs equal row and "
-                            f"column vertices, got {rows[r]} and {cols[c]}"
-                        )
-                    start = path_t[0].tail if path_t else cols[c]
-                    end = path_t[-1].head if path_t else rows[r]
-                    if start != cols[c] or end != rows[r]:
-                        raise ShapeError(
-                            f"entry ({r},{c}) contains a path from {start} to {end}; "
-                            f"expected {cols[c]} to {rows[r]}"
-                        )
-                    terms.append((Fraction(coef), path_t))
-                norm_row.append(tuple(terms))
-            norm.append(tuple(norm_row))
-        return cls(rows, cols, tuple(norm), weight)
-
-
-def evaluate_determinantal_semi_invariant(
-    L: DeterminantalMatrix, rep: Representation
-) -> Fraction:
-    """Assemble the evaluated block matrix and return its determinant."""
-    dims = rep.setting.dims
-    row_sizes = [dims[v] for v in L.row_vertices]
-    col_sizes = [dims[v] for v in L.col_vertices]
-    if sum(row_sizes) != sum(col_sizes):
-        raise ShapeError(
-            f"evaluated matrix is {sum(row_sizes)} x {sum(col_sizes)}, not square"
-        )
-    size = sum(row_sizes)
-    full = [[Fraction(0)] * size for _ in range(size)]
-    row_off = [0]
-    for sz in row_sizes:
-        row_off.append(row_off[-1] + sz)
-    col_off = [0]
-    for sz in col_sizes:
-        col_off.append(col_off[-1] + sz)
-    for r, row in enumerate(L.entries):
-        for c, combo in enumerate(row):
-            block: Matrix | None = None
-            for coef, path in combo:
-                val = evaluate_path(rep, path, at=L.col_vertices[c])
-                scaled = tuple(tuple(coef * x for x in rw) for rw in val)
-                if block is None:
-                    block = scaled
-                else:
-                    block = tuple(
-                        tuple(a + b for a, b in zip(ra, rb))
-                        for ra, rb in zip(block, scaled)
-                    )
-            if block is None:
-                continue
-            for i in range(row_sizes[r]):
-                for j in range(col_sizes[c]):
-                    full[row_off[r] + i][col_off[c] + j] += block[i][j]
-    return linalg.det(full)
-
-
-def block_diagonal(a: DeterminantalMatrix, b: DeterminantalMatrix) -> DeterminantalMatrix:
-    """Concatenate two determinantal matrices block-diagonally."""
-    rows = a.row_vertices + b.row_vertices
-    cols = a.col_vertices + b.col_vertices
-    empty: PathCombination = tuple()
-    entries = []
-    for r, row in enumerate(a.entries):
-        entries.append(tuple(row) + tuple(empty for _ in b.col_vertices))
-    for r, row in enumerate(b.entries):
-        entries.append(tuple(empty for _ in a.col_vertices) + tuple(row))
-    weight = None
-    if a.weight is not None and b.weight is not None:
-        weight = a.weight + b.weight
-    return DeterminantalMatrix(rows, cols, tuple(entries), weight)

@@ -1,4 +1,4 @@
-"""Euler form, validation, canonical keys, path evaluation."""
+"""Euler form, validation, canonical keys, JSON."""
 
 from __future__ import annotations
 
@@ -11,19 +11,15 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing.core import (
-    Arrow,
     MarkedQuiverSetting,
-    Representation,
     canonical_key,
     euler_form,
     euler_matrix,
-    evaluate_path,
-    strip_degenerate_marks,
     strongly_connected,
     unit_vector,
     validate,
 )
-from qsing.errors import CapacityError, CompositionError, DimensionMismatchError
+from qsing.errors import CapacityError, DimensionMismatchError
 
 from conftest import random_setting
 
@@ -133,12 +129,6 @@ class TestValidation:
         problems = validate(s)
         assert problems == ["note: support is not strongly connected"]
 
-    def test_strip_degenerate_marks(self):
-        s = MarkedQuiverSetting.make([1, 2], [[0, 1], [1, 0]], [1, 1])
-        with pytest.warns(UserWarning):
-            cleaned = strip_degenerate_marks(s)
-        assert cleaned.marked_loops == (0, 1)
-
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             MarkedQuiverSetting.make([1], [[-1]])
@@ -214,42 +204,6 @@ class TestCanonicalKey:
             perm = list(range(k))
             rng.shuffle(perm)
             assert canonical_key(s.permuted(perm)) == key
-
-
-class TestRepresentations:
-    def test_scalar_path_product(self, conifold):
-        arrows = conifold.arrow_list()
-        a0 = arrows[0]  # 0 -> 1
-        c0 = arrows[2]  # 1 -> 0
-        rep = Representation.from_scalars(conifold, {a0: 2, c0: 3})
-        # path: first traverse 0->1 (value 2), then 1->0 (value 3)
-        assert evaluate_path(rep, [a0, c0]) == ((Fraction(6),),)
-
-    def test_empty_path_identity(self):
-        s = MarkedQuiverSetting.make([2], [[1]])
-        rep = Representation.make(s, {Arrow(0, 0, 0): [[1, 2], [3, 4]]})
-        assert evaluate_path(rep, [], at=0) == (
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        )
-
-    def test_non_composable(self, conifold):
-        arrows = conifold.arrow_list()
-        with pytest.raises(CompositionError):
-            evaluate_path(
-                Representation.from_scalars(conifold, {}), [arrows[0], arrows[1]]
-            )
-
-    def test_marked_loop_trace_checked(self):
-        s = MarkedQuiverSetting.make([2], [[0]], [1])
-        marked = Arrow(0, 0, 0, marked=True)
-        Representation.make(s, {marked: [[1, 2], [3, -1]]})
-        with pytest.raises(ValueError):
-            Representation.make(s, {marked: [[1, 0], [0, 1]]})
-
-    def test_shape_mismatch(self, conifold):
-        with pytest.raises(DimensionMismatchError):
-            Representation.make(conifold, {Arrow(0, 1, 0): [[1, 2]]})
 
 
 class TestJson:

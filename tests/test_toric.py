@@ -1,4 +1,4 @@
-"""Hilbert bases, binomial relations, stability, charts, fibers, determinants."""
+"""Hilbert bases, binomial relations, stability, charts, fibers."""
 
 from __future__ import annotations
 
@@ -12,19 +12,11 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing import classification, linalg, toric
-from qsing.core import MarkedQuiverSetting, Representation, strongly_connected
-from qsing.errors import (
-    BudgetExhaustedError,
-    EmptyProjError,
-    ShapeError,
-    UnsupportedSettingError,
-)
+from qsing.core import Arrow, MarkedQuiverSetting, strongly_connected
+from qsing.errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 from qsing.toric import (
-    DeterminantalMatrix,
-    block_diagonal,
     central_fiber,
     check_hilbert_minimality,
-    evaluate_determinantal_semi_invariant,
     hilbert_basis,
     invariant_generators,
     is_theta_semistable,
@@ -279,9 +271,53 @@ class TestStability:
 
     def test_representation_input(self, conifold):
         arrows = conifold.arrow_list()
-        rep = Representation.from_scalars(conifold, {arrows[0]: Fraction(2)})
-        assert is_theta_semistable(conifold, rep, (-1, 1)).stable
-        assert semistable_via_semiinvariants(conifold, rep, (-1, 1))
+        assert is_theta_semistable(conifold, [arrows[0]], (-1, 1)).stable
+        assert semistable_via_semiinvariants(conifold, [arrows[0]], (-1, 1))
+
+    @pytest.mark.parametrize(
+        "arrow",
+        [
+            Arrow(0, 1, 7),
+            Arrow(0, 2, 0),
+            Arrow(-1, 1, 0),
+            Arrow(0, 1, -1),
+            Arrow(0, 1, 0.5),
+            Arrow(0, 0, 0, marked=True),
+        ],
+        ids=["slot-out-of-range", "vertex-out-of-range", "negative-vertex",
+             "negative-slot", "fractional-slot", "marked-on-mark-free"],
+    )
+    def test_arrows_outside_the_setting_rejected(self, conifold, arrow):
+        for check in (is_theta_semistable, semistable_via_semiinvariants):
+            with pytest.raises(ValueError, match="not an arrow of the setting"):
+                check(conifold, [conifold.arrow_list()[0], arrow], (-1, 1))
+
+    def test_loop_slots_come_from_the_diagonal(self):
+        s = MarkedQuiverSetting.make([1, 1], [[1, 1], [1, 0]])
+        loop = Arrow(0, 0, 0)
+        support = [loop, Arrow(0, 1, 0)]
+        assert is_theta_semistable(s, support, (-1, 1)).semistable == (
+            semistable_via_semiinvariants(s, support, (-1, 1))
+        )
+        for check in (is_theta_semistable, semistable_via_semiinvariants):
+            with pytest.raises(ValueError, match="not an arrow of the setting"):
+                check(s, [loop, Arrow(0, 0, 1)], (-1, 1))
+            with pytest.raises(ValueError, match="not an arrow of the setting"):
+                check(s, [Arrow(1, 1, 0)], (-1, 1))
+
+    def test_repeated_arrows_count_once(self, conifold):
+        a = conifold.arrow_list()[0]
+        assert is_theta_semistable(conifold, [a, a], (-1, 1)) == (
+            is_theta_semistable(conifold, [a], (-1, 1))
+        )
+        assert semistable_via_semiinvariants(conifold, [a, a], (-1, 1))
+
+    def test_support_may_be_a_one_shot_iterator(self, conifold):
+        arrows = conifold.arrow_list()
+        assert is_theta_semistable(conifold, iter(arrows[:1]), (-1, 1)).stable
+        assert semistable_via_semiinvariants(conifold, iter(arrows[:1]), (-1, 1))
+        assert not is_theta_semistable(conifold, iter(arrows[2:3]), (-1, 1)).semistable
+        assert not semistable_via_semiinvariants(conifold, iter(arrows[2:3]), (-1, 1))
 
     def test_semi_invariant_route_examples(self, conifold):
         arrows = conifold.arrow_list()
@@ -529,6 +565,25 @@ class TestCentralFiber:
         strata = central_fiber(conifold, (1, -1))
         assert {f.support for f in strata if f.stable} == {(2,), (3,), (2, 3)}
 
+    @pytest.mark.parametrize("theta", [(-1, 1), (1, -1)])
+    def test_strata_agree_with_king_test(self, conifold, theta):
+        arrows = conifold.arrow_list()
+        strata = central_fiber(conifold, theta)
+        assert strata
+        for f in strata:
+            verdict = is_theta_semistable(conifold, [arrows[i] for i in f.support], theta)
+            assert verdict.semistable
+            assert verdict.stable == f.stable
+
+    @pytest.mark.parametrize(
+        "theta,message",
+        [((-1, 1, 0), "length"), ((-1, 2), "must vanish")],
+        ids=["wrong-length", "nonzero-on-alpha"],
+    )
+    def test_theta_checked(self, conifold, theta, message):
+        with pytest.raises(ValueError, match=message):
+            central_fiber(conifold, theta)
+
     def test_everything_unstable_for_bad_theta(self):
         # two disjoint doubled 2-cycles cannot be connected-support stable
         s = MarkedQuiverSetting.make([1, 1], [[0, 2], [2, 0]])
@@ -663,7 +718,7 @@ def reference_isomorphism(basis1, basis2):
     prof1, prof2 = reference_profiles(hb1), reference_profiles(hb2)
     if sorted(prof1) != sorted(prof2):
         return None
-    R, base_idx, d, _ = linalg.rref(list(zip(*hb1)))
+    R, base_idx, d = linalg.rref(list(zip(*hb1)))
     coords = [[row[j] for row in R] for j in range(len(hb1))]
     width = len(hb2[0]) if hb2 else 0
     candidates = [
@@ -794,90 +849,6 @@ class TestGroupingCalls:
             return len(basis), sorted(reference_profiles(basis))
 
         assert all(invariant(b1) == invariant(b2) for b1, b2 in calls)
-
-
-class TestDeterminantal:
-    def test_single_arrow_entry(self, conifold):
-        arrows = conifold.arrow_list()
-        rep = Representation.from_scalars(
-            conifold, {arrows[0]: Fraction(5), arrows[2]: Fraction(7)}
-        )
-        L = DeterminantalMatrix.make(
-            row_vertices=[1],
-            col_vertices=[0],
-            entries=[[[(1, [arrows[0]])]]],
-            weight=1,
-        )
-        assert evaluate_determinantal_semi_invariant(L, rep) == 5
-
-    def test_identity_diagonal(self, conifold):
-        rep = Representation.from_scalars(conifold, {})
-        L = DeterminantalMatrix.make(
-            row_vertices=[0, 1],
-            col_vertices=[0, 1],
-            entries=[[[(1, [])], []], [[], [(1, [])]]],
-        )
-        assert evaluate_determinantal_semi_invariant(L, rep) == 1
-
-    def test_diagonal_product(self, conifold):
-        arrows = conifold.arrow_list()
-        rep = Representation.from_scalars(
-            conifold, {arrows[0]: Fraction(2), arrows[1]: Fraction(3)}
-        )
-        L = DeterminantalMatrix.make(
-            row_vertices=[1, 1],
-            col_vertices=[0, 0],
-            entries=[
-                [[(1, [arrows[0]])], []],
-                [[], [(1, [arrows[1]])]],
-            ],
-        )
-        assert evaluate_determinantal_semi_invariant(L, rep) == 6
-
-    def test_block_diagonal_multiplicative(self, conifold):
-        arrows = conifold.arrow_list()
-        rng = random.Random(8)
-        for _ in range(10):
-            rep = Representation.from_scalars(
-                conifold,
-                {a: Fraction(rng.randint(-4, 4)) for a in arrows},
-            )
-            l1 = DeterminantalMatrix.make(
-                [1], [0], [[[(1, [arrows[0]]), (2, [arrows[1]])]]]
-            )
-            l2 = DeterminantalMatrix.make(
-                [0], [1], [[[(1, [arrows[2]]), (-1, [arrows[3]])]]]
-            )
-            combined = block_diagonal(l1, l2)
-            assert evaluate_determinantal_semi_invariant(
-                combined, rep
-            ) == evaluate_determinantal_semi_invariant(
-                l1, rep
-            ) * evaluate_determinantal_semi_invariant(l2, rep)
-
-    def test_path_endpoint_validation(self, conifold):
-        arrows = conifold.arrow_list()
-        with pytest.raises(ShapeError):
-            DeterminantalMatrix.make([0], [0], [[[(1, [arrows[0]])]]])
-
-    def test_non_square_rejected(self, conifold):
-        arrows = conifold.arrow_list()
-        L = DeterminantalMatrix.make(
-            [1], [0, 0], [[[(1, [arrows[0]])], [(1, [arrows[1]])]]]
-        )
-        rep = Representation.from_scalars(conifold, {arrows[0]: 1})
-        with pytest.raises(ShapeError):
-            evaluate_determinantal_semi_invariant(L, rep)
-
-    def test_longer_paths(self, conifold):
-        arrows = conifold.arrow_list()
-        a, c = arrows[0], arrows[2]
-        rep = Representation.from_scalars(
-            conifold, {a: Fraction(2), c: Fraction(3)}
-        )
-        # cycle 0 -> 1 -> 0 as a single entry from vertex 0 to itself
-        L = DeterminantalMatrix.make([0], [0], [[[(1, [a, c])]]])
-        assert evaluate_determinantal_semi_invariant(L, rep) == 6
 
 
 class TestHilbertBasisAlgorithm:
