@@ -18,6 +18,16 @@ child's vector is one addition of a row of G.  Since no frontier vector
 dominates a known solution, a child u + e_i can only dominate a solution
 whose i-th coordinate is u_i + 1, and the found solutions are indexed by
 coordinate and value so that only those are compared.
+
+The other searches work on bitmasks of arrows (bit i for arrow i of
+``arrow_list()``).  King's test reads one table per call of the vertex
+subsets with theta <= 0, stably sorted by theta, each with the mask of the
+arrows leaving it; the first row a support does not leave gives the
+verdict.  The central fiber tests each support mask against the masks of
+the invariant generators and that one table.  The binomial relations build
+their monomials degree by degree, each image its parent's plus one
+generator, and split each fiber by a union-find over the moves of the
+relations found so far.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from operator import add, ge, mul
+from operator import add, ge, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -42,14 +52,19 @@ def _require_all_ones(s: MarkedQuiverSetting) -> None:
         raise UnsupportedSettingError("operation requires a mark-free setting")
 
 
+def _arrow_ends(s: MarkedQuiverSetting) -> list[tuple[int, int]]:
+    """(tail, head) of each unmarked arrow, in the order of ``s.arrow_list()``."""
+    return [(i, j) for i, row in enumerate(s.arrows) for j, c in enumerate(row) for _ in range(c)]
+
+
 def _weight_rows(s: MarkedQuiverSetting) -> list[list[int]]:
     """The weight matrix W, one row per vertex: column a is e_head - e_tail of arrow a."""
     _require_all_ones(s)
-    arrows = s.arrow_list()
-    rows = [[0] * len(arrows) for _ in range(s.k)]
-    for col, a in enumerate(arrows):
-        rows[a.head][col] += 1
-        rows[a.tail][col] -= 1
+    ends = _arrow_ends(s)
+    rows = [[0] * len(ends) for _ in range(s.k)]
+    for col, (tail, head) in enumerate(ends):
+        rows[head][col] += 1
+        rows[tail][col] -= 1
     return rows
 
 
@@ -401,7 +416,10 @@ def semi_invariant_generators(
 
 
 def toric_relations(
-    generators: Sequence[Sequence[int]], degree_bound: int = 4
+    generators: Sequence[Sequence[int]],
+    degree_bound: int = 4,
+    *,
+    deadline: float | None = None,
 ) -> list[Relation]:
     """Binomial relations among monomial generators up to a degree bound.
 
@@ -411,6 +429,18 @@ def toric_relations(
     all connected by the relations already emitted, every pair of distinct
     connected components contributes one binomial.  Completeness beyond the
     bound is not claimed.  A degree bound below 1 raises ``ValueError``.
+
+    The monomials are built degree by degree, each as its parent times one
+    generator no smaller than the parent's largest, so its image is the
+    parent's image plus that generator's exponents.  A fiber's components
+    come from a union-find over the moves of the relations emitted so far,
+    each the source lhs a monomial must dominate and the difference
+    rhs - lhs it adds.  The union-find is undirected, so the reverse move
+    rhs -> lhs would only find the same pairs from their other end.
+
+    ``deadline`` is a ``time.monotonic()`` reading, checked once per degree
+    and once per fiber visited; past it the search raises
+    :class:`~qsing.errors.BudgetExhaustedError`.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
@@ -419,54 +449,59 @@ def toric_relations(
     if ng == 0:
         return []
 
-    def image(mono: Vector) -> Vector:
-        return tuple(
-            sum(mono[i] * gens[i][a] for i in range(ng)) for a in range(len(gens[0]))
-        )
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("toric relations ran past their deadline")
 
+    # fibers fill in order of degree, so a fiber's first monomial has its
+    # minimal degree
     fibers: dict[Vector, list[Vector]] = {}
-    for total in range(1, degree_bound + 1):
-        for combo in itertools.combinations_with_replacement(range(ng), total):
-            mono = [0] * ng
-            for i in combo:
-                mono[i] += 1
-            fibers.setdefault(image(tuple(mono)), []).append(tuple(mono))
+    # (monomial, image, its largest generator) per monomial of the last degree
+    layer = [((0,) * ng, (0,) * len(gens[0]), 0)]
+    for _ in range(degree_bound):
+        check_deadline()
+        children = []
+        for mono, img, low in layer:
+            for j in range(low, ng):
+                child = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                child_img = tuple(map(add, img, gens[j]))
+                fibers.setdefault(child_img, []).append(child)
+                children.append((child, child_img, j))
+        layer = children
 
     relations: list[Relation] = []
-
-    def connected(members: list[Vector]) -> list[list[Vector]]:
-        comp: dict[Vector, int] = {}
-        for idx, m in enumerate(members):
-            comp[m] = idx
-        # one pass suffices: a merge relabels a whole component, so the two
-        # ends of every move visited stay in one component from then on
-        for m in members:
-            for rel in relations:
-                for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-                    if _dominates(m, src):
-                        m2 = tuple(a - b + c for a, b, c in zip(m, src, dst))
-                        if m2 in comp and comp[m2] != comp[m]:
-                            old, new = max(comp[m], comp[m2]), min(comp[m], comp[m2])
-                            for key in comp:
-                                if comp[key] == old:
-                                    comp[key] = new
-        groups: dict[int, list[Vector]] = {}
-        for m in members:
-            groups.setdefault(comp[m], []).append(m)
-        return [sorted(g) for g in groups.values()]
-
+    # (lhs, rhs - lhs) per relation
+    moves: list[tuple[Vector, Vector]] = []
     order = sorted(
         (img for img, members in fibers.items() if len(members) > 1),
-        key=lambda img: (min(sum(m) for m in fibers[img]), img),
+        key=lambda img: (sum(fibers[img][0]), img),
     )
     for img in order:
-        components = connected(fibers[img])
-        if len(components) <= 1:
+        check_deadline()
+        members = fibers[img]
+        index = {m: i for i, m in enumerate(members)}
+        root = list(range(len(members)))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for i, m in enumerate(members):
+            for src, delta in moves:
+                if all(map(ge, m, src)):
+                    j = index.get(tuple(map(add, m, delta)))
+                    if j is not None:
+                        root[find(j)] = find(i)
+        # the least monomial of each component, in order
+        reps: dict[int, Vector] = {}
+        for m in sorted(members):
+            reps.setdefault(find(index[m]), m)
+        if len(reps) <= 1:
             continue
-        reps = sorted(comp[0] for comp in components)
-        for a, b in itertools.combinations(reps, 2):
-            lhs, rhs = sorted((a, b))
+        for lhs, rhs in itertools.combinations(reps.values(), 2):
             relations.append(Relation(lhs, rhs))
+            moves.append((lhs, tuple(map(sub, rhs, lhs))))
     return relations
 
 
@@ -509,35 +544,66 @@ def is_theta_semistable(
     Every subrepresentation is a coordinate subspace, i.e. a vertex subset
     closed under the nonzero arrows ``support``.  Semistable means theta is
     >= 0 on every proper nonempty closed subset, stable means > 0; the
-    witness is a minimizing subset when the verdict is negative.
+    witness is a minimizing subset when the verdict is negative, the first
+    one in the order of (size, vertices).
+
+    The test reads one table of the subsets with theta <= 0, stably sorted
+    by theta, each with the bitmask of the arrows leaving it: a subset is
+    closed under ``support`` iff that mask misses it, and the first such
+    row is the witness (see :func:`_king_table`).
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    return _king_verdict(s, _support_arrows(s, support), t)
+    # the slots of (tail, head) follow offset[tail * k + head] in arrow order
+    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
+    mask = 0
+    for a in _support_arrows(s, support):
+        mask |= 1 << (offset[a.tail * s.k + a.head] + a.slot)
+    return _king_verdict(_king_table(s, t), mask)
+
+
+_STABLE = StabilityVerdict(True, True, None)
+
+
+def _king_table(s: MarkedQuiverSetting, t: Vector) -> list[tuple[int, StabilityVerdict]]:
+    """The King's test table of an all-ones setting and a checked theta.
+
+    One row per proper nonempty vertex subset X with theta(X) <= 0: the
+    bitmask of the arrows leaving X (tail in X, head outside, bit i for
+    arrow i of ``s.arrow_list()``) and the verdict X witnesses.  The rows
+    are enumerated by (size, vertices) and stably sorted by theta(X), so
+    the first row whose mask misses a support is the first minimizer among
+    the subsets closed under it.  A support that no row fits is stable.
+    """
+    tails = [0] * s.k
+    heads = [0] * s.k
+    for i, (tail, head) in enumerate(_arrow_ends(s)):
+        tails[tail] |= 1 << i
+        heads[head] |= 1 << i
+    rows = []
+    for size in range(1, s.k):
+        for subset in itertools.combinations(range(s.k), size):
+            value = sum(map(t.__getitem__, subset))
+            if value > 0:
+                continue
+            out = into = 0
+            for v in subset:
+                out |= tails[v]
+                into |= heads[v]
+            verdict = StabilityVerdict(value == 0, False, subset)
+            rows.append((value, out & ~into, verdict))
+    rows.sort(key=itemgetter(0))
+    return [(leaving, verdict) for _, leaving, verdict in rows]
 
 
 def _king_verdict(
-    s: MarkedQuiverSetting, support: frozenset[Arrow], t: Vector
+    table: Sequence[tuple[int, StabilityVerdict]], support: int
 ) -> StabilityVerdict:
-    """:func:`is_theta_semistable` on arrows and a theta already checked."""
-    verts = range(s.k)
-    worst: tuple[int, tuple[int, ...]] | None = None
-    for size in range(1, s.k):
-        for subset in itertools.combinations(verts, size):
-            inside = set(subset)
-            if any(a.tail in inside and a.head not in inside for a in support):
-                continue
-            value = sum(t[v] for v in subset)
-            if worst is None or value < worst[0]:
-                worst = (value, subset)
-    if worst is None:
-        return StabilityVerdict(True, True, None)
-    value, subset = worst
-    if value < 0:
-        return StabilityVerdict(False, False, subset)
-    if value == 0:
-        return StabilityVerdict(True, False, subset)
-    return StabilityVerdict(True, True, None)
+    """King's test of the arrow bitmask ``support`` against a :func:`_king_table`."""
+    for leaving, verdict in table:
+        if not leaving & support:
+            return verdict
+    return _STABLE
 
 
 def semistable_via_semiinvariants(
@@ -685,34 +751,41 @@ def central_fiber(
     the support spans a connected graph on all vertices; otherwise the
     stratum is flagged non_free_action and no dimension is reported.
 
+    Supports, the supports of the invariant generators and the vertices
+    an arrow touches are int bitmasks, so a support S carries an invariant
+    iff u & S == u for some generator support u, and each support's King
+    verdict comes from one :func:`_king_table` for the call.
+
     There are 2^arrows supports.  ``deadline`` is a ``time.monotonic()``
     reading, checked once per support and passed to the invariant Hilbert
     basis; past it the search raises
     :class:`~qsing.errors.BudgetExhaustedError`.
     """
     t = _theta(s, theta)
-    arrows = s.arrow_list()
-    inv_supports = [
-        frozenset(i for i, e in enumerate(u) if e)
+    invariant_masks = [
+        sum(1 << i for i, e in enumerate(u) if e)
         for u in invariant_generators(s, deadline=deadline)
     ]
+    table = _king_table(s, t)
+    ends = [(1 << tail) | (1 << head) for tail, head in _arrow_ends(s)]
+    bits = [1 << i for i in range(len(ends))]
+    everyone = (1 << s.k) - 1
     out = []
-    for size in range(len(arrows) + 1):
-        for idx in itertools.combinations(range(len(arrows)), size):
+    for size in range(len(ends) + 1):
+        for idx, chosen in zip(
+            itertools.combinations(range(len(ends)), size),
+            itertools.combinations(bits, size),
+        ):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhaustedError("central fiber ran past its deadline")
-            chosen = frozenset(idx)
-            if any(supp <= chosen for supp in inv_supports):
+            mask = sum(chosen)
+            # u & mask == u for an invariant support u iff u & ~mask == 0
+            if not all(map((~mask).__and__, invariant_masks)):
                 continue
-            support = frozenset(arrows[i] for i in idx)
-            verdict = _king_verdict(s, support, t)
+            verdict = _king_verdict(table, mask)
             if not verdict.semistable:
                 continue
-            touched = set()
-            for a in support:
-                touched.add(a.tail)
-                touched.add(a.head)
-            spanning = touched == set(range(s.k)) and _undirected_connected(s, support)
+            spanning = _spans([ends[i] for i in idx], everyone)
             out.append(
                 FiberStratum(
                     support=idx,
@@ -747,8 +820,8 @@ def toric_report(
     ``charts`` gives the proj charts and ``fiber`` the central fiber with its
     largest orbit-space dimension.  The last three need ``theta``.
 
-    ``budget_secs`` bounds the wall-clock time of the Hilbert bases and the
-    fiber search; past it they raise
+    ``budget_secs`` bounds the wall-clock time of the Hilbert bases, the
+    relations and the fiber search; past it they raise
     :class:`~qsing.errors.BudgetExhaustedError`.  A negative budget raises
     ``ValueError``.
     """
@@ -766,7 +839,8 @@ def toric_report(
         basis = invariant_generators(s, deadline=deadline)
         report["generators"] = [list(u) for u in basis]
         if action == "relations":
-            report["relations"] = [r.to_json() for r in toric_relations(basis, degree_bound)]
+            relations = toric_relations(basis, degree_bound, deadline=deadline)
+            report["relations"] = [r.to_json() for r in relations]
             report["degree_bound"] = degree_bound
         return report
     if action not in THETA_ACTIONS:
@@ -800,19 +874,23 @@ def toric_report(
     return report
 
 
-def _undirected_connected(s: MarkedQuiverSetting, support: frozenset[Arrow]) -> bool:
-    if s.k == 0:
+def _spans(ends: Sequence[int], everyone: int) -> bool:
+    """Whether the edges ``ends`` (vertex bitmasks) touch and connect all of ``everyone``.
+
+    The search grows from vertex 0, so the empty vertex set (``everyone``
+    = 0) is not spanned.
+    """
+    touched = 0
+    for e in ends:
+        touched |= e
+    if touched != everyone:
         return False
-    adj: dict[int, set[int]] = {v: set() for v in range(s.k)}
-    for a in support:
-        adj[a.tail].add(a.head)
-        adj[a.head].add(a.tail)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == set(range(s.k))
+    reach = 1
+    while True:
+        grown = reach
+        for e in ends:
+            if e & grown:
+                grown |= e
+        if grown == reach:
+            return reach == everyone
+        reach = grown

@@ -359,10 +359,21 @@ def test_result_is_the_library_report(args, report, capsys):
     assert out["result"] == json.loads(json.dumps(report()))
 
 
+COMPLETE_4 = {"dims": [1] * 4, "arrows": [[int(i != j) for j in range(4)] for i in range(4)]}
 COMPLETE_5 = {"dims": [1] * 5, "arrows": [[int(i != j) for j in range(5)] for i in range(5)]}
 
 
 class TestToricBudget:
+    @staticmethod
+    def assert_exits_one_with_one_line(args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsing.cli", *args], capture_output=True, text=True, cwd=REPO
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("qsing: ") and proc.stderr.count("\n") == 1
+
     def test_exhausted_budget_exits_one(self, tmp_path):
         # the complete 5-vertex fiber visits 2^20 supports, far more than a
         # budget of 0 s allows
@@ -371,13 +382,18 @@ class TestToricBudget:
             COMPLETE_5,
             tmp_path,
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsing.cli", *args], capture_output=True, text=True, cwd=REPO
+        self.assert_exits_one_with_one_line(args)
+
+    def test_exhausted_budget_stops_the_relations(self, tmp_path):
+        # the 20 invariant generators of the complete 4-vertex quiver have
+        # 10,626 monomials up to degree 4, whose relations take several
+        # times 0.05 s
+        args = with_setting_file(
+            ["toric", "relations", "SETTING", "--degree-bound", "4", "--budget", "0.05"],
+            COMPLETE_4,
+            tmp_path,
         )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("qsing: ") and proc.stderr.count("\n") == 1
+        self.assert_exits_one_with_one_line(args)
 
     @pytest.mark.parametrize(
         "args",

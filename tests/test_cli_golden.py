@@ -43,6 +43,7 @@ SETTINGS = {
     "float_dim": {"dims": [2.9], "arrows": [[1]]},
     "bool_dim": {"dims": [True, 1], "arrows": [[0, 1], [1, 0]]},
     "empty": {"dims": [], "arrows": []},
+    "complete4": {"dims": [1] * 4, "arrows": [[int(i != j) for j in range(4)] for i in range(4)]},
 }
 FIXTURES = sorted(p.stem for p in (REPO / "fixtures").glob("*.json"))
 ALL_ONES = [
@@ -128,6 +129,17 @@ def _cases() -> list[list[str]]:
 
 CASES = _cases()
 
+# reports on a larger input than the table's: the complete 4-vertex quiver
+# has 2^12 arrow supports, 20 invariant generators and 61 relations up to
+# degree 4.  Recorded before King's test, the central fiber and the
+# relations moved to arrow bitmasks.
+LARGE = {
+    "toric fiber @complete4 --theta=1,1,1,-3":
+        "8a95c112e70d9b0fb9bb29ec333b575937570ee94b2eacd1b8c1541e4b860fad",
+    "toric relations @complete4 --degree-bound 4":
+        "b4c737d11704d77abf7d80d8edc86bc1db0cdcf596695a8eeebf73c2a28c5be2",
+}
+
 
 def case_id(args: list[str]) -> str:
     return " ".join(args)
@@ -178,6 +190,11 @@ def test_table_covers_every_case(golden):
 def test_report_matches_golden(args, golden, tmp_path):
     code, digest = run_case(args, tmp_path)
     assert {"exit": code, "sha256": digest} == golden[case_id(args)]
+
+
+@pytest.mark.parametrize("case", sorted(LARGE))
+def test_large_toric_report_unchanged(case, tmp_path):
+    assert run_case(case.split(), tmp_path) == (0, LARGE[case])
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

@@ -1014,3 +1014,311 @@ class TestGramCompletion:
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
         assert len(invariant_generators(complete_quiver(5))) == 84
+
+
+# ---------------------------------------------------------------------------
+# King's test, the central fiber and the relations against the loops they
+# replaced: the bitmask kernels must give the same verdicts, witnesses,
+# strata and relations, in the same order
+
+
+def reference_king_verdict(s, support, t):
+    """King's test as it was written before the subset table, kept as an oracle."""
+    verts = range(s.k)
+    worst = None
+    for size in range(1, s.k):
+        for subset in itertools.combinations(verts, size):
+            inside = set(subset)
+            if any(a.tail in inside and a.head not in inside for a in support):
+                continue
+            value = sum(t[v] for v in subset)
+            if worst is None or value < worst[0]:
+                worst = (value, subset)
+    if worst is None:
+        return toric.StabilityVerdict(True, True, None)
+    value, subset = worst
+    if value < 0:
+        return toric.StabilityVerdict(False, False, subset)
+    if value == 0:
+        return toric.StabilityVerdict(True, False, subset)
+    return toric.StabilityVerdict(True, True, None)
+
+
+def reference_undirected_connected(s, support):
+    if s.k == 0:
+        return False
+    adj = {v: set() for v in range(s.k)}
+    for a in support:
+        adj[a.tail].add(a.head)
+        adj[a.head].add(a.tail)
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == set(range(s.k))
+
+
+def reference_central_fiber(s, theta):
+    """The central fiber as it was written before the bitmask loop, kept as an oracle."""
+    _king_verdict = reference_king_verdict
+    _undirected_connected = reference_undirected_connected
+    FiberStratum = toric.FiberStratum
+    t = tuple(theta)
+    arrows = s.arrow_list()
+    inv_supports = [
+        frozenset(i for i, e in enumerate(u) if e)
+        for u in invariant_generators(s)
+    ]
+    out = []
+    for size in range(len(arrows) + 1):
+        for idx in itertools.combinations(range(len(arrows)), size):
+            chosen = frozenset(idx)
+            if any(supp <= chosen for supp in inv_supports):
+                continue
+            support = frozenset(arrows[i] for i in idx)
+            verdict = _king_verdict(s, support, t)
+            if not verdict.semistable:
+                continue
+            touched = set()
+            for a in support:
+                touched.add(a.tail)
+                touched.add(a.head)
+            spanning = touched == set(range(s.k)) and _undirected_connected(s, support)
+            out.append(
+                FiberStratum(
+                    support=idx,
+                    stable=verdict.stable,
+                    orbit_space_dim=(size - (s.k - 1)) if spanning else None,
+                    non_free_action=not spanning,
+                )
+            )
+    return out
+
+
+def reference_toric_relations(generators, degree_bound=4):
+    """The relations as they were written before the incremental images, kept as an oracle."""
+    _dominates = _reference_dominates
+    Relation = toric.Relation
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    gens = [tuple(g) for g in generators]
+    ng = len(gens)
+    if ng == 0:
+        return []
+
+    def image(mono):
+        return tuple(
+            sum(mono[i] * gens[i][a] for i in range(ng)) for a in range(len(gens[0]))
+        )
+
+    fibers = {}
+    for total in range(1, degree_bound + 1):
+        for combo in itertools.combinations_with_replacement(range(ng), total):
+            mono = [0] * ng
+            for i in combo:
+                mono[i] += 1
+            fibers.setdefault(image(tuple(mono)), []).append(tuple(mono))
+
+    relations = []
+
+    def connected(members):
+        comp = {}
+        for idx, m in enumerate(members):
+            comp[m] = idx
+        # one pass suffices: a merge relabels a whole component, so the two
+        # ends of every move visited stay in one component from then on
+        for m in members:
+            for rel in relations:
+                for src, dst in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
+                    if _dominates(m, src):
+                        m2 = tuple(a - b + c for a, b, c in zip(m, src, dst))
+                        if m2 in comp and comp[m2] != comp[m]:
+                            old, new = max(comp[m], comp[m2]), min(comp[m], comp[m2])
+                            for key in comp:
+                                if comp[key] == old:
+                                    comp[key] = new
+        groups = {}
+        for m in members:
+            groups.setdefault(comp[m], []).append(m)
+        return [sorted(g) for g in groups.values()]
+
+    order = sorted(
+        (img for img, members in fibers.items() if len(members) > 1),
+        key=lambda img: (min(sum(m) for m in fibers[img]), img),
+    )
+    for img in order:
+        components = connected(fibers[img])
+        if len(components) <= 1:
+            continue
+        reps = sorted(comp[0] for comp in components)
+        for a, b in itertools.combinations(reps, 2):
+            lhs, rhs = sorted((a, b))
+            relations.append(Relation(lhs, rhs))
+    return relations
+
+
+def strongly_connected_settings(seed: int, count: int):
+    """Strongly connected all-ones settings, k = 2..5, k..k+4 arrows (a few loops), with theta.
+
+    theta has entries in {-1, 0, 1} and sum 0, so many vertex subsets tie.
+    """
+    rng = random.Random(seed)
+    while count:
+        k = 2 + count % 4
+        arrows = [[0] * k for _ in range(k)]
+        for _ in range(rng.randint(k, k + 4)):
+            i = rng.randrange(k)
+            j = i if rng.random() < 0.1 else rng.choice([v for v in range(k) if v != i])
+            arrows[i][j] += 1
+        s = MarkedQuiverSetting.make([1] * k, arrows)
+        theta = [rng.choice((-1, 0, 1)) for _ in range(k)]
+        if not strongly_connected(s) or sum(theta):
+            continue
+        count -= 1
+        yield s, tuple(theta)
+
+
+def assert_king_matches_reference(s, theta, supports):
+    for support in supports:
+        verdict = is_theta_semistable(s, support, theta)
+        assert verdict == reference_king_verdict(s, frozenset(support), theta), (
+            s.to_json(), theta, support,
+        )
+
+
+class TestBitmaskKernelsMatchReference:
+    def test_random_settings(self):
+        rng = random.Random(131)
+        by_k = {k: 0 for k in range(2, 6)}
+        tied = relations_found = 0
+        for n, (s, theta) in enumerate(strongly_connected_settings(137, 240)):
+            by_k[s.k] += 1
+            values = [
+                sum(theta[v] for v in subset)
+                for size in range(1, s.k)
+                for subset in itertools.combinations(range(s.k), size)
+            ]
+            tied += len(set(values)) < len(values)
+            arrows = s.arrow_list()
+            supports = [[], list(arrows)] + [
+                [a for a in arrows if rng.random() < 0.5] for _ in range(6)
+            ]
+            assert_king_matches_reference(s, theta, supports)
+            assert central_fiber(s, theta) == reference_central_fiber(s, theta), (
+                s.to_json(), theta,
+            )
+            gens = invariant_generators(s)
+            degree_bound = 1 + n % 4
+            rels = toric_relations(gens, degree_bound)
+            assert rels == reference_toric_relations(gens, degree_bound), (
+                s.to_json(), degree_bound,
+            )
+            relations_found += bool(rels)
+        assert min(by_k.values()) == 60
+        # ties need k >= 3 or theta = 0
+        assert tied > 150 and relations_found > 40
+
+    @pytest.mark.parametrize("theta", [(-1, 1), (1, -1), (0, 0), (-2, 2)])
+    def test_conifold(self, conifold, theta):
+        arrows = conifold.arrow_list()
+        supports = [
+            [a for i, a in enumerate(arrows) if mask >> i & 1] for mask in range(1 << len(arrows))
+        ]
+        assert_king_matches_reference(conifold, theta, supports)
+        assert central_fiber(conifold, theta) == reference_central_fiber(conifold, theta)
+        gens = invariant_generators(conifold)
+        for degree_bound in range(1, 5):
+            assert toric_relations(gens, degree_bound) == reference_toric_relations(
+                gens, degree_bound
+            )
+
+    @pytest.mark.parametrize("theta", [(1, 1, 1, -3), (1, -1, 0, 0), (1, 1, -1, -1), (0, 0, 0, 0)])
+    def test_complete_4_vertex_fiber(self, theta):
+        s = complete_quiver(4)
+        rng = random.Random(sum(theta) + 7)
+        arrows = s.arrow_list()
+        supports = [[a for a in arrows if rng.random() < 0.3] for _ in range(50)]
+        assert_king_matches_reference(s, theta, supports)
+        assert central_fiber(s, theta) == reference_central_fiber(s, theta)
+
+    def test_complete_4_vertex_relations(self):
+        gens = invariant_generators(complete_quiver(4))
+        assert len(gens) == 20
+        rels = toric_relations(gens, 4)
+        assert len(rels) == 61
+        assert rels == reference_toric_relations(gens, 4)
+
+
+class TestRelationsDeadline:
+    @staticmethod
+    def visited_fibers(gens, degree_bound):
+        """The fibers of the monomial image map that hold more than one monomial."""
+        images = {}
+        for total in range(1, degree_bound + 1):
+            for combo in itertools.combinations_with_replacement(range(len(gens)), total):
+                image = tuple(sum(gens[i][a] for i in combo) for a in range(len(gens[0])))
+                images[image] = images.get(image, 0) + 1
+        return sum(count > 1 for count in images.values())
+
+    def test_deadline_checked_once_per_degree_and_fiber(self, dim4_double_triangle, monkeypatch):
+        gens = invariant_generators(dim4_double_triangle)
+        expected = toric_relations(gens, 3)
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return 0.0
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        assert toric_relations(gens, 3, deadline=1.0) == expected
+        assert readings == 3 + self.visited_fibers(gens, 3)
+
+    def test_deadline_stops_the_relations(self, monkeypatch):
+        # the clock passes the deadline at its 10th reading, well inside the
+        # thousands of fibers of the complete 4-vertex quiver at degree 4
+        gens = invariant_generators(complete_quiver(4))
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(BudgetExhaustedError, match="relations"):
+            toric_relations(gens, 4, deadline=9.5)
+        assert readings == 10
+
+    def test_without_deadline_reads_no_clock(self, conifold, monkeypatch):
+        gens = invariant_generators(conifold)
+
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        assert len(toric_relations(gens, 4)) == 1
+
+    def test_report_budget_runs_out_inside_the_relations(self, monkeypatch):
+        # the clock ticks one second per reading: the report reads it once to
+        # set its deadline and the Hilbert basis once per round, so a budget
+        # of rounds + 1/2 seconds lets the basis finish and stops the
+        # relations at their first check
+        s = complete_quiver(4)
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        invariant_generators(s, deadline=1e9)
+        rounds, readings = readings, 0
+        with pytest.raises(BudgetExhaustedError, match="relations"):
+            toric.toric_report(s, "relations", degree_bound=4, budget_secs=rounds + 0.5)
+        assert readings == 1 + rounds + 1
