@@ -471,8 +471,10 @@ def singular_type_classes(
     proof, and a failed search or distinct invariants a disproof.
 
     Raises :class:`BudgetExhaustedError` when the wall-clock budget runs out;
-    it is checked before each setting, once per round of each Hilbert basis
-    and at every node of the isomorphism search.  Its partial result is the
+    it is checked before each setting, in each setting's cycle walk for its
+    Hilbert basis (once per least vertex and after every 1,024th cycle; see
+    :func:`~qsing.toric.invariant_generators`) and at every node of the
+    isomorphism search.  Its partial result is the
     full class list, in which every all-ones setting not yet placed is a
     singleton class with ``equivalence_decided=False``.
     """

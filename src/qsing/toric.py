@@ -8,6 +8,13 @@ a stability vector theta grades the semi-invariants by the multiple l in
 W u = l * theta, and every chart of their proj is a shift of that one graded
 Hilbert basis.
 
+W is the incidence matrix of a digraph, hence totally unimodular, so the
+Hilbert basis of ker W is exactly the set of 0/1 vectors of the simple
+directed cycles (the traces of cycles of Le Bruyn-Procesi 1990).  The
+invariant generators are therefore found by a cycle walk, one per least
+vertex, over bitmasks of visited vertices; the general completion below
+serves the graded systems W u = l * theta and their faces.
+
 The Hilbert-basis computation is a Contejean-Devie completion (Contejean and
 Devie 1994): breadth-first growth from unit vectors, extending u by e_i only
 when the defect vectors M u and M e_i have negative inner product, pruning
@@ -378,14 +385,74 @@ class Relation:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
+# the cycle walk reads the clock after every _CYCLES_PER_CHECK-th cycle it emits
+_CYCLES_PER_CHECK = 1024
+
+
 def invariant_generators(
     s: MarkedQuiverSetting, *, deadline: float | None = None
 ) -> list[Vector]:
-    """Hilbert basis of the weight-zero monomials (traces along cycles).
+    """Hilbert basis of the weight-zero monomials: the simple directed cycles.
 
-    ``deadline`` bounds the completion as in :func:`hilbert_basis`.
+    The invariant ring is generated by traces of oriented cycles (Le
+    Bruyn-Procesi 1990), and with one-dimensional vertex spaces the trace of
+    a cycle is the monomial of its arrows.  W is a digraph incidence matrix,
+    hence totally unimodular, so the Hilbert basis of ker W meet N^arrows is
+    exactly the set of 0/1 vectors of the simple directed cycles: flow
+    decomposition writes every nonnegative circulation as a sum of simple
+    cycles, and no simple cycle is a sum of two nonzero circulations (for a
+    unimodular matrix the circuits are the Graver basis; Sturmfels,
+    *Groebner Bases and Convex Polytopes*, 1996, ch. 4 and 8).  A loop is
+    a 1-cycle.  The result equals ``hilbert_basis(W)``, sorted.
+
+    One walk per least vertex s0 extends simple paths (visited vertices as
+    a bitmask) through vertices above s0; every edge back to s0 closes one
+    vertex cycle, which expands over the parallel arrows of its edges into
+    0/1 vectors indexed by ``s.arrow_list()``.
+
+    ``deadline`` is a ``time.monotonic()`` reading, checked once per least
+    vertex and after every 1,024th cycle emitted; past it the walk raises
+    :class:`~qsing.errors.BudgetExhaustedError`.
     """
-    return hilbert_basis(_weight_rows(s), deadline=deadline)
+    _require_all_ones(s)
+    k = s.k
+    # the slots of (tail, head) follow offset[tail * k + head] in arrow order
+    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
+    n = offset[-1]
+    slots = [[range(offset[i * k + j], offset[i * k + j + 1]) for j in range(k)] for i in range(k)]
+    successors = [[j for j in range(k) if s.arrows[i][j]] for i in range(k)]
+    cycles: list[Vector] = []
+    path: list[range] = []
+    # the 0/1 vector of the cycle being emitted, cleared after each
+    u = [0] * n
+
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("invariant cycles ran past their deadline")
+
+    def walk(s0: int, v: int, seen: int) -> None:
+        for w in successors[v]:
+            if w == s0:
+                path.append(slots[v][w])
+                for chosen in itertools.product(*path):
+                    for a in chosen:
+                        u[a] = 1
+                    cycles.append(tuple(u))
+                    for a in chosen:
+                        u[a] = 0
+                    if not len(cycles) % _CYCLES_PER_CHECK:
+                        check_deadline()
+                path.pop()
+            elif w > s0 and not seen >> w & 1:
+                path.append(slots[v][w])
+                walk(s0, w, seen | 1 << w)
+                path.pop()
+
+    for s0 in range(k):
+        check_deadline()
+        walk(s0, s0, 1 << s0)
+    cycles.sort()
+    return cycles
 
 
 def semi_invariant_generators(
@@ -396,14 +463,15 @@ def semi_invariant_generators(
     Solves W u = l * theta for (u, l) in N^(arrows+1); the minimal solutions
     are the algebra generators, graded by the multiple l and sorted by
     (degree, exponents).  theta = 0 returns the plain invariant ring in
-    degree zero.
+    degree zero, from the cycle walk of :func:`invariant_generators`.
 
     Every degree is 0 or 1.  W is the incidence matrix of a digraph, hence
     totally unimodular, so {u >= 0 : W u = theta} has the integer
     decomposition property (Baum-Trotter 1977): a solution of degree l is a
     sum of l solutions of degree 1.
 
-    ``deadline`` bounds the completion as in :func:`hilbert_basis`.
+    ``deadline`` bounds the completion as in :func:`hilbert_basis`, or the
+    cycle walk as in :func:`invariant_generators`.
     """
     t = _theta(s, theta)
     if not any(t):
@@ -757,8 +825,8 @@ def central_fiber(
     verdict comes from one :func:`_king_table` for the call.
 
     There are 2^arrows supports.  ``deadline`` is a ``time.monotonic()``
-    reading, checked once per support and passed to the invariant Hilbert
-    basis; past it the search raises
+    reading, checked once per support and passed to the cycle walk of
+    :func:`invariant_generators`; past it the search raises
     :class:`~qsing.errors.BudgetExhaustedError`.
     """
     t = _theta(s, theta)
@@ -820,8 +888,8 @@ def toric_report(
     ``charts`` gives the proj charts and ``fiber`` the central fiber with its
     largest orbit-space dimension.  The last three need ``theta``.
 
-    ``budget_secs`` bounds the wall-clock time of the Hilbert bases, the
-    relations and the fiber search; past it they raise
+    ``budget_secs`` bounds the wall-clock time of the invariant cycle walk,
+    the Hilbert bases, the relations and the fiber search; past it they raise
     :class:`~qsing.errors.BudgetExhaustedError`.  A negative budget raises
     ``ValueError``.
     """

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,7 @@ def test_result_is_the_library_report(args, report, capsys):
 
 COMPLETE_4 = {"dims": [1] * 4, "arrows": [[int(i != j) for j in range(4)] for i in range(4)]}
 COMPLETE_5 = {"dims": [1] * 5, "arrows": [[int(i != j) for j in range(5)] for i in range(5)]}
+COMPLETE_11 = {"dims": [1] * 11, "arrows": [[int(i != j) for j in range(11)] for i in range(11)]}
 
 
 class TestToricBudget:
@@ -394,6 +396,18 @@ class TestToricBudget:
             tmp_path,
         )
         self.assert_exits_one_with_one_line(args)
+
+    def test_exhausted_budget_stops_the_cycle_walk(self, tmp_path):
+        # the complete 11-vertex quiver has 10,976,173 simple cycles, nearly
+        # all through vertex 0, so only the check after every 1,024th cycle
+        # can stop the walk in time; never run this without a budget, its
+        # report would be about 10 GB
+        args = with_setting_file(
+            ["toric", "invariants", "SETTING", "--budget", "0.05"], COMPLETE_11, tmp_path
+        )
+        start = time.monotonic()
+        self.assert_exits_one_with_one_line(args)
+        assert time.monotonic() - start < 5
 
     @pytest.mark.parametrize(
         "args",

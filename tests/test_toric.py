@@ -6,6 +6,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -592,7 +593,8 @@ class TestCentralFiber:
 
     def test_deadline_checked_once_per_support(self, conifold, monkeypatch):
         # with a clock that never passes the deadline, the fiber search reads
-        # it once per Hilbert-basis round and once per support (2^4)
+        # it in the invariant cycle walk (once per least vertex) and once per
+        # support (2^4)
         readings = 0
 
         def monotonic():
@@ -984,7 +986,7 @@ class TestGramCompletion:
 
     @pytest.mark.parametrize("k,size", [(5, 84), (6, 409)])
     def test_complete_quivers(self, k, size):
-        basis = invariant_generators(complete_quiver(k))
+        basis = hilbert_basis(toric._weight_rows(complete_quiver(k)))
         assert len(basis) == size
         assert check_hilbert_minimality(basis) == []
 
@@ -1013,7 +1015,108 @@ class TestGramCompletion:
             raise AssertionError("the clock is read without a deadline")
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
-        assert len(invariant_generators(complete_quiver(5))) == 84
+        assert len(hilbert_basis(toric._weight_rows(complete_quiver(5)))) == 84
+
+
+def cycle_walk_settings(seed: int, count: int):
+    """(kind, m, setting) for all-ones settings on k = 1..6 vertices with 0..10 arrows.
+
+    The kinds rotate: "random" places arrows anywhere, so loops and parallel
+    arrows occur; "acyclic" only from a lower to a higher vertex, parallel
+    ones included; "disconnected" never between the first m vertices and
+    the rest (m = k for the other kinds).
+    """
+    rng = random.Random(seed)
+    for n in range(count):
+        kind = ("random", "acyclic", "disconnected")[n % 3]
+        k = rng.randint(1 if kind == "random" else 2, 6)
+        m = rng.randint(1, k - 1) if kind == "disconnected" else k
+        arrows = [[0] * k for _ in range(k)]
+        for _ in range(rng.randint(0, 10)):
+            i, j = rng.randrange(k), rng.randrange(k)
+            if kind == "acyclic":
+                if i == j:
+                    continue
+                i, j = min(i, j), max(i, j)
+            elif kind == "disconnected" and (i < m) != (j < m):
+                continue
+            arrows[i][j] += 1
+        yield kind, m, MarkedQuiverSetting.make([1] * k, arrows)
+
+
+class TestCycleWalk:
+    """The invariant generators are the simple directed cycles of the quiver."""
+
+    def test_matches_hilbert_basis(self):
+        loops = parallel = two_sided = 0
+        for kind, m, s in cycle_walk_settings(83, 360):
+            basis = invariant_generators(s)
+            assert basis == hilbert_basis(toric._weight_rows(s)), s.to_json()
+            if kind == "acyclic":
+                assert basis == []
+            loops += any(s.arrows[v][v] for v in range(s.k))
+            parallel += any(c > 1 for row in s.arrows for c in row)
+            # a cycle on each side of the cut
+            below = [tail < m for tail, _ in toric._arrow_ends(s)]
+            two_sided += {any(itertools.compress(u, below)) for u in basis} == {False, True}
+        assert loops > 100 and parallel > 100 and two_sided > 10
+
+    @pytest.mark.parametrize("k,size", [(5, 84), (6, 409), (7, 2365)])
+    def test_complete_quiver_cycle_counts(self, k, size):
+        s = complete_quiver(k)
+        basis = invariant_generators(s)
+        assert len(basis) == len(set(basis)) == size
+        rows = toric._weight_rows(s)
+        assert all(set(u) <= {0, 1} for u in basis)
+        assert all(sum(map(mul, row, u)) == 0 for row in rows for u in basis)
+
+    def test_degree_zero_part_of_semi_invariants(self):
+        for s, theta in strongly_connected_settings(89, 150):
+            gens = semi_invariant_generators(s, theta)
+            assert [g.exponents for g in gens if not g.degree] == invariant_generators(s), (
+                s.to_json(),
+                theta,
+            )
+
+    @staticmethod
+    def ticking_clock(monkeypatch):
+        """A toric clock that reads 1, 2, 3, ... and the list of its readings."""
+        readings = []
+
+        def monotonic():
+            readings.append(float(len(readings) + 1))
+            return readings[-1]
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        return readings
+
+    def test_reads_once_per_vertex_and_per_1024_cycles(self, monkeypatch):
+        readings = self.ticking_clock(monkeypatch)
+        assert len(invariant_generators(complete_quiver(7), deadline=1e9)) == 2365
+        # 7 least vertices and the 1,024th and 2,048th cycles
+        assert len(readings) == 7 + 2
+        # parallel arrows count once per cycle they give: 40 arrows each way
+        # between two vertices are 1,600 two-cycles
+        readings.clear()
+        s = MarkedQuiverSetting.make([1, 1], [[0, 40], [40, 0]])
+        assert len(invariant_generators(s, deadline=1e9)) == 1600
+        assert len(readings) == 2 + 1
+
+    def test_deadline_stops_the_walk_inside_vertex_zero(self, monkeypatch):
+        # 13,699 of the 16,064 cycles of the complete 8-vertex quiver pass
+        # through vertex 0, so the walk from vertex 0 reads the clock 1 + 13
+        # times; the 6th reading, after the 5,120th cycle, is past 5.5
+        readings = self.ticking_clock(monkeypatch)
+        with pytest.raises(BudgetExhaustedError, match="invariant cycles"):
+            invariant_generators(complete_quiver(8), deadline=5.5)
+        assert len(readings) == 6
+
+    def test_no_clock_without_deadline(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        assert len(invariant_generators(complete_quiver(7))) == 2365
 
 
 # ---------------------------------------------------------------------------
