@@ -436,9 +436,11 @@ class SingularTypeClass:
     """A group of enumerated settings with provably isomorphic central rings.
 
     For all-ones settings the invariant ring is a toric semigroup ring, and
-    ring isomorphism is decided exactly by matching Hilbert bases with a
-    lattice-linear map.  Settings with higher vertex dimensions or marks have
-    non-monomial invariant rings; each stays in its own class with
+    ring isomorphism is decided exactly by matching the generator-facet
+    incidences of the invariant monoids (see
+    :func:`~qsing.toric.incidence_isomorphism`).  Settings with higher
+    vertex dimensions or marks have non-monomial invariant rings; each
+    stays in its own class with
     ``equivalence_decided=False``, and so does every all-ones setting that a
     grouping budget ran out before placing.
     """
@@ -464,17 +466,21 @@ def singular_type_classes(
 
     This is the equivalence under which the classification counts types: two
     non-isomorphic reduced settings can present the same singularity.  Within
-    all-ones settings the grouping is decided exactly: each setting joins the
-    first class whose representative's Hilbert basis it matches, and it is
-    compared only with representatives of an equal
-    :func:`~qsing.toric.isomorphism_invariant`.  A found isomorphism is a
-    proof, and a failed search or distinct invariants a disproof.
+    all-ones settings the grouping is decided exactly: each setting's
+    invariant basis gives its generator-facet incidence
+    (:func:`~qsing.toric.facet_incidence`), and the setting joins the first
+    class whose representative's incidence matches its own under a
+    permutation of the generators and one of the facets
+    (:func:`~qsing.toric.incidence_isomorphism`).  It is compared only with
+    representatives of an equal incidence key.  The match decides monoid
+    isomorphism, so a found match is a proof, and a failed search or a
+    distinct key a disproof.
 
     Raises :class:`BudgetExhaustedError` when the wall-clock budget runs out;
     it is checked before each setting, in each setting's cycle walk for its
     Hilbert basis (once per least vertex and after every 1,024th cycle; see
     :func:`~qsing.toric.invariant_generators`) and at every node of the
-    isomorphism search.  Its partial result is the
+    incidence search.  Its partial result is the
     full class list, in which every all-ones setting not yet placed is a
     singleton class with ``equivalence_decided=False``.
     """
@@ -483,21 +489,21 @@ def singular_type_classes(
     deadline = None if budget_secs is None else time.monotonic() + budget_secs
     all_ones = [s for s in settings if all(d == 1 for d in s.dims)]
     undecided = [s for s in settings if any(d != 1 for d in s.dims)]
-    # per invariant, the classes as (representative's basis, members)
-    buckets: dict[tuple, list[tuple[list, list[MarkedQuiverSetting]]]] = {}
+    # per incidence key, the classes as (representative's incidence, members)
+    buckets: dict[tuple, list[tuple[toric.FacetIncidence, list[MarkedQuiverSetting]]]] = {}
     exhausted = None
     for placed, s in enumerate(all_ones):
         try:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhaustedError("grouping budget exhausted")
-            basis = toric.invariant_generators(s, deadline=deadline)
-            bucket = buckets.setdefault(toric.isomorphism_invariant(basis), [])
-            for rep_basis, group in bucket:
-                if toric.semigroup_isomorphism(rep_basis, basis, deadline=deadline) is not None:
+            incidence = toric.facet_incidence(toric.invariant_generators(s, deadline=deadline))
+            bucket = buckets.setdefault(incidence.key, [])
+            for rep, group in bucket:
+                if toric.incidence_isomorphism(rep, incidence, deadline=deadline) is not None:
                     group.append(s)
                     break
             else:
-                bucket.append((basis, [s]))
+                bucket.append((incidence, [s]))
         except BudgetExhaustedError:
             exhausted = (
                 f"grouping budget exhausted after {placed} of {len(all_ones)} "

@@ -13,15 +13,16 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing import classification, linalg, toric
-from qsing.core import Arrow, MarkedQuiverSetting, strongly_connected
+from qsing.core import Arrow, MarkedQuiverSetting, canonical_key, strongly_connected
 from qsing.errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 from qsing.toric import (
     central_fiber,
     check_hilbert_minimality,
+    facet_incidence,
     hilbert_basis,
+    incidence_isomorphism,
     invariant_generators,
     is_theta_semistable,
-    isomorphism_invariant,
     proj_charts,
     semi_invariant_generators,
     semigroup_isomorphism,
@@ -809,7 +810,7 @@ class TestBacktrackingSearch:
         match = semigroup_isomorphism(basis, permuted)
         assert match is not None
         assert_monoid_isomorphism(basis, permuted, match)
-        assert isomorphism_invariant(basis) == isomorphism_invariant(permuted)
+        assert facet_incidence(basis).key == facet_incidence(permuted).key
 
     def test_deadline_checked_at_every_node(self, monkeypatch):
         basis = max(census_bases(), key=len)
@@ -831,26 +832,178 @@ class TestBacktrackingSearch:
         assert readings == nodes
 
 
+def reference_key(incidence):
+    """The bucket key, recomputed from the facet masks."""
+    m, facets = incidence.generators, incidence.facets
+    rows = [
+        tuple(sorted(bin(f).count("1") for f in facets if f >> g & 1)) for g in range(m)
+    ]
+    return m, len(facets), tuple(sorted(rows))
+
+
+def reference_type_classes(settings):
+    """The grouping the incidence test replaced, kept as the reference partition.
+
+    A verbatim copy of the former ``singular_type_classes`` without its
+    budget: each all-ones setting is compared with the representatives whose
+    bases have the same size and sorted pair-sum profiles, by
+    ``semigroup_isomorphism``.
+    """
+    all_ones = [s for s in settings if all(d == 1 for d in s.dims)]
+    undecided = [s for s in settings if any(d != 1 for d in s.dims)]
+    # per invariant, the classes as (representative's basis, members)
+    buckets: dict[tuple, list[tuple[list, list[MarkedQuiverSetting]]]] = {}
+    for s in all_ones:
+        basis = toric.invariant_generators(s)
+        invariant = len(basis), tuple(sorted(toric._PairFibers(basis).profiles))
+        bucket = buckets.setdefault(invariant, [])
+        for rep_basis, group in bucket:
+            if toric.semigroup_isomorphism(rep_basis, basis) is not None:
+                group.append(s)
+                break
+        else:
+            bucket.append((basis, [s]))
+    out = [
+        classification.SingularTypeClass(group[0], tuple(group), True)
+        for bucket in buckets.values()
+        for _, group in bucket
+    ]
+    out.extend(classification.SingularTypeClass(s, (s,), False) for s in undecided)
+    out.sort(key=lambda c: canonical_key(c.representative))
+    return out
+
+
+class TestFacetIncidence:
+    """Facets read off the zeros of the 0/1 invariant basis."""
+
+    def test_conifold(self, conifold):
+        # generators ac, ad, bc, bd; each arrow's zero set is a facet of two
+        basis = invariant_generators(conifold)
+        incidence = facet_incidence(basis)
+        assert incidence.generators == 4
+        assert sorted(incidence.facets) == sorted(
+            sum(1 << g for g, u in enumerate(basis) if not u[a]) for a in range(4)
+        )
+        assert incidence.key == (4, 4, ((2, 2),) * 4)
+
+    def test_agrees_with_rank_oracle(self):
+        # a distinct proper zero set is a facet iff its generators span one
+        # dimension less than the whole basis
+        kinds = {"random": 0, "acyclic": 0, "disconnected": 0, "loops": 0, "parallel": 0}
+        for kind, _, s in cycle_walk_settings(16, 240):
+            basis = invariant_generators(s)
+            m = len(basis)
+            incidence = facet_incidence(basis)
+            assert incidence.generators == m
+            everyone = (1 << m) - 1
+            zero_sets = {
+                sum(1 << g for g, u in enumerate(basis) if not u[a]) for a in range(s.num_arrows)
+            } - {everyone}
+            r = linalg.rank(basis)
+            oracle = {
+                z
+                for z in zero_sets
+                if linalg.rank([u for g, u in enumerate(basis) if z >> g & 1]) == r - 1
+            }
+            assert sorted(incidence.facets) == sorted(oracle), s.dumps()
+            if kind == "acyclic":
+                assert basis == [] and incidence.facets == ()
+            kinds[kind] += 1
+            kinds["loops"] += any(s.arrows[v][v] for v in range(s.k))
+            kinds["parallel"] += any(c > 1 for row in s.arrows for c in row)
+        assert all(kinds.values()), kinds
+
+
+class TestIncidenceIsomorphism:
+    def test_agrees_with_semigroup_isomorphism_on_census_pairs(self):
+        bases = census_bases()
+        incidences = [facet_incidence(b) for b in bases]
+        pairs = matched = 0
+        for (b1, i1), (b2, i2) in itertools.combinations_with_replacement(
+            zip(bases, incidences), 2
+        ):
+            if len(b1) != len(b2):
+                continue
+            pairs += 1
+            match = incidence_isomorphism(i1, i2)
+            assert (match is None) == (semigroup_isomorphism(b1, b2) is None), (b1, b2)
+            if match is not None:
+                matched += 1
+                assert_monoid_isomorphism(b1, b2, match)
+        assert matched > len(bases)
+        assert pairs > matched
+
+    @given(st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_permutations_keep_the_key_and_match(self, data):
+        basis = data.draw(st.sampled_from(census_bases()))
+        gens = data.draw(st.permutations(range(len(basis))))
+        cols = data.draw(st.permutations(range(len(basis[0]))))
+        permuted = [tuple(basis[g][c] for c in cols) for g in gens]
+        first, second = facet_incidence(basis), facet_incidence(permuted)
+        assert first.key == second.key
+        match = incidence_isomorphism(first, second)
+        assert match is not None
+        assert_monoid_isomorphism(basis, permuted, match)
+
+    def test_dim7_grouping_matches_reference(self):
+        found = classification.enumerate_reduced_singular(7)
+        classes = classification.singular_type_classes(found)
+        assert len(classes) == 296
+        assert classes == reference_type_classes(found)
+
+    def test_one_clock_reading_per_node(self, monkeypatch):
+        # matched with itself, every facet's first candidate is itself, so
+        # the search runs straight down: the root and one node per facet
+        incidence = facet_incidence(max(census_bases(), key=len))
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        match = incidence_isomorphism(incidence, incidence, deadline=1e9)
+        assert match == {g: g for g in range(incidence.generators)}
+        nodes = len(incidence.facets) + 1
+        assert readings == nodes
+        for stop in range(1, nodes + 1):
+            readings = 0
+            with pytest.raises(BudgetExhaustedError, match="incidence search"):
+                incidence_isomorphism(incidence, incidence, deadline=stop - 0.5)
+            assert readings == stop
+
+    def test_without_deadline_reads_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        incidences = [facet_incidence(b) for b in census_bases()]
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        for first, second in itertools.combinations(incidences, 2):
+            incidence_isomorphism(first, second)
+
+
 class TestGroupingCalls:
-    def test_search_runs_only_on_equal_invariants(self, monkeypatch):
-        original = toric.semigroup_isomorphism
+    def test_search_runs_only_on_equal_keys(self, monkeypatch):
+        original = toric.incidence_isomorphism
         calls = []
 
-        def counting(basis1, basis2, **kwargs):
-            calls.append((basis1, basis2))
-            return original(basis1, basis2, **kwargs)
+        def counting(first, second, **kwargs):
+            calls.append((first, second))
+            return original(first, second, **kwargs)
 
-        monkeypatch.setattr(toric, "semigroup_isomorphism", counting)
+        def no_search(*args, **kwargs):
+            raise AssertionError("the grouping calls semigroup_isomorphism")
+
+        monkeypatch.setattr(toric, "incidence_isomorphism", counting)
+        monkeypatch.setattr(toric, "semigroup_isomorphism", no_search)
         classes = classification.singular_type_classes(
             classification.enumerate_reduced_singular(6)
         )
         assert len(classes) == 49
         assert calls
-
-        def invariant(basis):
-            return len(basis), sorted(reference_profiles(basis))
-
-        assert all(invariant(b1) == invariant(b2) for b1, b2 in calls)
+        assert all(reference_key(a) == reference_key(b) for a, b in calls)
 
 
 class TestHilbertBasisAlgorithm:
