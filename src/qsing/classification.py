@@ -371,10 +371,16 @@ def enumerate_reduced_singular(
 ) -> list[MarkedQuiverSetting]:
     """All reduced singular settings of expected dimension d, up to isomorphism.
 
-    Every returned setting is reduced, strongly connected, admits a simple
-    representation of its full dimension vector, has expected dimension
-    exactly d and does not match the smooth terminal list.  Results are
-    deduplicated by canonical key and sorted by it.
+    Every returned setting is reduced, strongly connected, has expected
+    dimension exactly d and does not match the smooth terminal list.
+    Results are deduplicated by canonical key and sorted by it.  Such a
+    setting always passes the simple-dimension-vector test of
+    :func:`~qsing.local_structure.is_simple_dimvector`: one vertex off the
+    smooth list has two or more loops and marks; on k >= 2 vertices a loop
+    or mark brings a second in-arrow and a loop-free cycle a vertex removal,
+    so the setting is no oriented cycle; and at each v a mark, an unmarked
+    loop or the failed vertex removal puts dims[v] * (1 - marks at v) at
+    most both weighted degrees of v.
 
     The generators yield only the candidates that survive the symmetry break
     of :func:`_loop_configs` and :func:`_offdiag_matrices`, which is far
@@ -421,8 +427,6 @@ def enumerate_reduced_singular(
                 if not strongly_connected(s):
                     continue
                 if applicable_moves(s):
-                    continue
-                if not is_simple_dimvector(s, s.dims):
                     continue
                 if match_smooth_list(s) is not None:
                     continue
@@ -474,25 +478,28 @@ def singular_type_classes(
     (:func:`~qsing.toric.incidence_isomorphism`).  It is compared only with
     representatives of an equal incidence key.  The match decides monoid
     isomorphism, so a found match is a proof, and a failed search or a
-    distinct key a disproof.
+    distinct key a disproof.  Classes come in the order of their first
+    members, which represent them.
 
     Raises :class:`BudgetExhaustedError` when the wall-clock budget runs out;
-    it is checked before each setting, in each setting's cycle walk for its
-    Hilbert basis (once per least vertex and after every 1,024th cycle; see
+    it is checked before each all-ones setting, in its cycle walk (see
     :func:`~qsing.toric.invariant_generators`) and at every node of the
-    incidence search.  Its partial result is the
-    full class list, in which every all-ones setting not yet placed is a
-    singleton class with ``equivalence_decided=False``.
+    incidence search.  In its partial result every setting not yet placed
+    is a singleton class with ``equivalence_decided=False``.
     """
     if budget_secs is not None and budget_secs < 0:
         raise ValueError("budget must be >= 0 seconds")
     deadline = None if budget_secs is None else time.monotonic() + budget_secs
-    all_ones = [s for s in settings if all(d == 1 for d in s.dims)]
-    undecided = [s for s in settings if any(d != 1 for d in s.dims)]
+    # each class as (members, equivalence_decided), in order of its first member
+    classes: list[tuple[list[MarkedQuiverSetting], bool]] = []
     # per incidence key, the classes as (representative's incidence, members)
     buckets: dict[tuple, list[tuple[toric.FacetIncidence, list[MarkedQuiverSetting]]]] = {}
+    ones = [all(d == 1 for d in s.dims) for s in settings]
     exhausted = None
-    for placed, s in enumerate(all_ones):
+    for index, s in enumerate(settings):
+        if not ones[index]:
+            classes.append(([s], False))
+            continue
         try:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhaustedError("grouping budget exhausted")
@@ -503,21 +510,15 @@ def singular_type_classes(
                     group.append(s)
                     break
             else:
-                bucket.append((incidence, [s]))
+                members = [s]
+                bucket.append((incidence, members))
+                classes.append((members, True))
         except BudgetExhaustedError:
-            exhausted = (
-                f"grouping budget exhausted after {placed} of {len(all_ones)} "
-                "all-ones settings"
-            )
-            undecided.extend(all_ones[placed:])
+            placed = sum(ones[:index])
+            exhausted = f"grouping budget exhausted after {placed} of {sum(ones)} all-ones settings"
+            classes.extend(([r], False) for r in settings[index:])
             break
-    out = [
-        SingularTypeClass(group[0], tuple(group), True)
-        for bucket in buckets.values()
-        for _, group in bucket
-    ]
-    out.extend(SingularTypeClass(s, (s,), False) for s in undecided)
-    out.sort(key=lambda c: canonical_key(c.representative))
+    out = [SingularTypeClass(group[0], tuple(group), decided) for group, decided in classes]
     if exhausted is not None:
         raise BudgetExhaustedError(exhausted, partial=out)
     return out

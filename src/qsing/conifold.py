@@ -381,10 +381,9 @@ def _span_coordinates(a: ConifoldElement) -> tuple[CenterPoly, CenterPoly, Cente
     return (a.coefficient("X"), a.coefficient("Y"), a.coefficient("Z"))
 
 
-def clifford_check(v: ConifoldElement, w: ConifoldElement, form: TernaryForm | None = None) -> bool:
+def clifford_check(v: ConifoldElement, w: ConifoldElement) -> bool:
     """Verify v*w + w*v = 2 B(v, w) for elements in the span of X, Y, Z."""
-    form = form or TernaryForm()
-    bv = form.pairing(_span_coordinates(v), _span_coordinates(w))
+    bv = TernaryForm().pairing(_span_coordinates(v), _span_coordinates(w))
     lhs = multiply(v, w) + multiply(w, v)
     return lhs == ConifoldElement.from_center(bv.scale(2))
 

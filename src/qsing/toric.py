@@ -727,17 +727,20 @@ class StabilityVerdict:
         }
 
 
-def _support_arrows(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> frozenset[Arrow]:
-    """``support`` as a set; an arrow that is not in ``s`` raises ``ValueError``."""
-    chosen = frozenset(support)
-    for a in chosen:
-        if not (
+def _support_mask(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> int:
+    """``support`` as a bitmask over the arrows of a mark-free ``s``, else ``ValueError``."""
+    # the slots of (tail, head) follow offset[tail * k + head] in arrow order
+    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
+    mask = 0
+    for a in support:
+        if a.marked or not (
             a.tail in range(s.k)
             and a.head in range(s.k)
-            and a.slot in range(s.marked_loops[a.tail] if a.marked else s.arrows[a.tail][a.head])
+            and a.slot in range(s.arrows[a.tail][a.head])
         ):
             raise ValueError(f"{a} is not an arrow of the setting")
-    return chosen
+        mask |= 1 << (offset[a.tail * s.k + a.head] + a.slot)
+    return mask
 
 
 def is_theta_semistable(
@@ -758,12 +761,7 @@ def is_theta_semistable(
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    # the slots of (tail, head) follow offset[tail * k + head] in arrow order
-    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
-    mask = 0
-    for a in _support_arrows(s, support):
-        mask |= 1 << (offset[a.tail * s.k + a.head] + a.slot)
-    return _king_verdict(_king_table(s, t), mask)
+    return _king_verdict(_king_table(s, t), _support_mask(s, support))
 
 
 _STABLE = StabilityVerdict(True, True, None)
@@ -832,11 +830,11 @@ def semistable_via_semiinvariants(
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    chosen = _support_arrows(s, support)
+    mask = _support_mask(s, support)
     if not any(t):
         # the constant 1 is a weight-zero semi-invariant vanishing nowhere
         return True
-    cols = [i for i, a in enumerate(s.arrow_list()) if a in chosen]
+    cols = [i for i in range(mask.bit_length()) if mask >> i & 1]
     face = [[row[i] for i in cols] + [-x] for row, x in zip(_weight_rows(s), t)]
     return any(u[-1] for u in hilbert_basis(face, deadline=deadline))
 

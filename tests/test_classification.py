@@ -244,6 +244,19 @@ class TestEnumeration:
                 assert is_simple_dimvector(s, s.dims)
                 assert match_smooth_list(s) is None
 
+    def test_move_free_settings_off_the_list_are_simple(self):
+        # the enumeration has no simplicity filter: every strongly connected
+        # setting with no applicable move that misses the smooth list admits
+        # a simple representation of its full dimension vector
+        rng = random.Random(29)
+        checked = 0
+        while checked < 2000:
+            s = random_setting(rng, max_k=4)
+            if not strongly_connected(s) or applicable_moves(s) or match_smooth_list(s):
+                continue
+            assert is_simple_dimvector(s, s.dims), s.dumps()
+            checked += 1
+
     def test_budget_exhaustion_carries_partial(self):
         with pytest.raises(BudgetExhaustedError) as info:
             enumerate_reduced_singular(6, budget_secs=0.0)
@@ -548,6 +561,47 @@ class TestTypeClasses:
                 pair_sum(hb2, mapping[i], mapping[j]) for i, j in pairs
             }
             assert len(images) == 1
+
+    def test_classes_follow_the_input_order(self):
+        found = enumerate_reduced_singular(6)
+        shuffled = found[:]
+        random.Random(31).shuffle(shuffled)
+        classes = singular_type_classes(shuffled)
+        position = {id(s): i for i, s in enumerate(shuffled)}
+        firsts = [position[id(c.representative)] for c in classes]
+        assert firsts == sorted(firsts)
+        for c in classes:
+            places = [position[id(m)] for m in c.members]
+            assert c.representative is c.members[0] and places == sorted(places)
+        partition = lambda cs: {frozenset(canonical_key(m) for m in c.members) for c in cs}
+        assert partition(classes) == partition(singular_type_classes(found))
+        assert len(classes) == 49
+
+    def test_budget_partial_keeps_the_input_order(self, monkeypatch):
+        # the fake clock of the test below: the checks before the first two
+        # all-ones settings read 2 s and 3 s, under the deadline at 3.5 s,
+        # and the check before the third reads 4 s; settings that are not
+        # all-ones read no clock and stay undecided where they stand
+        now = 0.0
+
+        def monotonic():
+            nonlocal now
+            now += 1.0
+            return now
+
+        settings = enumerate_reduced_singular(6)[::-1]
+        ones = [s for s in settings if s.dims == (1,) * s.k]
+        assert ones[:3] != settings[:3]
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: now))
+        with pytest.raises(BudgetExhaustedError) as info:
+            singular_type_classes(settings, budget_secs=2.5)
+        assert f"after 2 of {len(ones)}" in str(info.value)
+        classes = info.value.partial
+        assert [m for c in classes for m in c.members] == settings
+        decided = [m for c in classes if c.equivalence_decided for m in c.members]
+        assert decided == ones[:2]
+        assert all(len(c.members) == 1 for c in classes if not c.equivalence_decided)
 
     def test_budget_leaves_unplaced_settings_undecided(self, monkeypatch):
         # one second per reading of the grouping's clock: the deadline is
