@@ -7,6 +7,7 @@ structure, and the scheme of 2-dimensional trace-zero representations.
 """
 
 from qsing.conifold import (
+    ConifoldElement,
     TernaryForm,
     X,
     Y,
@@ -18,13 +19,12 @@ from qsing.conifold import (
     multiply,
     trep2_jacobian_rank,
     trep2_sample,
-    word_normal_form,
 )
 
 # Words in X, Y, Z rewrite into the basis 1, X, Y, Z, XY, XZ, YZ, XYZ with
 # polynomial coefficients: squares drop to the center, Z anticommutes.
 for word in ("ZX", "YX", "XXYY", "ZYXZ"):
-    print(f"{word:>5} -> {word_normal_form(word)}")
+    print(f"{word:>5} -> {ConifoldElement.from_word(word)}")
 
 # The element D = XYZ - YXZ is central but not a polynomial in x, y, z;
 # its square is 4(z^2 - xy), which presents the center as the conifold ring.

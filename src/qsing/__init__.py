@@ -6,7 +6,6 @@ from .classification import (
     SingularityReport,
     SingularTypeClass,
     SmoothListEntry,
-    counting_lower_bound,
     defect,
     enumerate_reduced_singular,
     expected_dim,
@@ -36,7 +35,6 @@ from .toric import (
     is_theta_semistable,
     proj_charts,
     semi_invariant_generators,
-    semigroup_isomorphism,
     semistable_via_semiinvariants,
     toric_relations,
 )

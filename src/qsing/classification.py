@@ -24,7 +24,7 @@ from .core import (
     strongly_connected,
     validate,
 )
-from .errors import BudgetExhaustedError, HypothesisError
+from .errors import BudgetExhaustedError
 from .local_structure import is_simple_dimvector
 from .reduction import ReductionResult, applicable_moves, reduce_setting
 
@@ -167,31 +167,20 @@ def classify_report(s: MarkedQuiverSetting, dim_x: int | None = None) -> dict:
 
 
 def _vertex_contribution(dim: int, loops: int, marks: int) -> int:
+    """A vertex's share of the counting bound on reduced settings of >= 2 vertices.
+
+    The quotient dimension of such a setting is at least 1 plus these shares:
+    a bare vertex of dimension a gives a, a single loop gives 2a (genuine)
+    or 2a - 1 (marked), and k_m marked plus l genuine loops with
+    k_m + l >= 2 give (k_m + l - 1) a^2 + a - k_m.  Loops only sit at
+    vertices of dimension >= 2 in reduced settings.
+    """
     total = loops + marks
     if total == 0:
         return dim
     if total == 1:
-        if dim <= 1:
-            raise HypothesisError("loops at dimension-1 vertices cannot occur in reduced settings")
         return 2 * dim if loops == 1 else 2 * dim - 1
     return (total - 1) * dim * dim + dim - marks
-
-
-def counting_lower_bound(s: MarkedQuiverSetting) -> int:
-    """Lower bound for the quotient dimension of a reduced setting on >= 2 vertices.
-
-    1 plus a contribution per vertex: a bare vertex of dimension a gives a,
-    a single loop gives 2a (genuine) or 2a - 1 (marked), and k_m marked plus
-    l genuine loops with k_m + l >= 2 give (k_m + l - 1) a^2 + a - k_m.
-    """
-    if s.k < 2:
-        raise HypothesisError("counting bound requires at least 2 vertices")
-    if applicable_moves(s):
-        raise HypothesisError("counting bound requires a reduced setting")
-    return 1 + sum(
-        _vertex_contribution(s.dims[v], s.arrows[v][v], s.marked_loops[v])
-        for v in range(s.k)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +241,6 @@ def _loop_configs(dims: tuple[int, ...], budget: int, d: int):
         cost = sum(c for _, _, c in combo)
         if cost > budget:
             continue
-        # dimension-1 vertices only get (0, 0, 0), so no contribution raises
         if k >= 2 and d < 1 + sum(
             _vertex_contribution(dims[v], loops, marks) for v, (loops, marks, _) in enumerate(combo)
         ):
@@ -366,7 +354,7 @@ def _offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...],
 def enumerate_reduced_singular(
     d: int,
     *,
-    budget_secs: float | None = None,
+    deadline: float | None = None,
     progress=None,
 ) -> list[MarkedQuiverSetting]:
     """All reduced singular settings of expected dimension d, up to isomorphism.
@@ -389,19 +377,17 @@ def enumerate_reduced_singular(
     candidate it keeps comes in the same order as before, so each class is
     represented by the same setting with the same vertex labelling.
 
-    Raises :class:`BudgetExhaustedError` carrying the sorted partial result
-    when the wall-clock budget runs out; the budget is checked before each
-    dims block and before each candidate inside it.
+    ``deadline`` is a ``time.monotonic()`` reading, checked before each dims
+    block and before each candidate inside it; past it the enumeration
+    raises :class:`BudgetExhaustedError` carrying the sorted partial result.
+    Without a deadline no clock is read.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    if budget_secs is not None and budget_secs < 0:
-        raise ValueError("budget must be >= 0 seconds")
-    start = time.monotonic()
     found: dict[bytes, MarkedQuiverSetting] = {}
 
     def check_budget(dims: tuple[int, ...]) -> None:
-        if budget_secs is not None and time.monotonic() - start > budget_secs:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhaustedError(
                 f"enumeration budget exhausted at dims={dims}",
                 partial=[found[key] for key in sorted(found)],
@@ -430,7 +416,8 @@ def enumerate_reduced_singular(
                     continue
                 if match_smooth_list(s) is not None:
                     continue
-                assert _raw_expected_dim(s) == d
+                if _raw_expected_dim(s) != d:
+                    raise AssertionError(f"enumerated {s.dumps()} is not of expected dimension {d}")
                 found.setdefault(canonical_key(s), s)
     return [found[key] for key in sorted(found)]
 
@@ -464,7 +451,7 @@ class SingularTypeClass:
 def singular_type_classes(
     settings: list[MarkedQuiverSetting],
     *,
-    budget_secs: float | None = None,
+    deadline: float | None = None,
 ) -> list[SingularTypeClass]:
     """Group settings by isomorphism of their central (invariant) rings.
 
@@ -481,15 +468,14 @@ def singular_type_classes(
     distinct key a disproof.  Classes come in the order of their first
     members, which represent them.
 
-    Raises :class:`BudgetExhaustedError` when the wall-clock budget runs out;
-    it is checked before each all-ones setting, in its cycle walk (see
+    ``deadline`` is a ``time.monotonic()`` reading, checked before each
+    all-ones setting, in its cycle walk (see
     :func:`~qsing.toric.invariant_generators`) and at every node of the
-    incidence search.  In its partial result every setting not yet placed
-    is a singleton class with ``equivalence_decided=False``.
+    incidence search; past it the grouping raises
+    :class:`BudgetExhaustedError`.  In its partial result every setting not
+    yet placed is a singleton class with ``equivalence_decided=False``.
+    Without a deadline no clock is read.
     """
-    if budget_secs is not None and budget_secs < 0:
-        raise ValueError("budget must be >= 0 seconds")
-    deadline = None if budget_secs is None else time.monotonic() + budget_secs
     # each class as (members, equivalence_decided), in order of its first member
     classes: list[tuple[list[MarkedQuiverSetting], bool]] = []
     # per incidence key, the classes as (representative's incidence, members)
@@ -534,23 +520,24 @@ def census_report(
 
     The settings of :func:`enumerate_reduced_singular` are grouped into type
     classes and the type count is compared with ``EXPECTED_SINGULAR_COUNTS``.
-    The budget bounds enumeration and grouping together: the grouping gets
-    what the enumeration left of it.  A run out of budget reports its
-    partial census, with the settings it could not group as undecided
-    singleton classes, and fails.  A count that differs adds a diff report,
-    and fails the census for d <= 5; the d = 6 count is a stretch goal.
+    ``budget_secs`` becomes one deadline for the enumeration and the
+    grouping together, so the grouping gets what the enumeration left of
+    it; a negative budget raises ``ValueError``.  A run out of budget
+    reports its partial census, with the settings it could not group as
+    undecided singleton classes, and fails.  A count that differs adds a
+    diff report, and fails the census for d <= 5; the d = 6 count is a
+    stretch goal.
     """
-    start = time.monotonic()
+    if budget_secs is not None and budget_secs < 0:
+        raise ValueError("budget must be >= 0 seconds")
+    deadline = None if budget_secs is None else time.monotonic() + budget_secs
     exhausted = None
     try:
-        settings = enumerate_reduced_singular(d, budget_secs=budget_secs, progress=progress)
+        settings = enumerate_reduced_singular(d, deadline=deadline, progress=progress)
     except BudgetExhaustedError as exc:
         settings, exhausted = exc.partial, str(exc)
-    remaining = None
-    if budget_secs is not None:
-        remaining = max(0.0, budget_secs - (time.monotonic() - start))
     try:
-        types = singular_type_classes(settings, budget_secs=remaining)
+        types = singular_type_classes(settings, deadline=deadline)
     except BudgetExhaustedError as exc:
         types, exhausted = exc.partial, exhausted or str(exc)
     expected = EXPECTED_SINGULAR_COUNTS.get(d)

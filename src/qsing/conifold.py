@@ -170,9 +170,9 @@ class ConifoldElement:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[str, CenterPoly] | None = None):
+    def __init__(self, coeffs: Mapping[str, CenterPoly]):
         data = {}
-        for word, poly in (coeffs or {}).items():
+        for word, poly in coeffs.items():
             if word not in BASIS:
                 raise ValueError(f"{word!r} is not a basis word")
             if not poly.is_zero:
@@ -180,12 +180,11 @@ class ConifoldElement:
         self.coeffs: dict[str, CenterPoly] = data
 
     @classmethod
-    def from_word(cls, word: str, scalar=1) -> "ConifoldElement":
+    def from_word(cls, word: str) -> "ConifoldElement":
+        """Normal form of a word in X, Y, Z."""
         if any(ch not in "XYZ" for ch in word):
             raise ValueError("words use letters X, Y, Z only")
-        reduced = _reduce_word(word)
-        scale = Fraction(scalar)
-        return cls({w: p.scale(scale) for w, p in reduced.items()})
+        return cls(_reduce_word(word))
 
     @classmethod
     def from_center(cls, poly: CenterPoly) -> "ConifoldElement":
@@ -306,11 +305,6 @@ def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
             for word, out in acc.items()
         }
     )
-
-
-def word_normal_form(word: str, scalar=1) -> ConifoldElement:
-    """Normal form of a scalar multiple of a word in X, Y, Z."""
-    return ConifoldElement.from_word(word, scalar)
 
 
 def commutator_element() -> ConifoldElement:
@@ -434,15 +428,19 @@ def trep2_residuals(point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(r, q * q) for r in _scaled_residuals(q, P))
 
 
-def _nonzero_fraction(rng: random.Random, span: int = 4) -> Fraction:
+# sampled coordinates are n / m with |n| <= _SPAN and 1 <= m <= _SPAN
+_SPAN = 4
+
+
+def _nonzero_fraction(rng: random.Random) -> Fraction:
     while True:
-        num = rng.randint(-span, span)
+        num = rng.randint(-_SPAN, _SPAN)
         if num:
-            return Fraction(num, rng.randint(1, span))
+            return Fraction(num, rng.randint(1, _SPAN))
 
 
-def _any_fraction(rng: random.Random, span: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def _any_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-_SPAN, _SPAN), rng.randint(1, _SPAN))
 
 
 def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
@@ -484,12 +482,6 @@ def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
     return points
 
 
-def trep2_jacobian(point: Sequence) -> list[list[Fraction]]:
-    """The 3 x 9 Jacobian of the defining equations at a point."""
-    q, P = _scaled_point(point)
-    return [[Fraction(v, q) for v in row] for row in _scaled_jacobian(P)]
-
-
 def trep2_jacobian_rank(point: Sequence) -> int:
     """Exact rank of the Jacobian at a point of the scheme.
 
@@ -502,16 +494,6 @@ def trep2_jacobian_rank(point: Sequence) -> int:
     if any(_scaled_residuals(q, P)):
         raise QsingError(f"point is not on the scheme: residuals {trep2_residuals(point)}")
     return linalg.rank(_scaled_jacobian(P))
-
-
-def trep2_matrices(point: Sequence) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
-    """The trace-zero 2x2 images of X, Y, Z at a point of the scheme."""
-    x1, x2, x3, y1, y2, y3, z1, z2, z3 = (Fraction(v) for v in point)
-    return {
-        "X": ((x1, x2), (x3, -x1)),
-        "Y": ((y1, y2), (y3, -y1)),
-        "Z": ((z1, z2), (z3, -z1)),
-    }
 
 
 def _mat_mul2(a: IntMatrix2, b: IntMatrix2) -> IntMatrix2:

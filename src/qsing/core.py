@@ -23,14 +23,14 @@ DimVector = tuple[int, ...]
 CANONICAL_KEY_MAX_VERTICES = 10
 
 
-def as_dim_vector(entries: Sequence[int], k: int | None = None) -> DimVector:
-    """Normalize a sequence of integers to a dimension vector.
+def as_dim_vector(entries: Sequence[int], k: int) -> DimVector:
+    """Normalize a sequence of integers to a dimension vector of length k.
 
     Entries must be ``int`` (see :func:`exact_int`); anything else raises
     ``ValueError`` instead of being truncated.
     """
     vec = tuple(map(exact_int, entries))
-    if k is not None and len(vec) != k:
+    if len(vec) != k:
         raise DimensionMismatchError(f"expected length {k}, got {len(vec)}")
     if any(e < 0 for e in vec):
         raise ValueError("dimension vector entries must be non-negative")
@@ -111,11 +111,6 @@ class MarkedQuiverSetting:
         return sum(self.dims)
 
     @property
-    def num_arrows(self) -> int:
-        """Unmarked arrows, loops included."""
-        return sum(sum(row) for row in self.arrows)
-
-    @property
     def num_marked_loops(self) -> int:
         return sum(self.marked_loops)
 
@@ -146,14 +141,6 @@ class MarkedQuiverSetting:
         for v in range(self.k):
             out.extend(Arrow(v, v, s, marked=True) for s in range(self.marked_loops[v]))
         return tuple(out)
-
-    def permuted(self, perm: Sequence[int]) -> "MarkedQuiverSetting":
-        """Relabel vertices: new vertex p is old vertex perm[p]."""
-        p = tuple(perm)
-        dims = tuple(self.dims[v] for v in p)
-        arrows = tuple(tuple(self.arrows[p[i]][p[j]] for j in range(self.k)) for i in range(self.k))
-        marks = tuple(self.marked_loops[v] for v in p)
-        return MarkedQuiverSetting(dims, arrows, marks)
 
     def to_json(self) -> dict:
         return {

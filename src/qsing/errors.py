@@ -19,10 +19,6 @@ class IllegalMoveError(QsingError):
     """A reduction move was applied to a setting that does not admit it."""
 
 
-class HypothesisError(QsingError):
-    """A stated hypothesis is violated (e.g. counting bound on a non-reduced setting)."""
-
-
 class UnsupportedSettingError(QsingError):
     """The operation is only defined for a restricted class of settings."""
 

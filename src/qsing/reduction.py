@@ -22,7 +22,6 @@ the polynomial-ring shift between the invariant rings of input and output.
 from __future__ import annotations
 
 import enum
-import random
 import warnings
 from dataclasses import dataclass, field
 
@@ -189,23 +188,17 @@ def apply_move(
     return new, s.dims[v] if not move.marked else s.dims[v] - 1
 
 
-def reduce_setting(
-    s: MarkedQuiverSetting,
-    *,
-    rng: random.Random | None = None,
-    strict: bool = False,
-) -> ReductionResult:
+def reduce_setting(s: MarkedQuiverSetting, *, strict: bool = False) -> ReductionResult:
     """Apply moves until none remain.
 
-    Moves are taken in the deterministic order (vertex index, then kind)
-    unless ``rng`` is given, in which case each step picks uniformly among
-    the applicable moves.  On strongly connected settings the terminal form
-    and z are independent of the order (strong connectivity is preserved by
-    every move); without it the terminal form can depend on which removable
-    source or sink goes first, e.g. dims (1, 3) with three arrows one way
-    reduces to a bare vertex of dimension 1 or 3.  Termination: vertex
-    removal strictly decreases the total dimension and loop removals
-    strictly decrease the arrow-plus-mark count.
+    Moves are taken in the deterministic order (vertex index, then kind).
+    On strongly connected settings the terminal form and z are independent
+    of the order (strong connectivity is preserved by every move); without
+    it the terminal form can depend on which removable source or sink goes
+    first, e.g. dims (1, 3) with three arrows one way reduces to a bare
+    vertex of dimension 1 or 3.  Termination: vertex removal strictly
+    decreases the total dimension and loop removals strictly decrease the
+    arrow-plus-mark count.
     """
     current = s
     z = 0
@@ -214,7 +207,6 @@ def reduce_setting(
         moves = applicable_moves(current)
         if not moves:
             return ReductionResult(s, current, z, tuple(trace))
-        move = moves[0] if rng is None else rng.choice(moves)
-        current, dz = apply_move(current, move, strict=strict)
+        current, dz = apply_move(current, moves[0], strict=strict)
         z += dz
-        trace.append(move)
+        trace.append(moves[0])

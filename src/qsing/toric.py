@@ -203,8 +203,6 @@ class _PairFibers:
 def semigroup_isomorphism(
     basis1: Sequence[Sequence[int]],
     basis2: Sequence[Sequence[int]],
-    *,
-    deadline: float | None = None,
 ) -> dict[int, int] | None:
     """A monoid isomorphism matching two Hilbert bases, or None.
 
@@ -232,9 +230,6 @@ def semigroup_isomorphism(
     equal profile; it then joins the fiber checks.  None of these checks
     rejects a true isomorphism, and a complete assignment that passes them
     all is one, so the search is exact.
-
-    ``deadline`` is a ``time.monotonic()`` reading; past it the search
-    raises :class:`~qsing.errors.BudgetExhaustedError` at its next node.
     """
     hb1 = [tuple(v) for v in basis1]
     hb2 = [tuple(v) for v in basis2]
@@ -314,8 +309,6 @@ def semigroup_isomorphism(
         return bind(j, t)
 
     def search(p: int) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("isomorphism search ran past its deadline")
         if p == len(order):
             return True
         i = base[order[p]]
@@ -335,33 +328,6 @@ def semigroup_isomorphism(
     if not search(0):
         return None
     return {src: image[src] for src in range(n)}
-
-
-def check_hilbert_minimality(basis: Iterable[Sequence[int]]) -> list[Vector]:
-    """Return the basis elements that are sums of other basis elements (should be none)."""
-    vecs = [tuple(b) for b in basis]
-    bad = []
-    for i, b in enumerate(vecs):
-        others = [v for j, v in enumerate(vecs) if j != i and _dominates(b, v)]
-
-        def representable(target: Vector, pool: list[Vector]) -> bool:
-            if all(x == 0 for x in target):
-                return True
-            if not pool:
-                return False
-            head, *rest = pool
-            max_c = min(
-                (t // h for t, h in zip(target, head) if h > 0), default=0
-            )
-            for c in range(max_c, -1, -1):
-                reduced = tuple(t - c * h for t, h in zip(target, head))
-                if min(reduced) >= 0 and representable(reduced, rest):
-                    return True
-            return False
-
-        if others and representable(b, others):
-            bad.append(b)
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +479,6 @@ class Relation:
 
     lhs: Vector
     rhs: Vector
-
-    def degrees(self) -> tuple[int, int]:
-        return (sum(self.lhs), sum(self.rhs))
 
     def to_json(self) -> dict:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
@@ -886,7 +849,9 @@ def _chart_generators(
     return gens, linalg.rank(list(minimal)) == len(minimal)
 
 
-def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]:
+def proj_charts(
+    s: MarkedQuiverSetting, theta: Sequence[int], *, deadline: float | None = None
+) -> list[ProjChart]:
     """One affine chart per positive-degree generator of the semi-invariant ring.
 
     The chart at a generator f is the degree-zero part of the localization
@@ -897,14 +862,9 @@ def proj_charts(s: MarkedQuiverSetting, theta: Sequence[int]) -> list[ProjChart]
     e is 0.  The chart is flagged smooth when that monoid is N^a x Z^b: the
     units split off, and the irreducible elements of the unit-free quotient
     are linearly independent.
+
+    ``deadline`` bounds the graded Hilbert basis as in :func:`hilbert_basis`.
     """
-    return _charts_and_graded_basis(s, theta)[0]
-
-
-def _charts_and_graded_basis(
-    s: MarkedQuiverSetting, theta: Sequence[int], deadline: float | None = None
-) -> tuple[list[ProjChart], tuple[GradedGenerator, ...]]:
-    """:func:`proj_charts` and the graded Hilbert basis they are read off."""
     t = _theta(s, theta)
     if not any(t):
         raise EmptyProjError("theta = 0 has no proj; use invariant_generators")
@@ -923,7 +883,7 @@ def _charts_and_graded_basis(
         outside = [a for a, e in enumerate(pivot.exponents) if e == 0]
         gens, smooth = _chart_generators(shifted, outside)
         charts.append(ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
-    return charts, graded
+    return charts
 
 
 @dataclass(frozen=True)
@@ -1063,11 +1023,11 @@ def toric_report(
         report["via_semi_invariants"] = via
         report["verdicts_agree"] = verdict.semistable == via
     elif action == "charts":
-        charts, graded = _charts_and_graded_basis(s, theta, deadline)
+        charts = proj_charts(s, theta, deadline=deadline)
         report["charts"] = [c.to_json() for c in charts]
-        # whatever lies below some (u, 0) has degree 0 too, so the degree-0
-        # part of the graded basis is the invariant Hilbert basis, in order
-        report["degree_zero_generators"] = [list(g.exponents) for g in graded if not g.degree]
+        report["degree_zero_generators"] = [
+            list(u) for u in invariant_generators(s, deadline=deadline)
+        ]
     else:
         strata = central_fiber(s, theta, deadline=deadline)
         report["strata"] = [f.to_json() for f in strata]

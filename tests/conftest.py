@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qsing.core import MarkedQuiverSetting
+from qsing.reduction import applicable_moves, apply_move
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -72,6 +73,24 @@ def random_setting(
         for v in range(k)
     ]
     return MarkedQuiverSetting.make(dims, arrows, marks)
+
+
+def permuted(s: MarkedQuiverSetting, perm) -> MarkedQuiverSetting:
+    """Relabel vertices: new vertex p is old vertex perm[p]."""
+    p = tuple(perm)
+    arrows = tuple(tuple(s.arrows[p[i]][p[j]] for j in range(s.k)) for i in range(s.k))
+    return MarkedQuiverSetting(
+        tuple(s.dims[v] for v in p), arrows, tuple(s.marked_loops[v] for v in p)
+    )
+
+
+def reduce_in_random_order(s: MarkedQuiverSetting, rng: random.Random):
+    """The terminal form and z of ``s``, each move picked uniformly among those applicable."""
+    z = 0
+    while moves := applicable_moves(s):
+        s, dz = apply_move(s, rng.choice(moves))
+        z += dz
+    return s, z
 
 
 def random_all_ones_setting(

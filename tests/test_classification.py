@@ -13,7 +13,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from qsing import classification, toric
 from qsing.classification import (
     SmoothShape,
-    counting_lower_bound,
+    _vertex_contribution,
     defect,
     enumerate_reduced_singular,
     expected_dim,
@@ -28,11 +28,11 @@ from qsing.core import (
     strongly_connected,
     unit_vector,
 )
-from qsing.errors import BudgetExhaustedError, HypothesisError
+from qsing.errors import BudgetExhaustedError
 from qsing.local_structure import is_simple_dimvector
 from qsing.reduction import MoveKind, applicable_moves
 
-from conftest import random_setting
+from conftest import permuted, random_setting
 
 
 class TestDefect:
@@ -112,34 +112,31 @@ class TestSmoothList:
             s = random_setting(rng, max_k=4)
             base = is_smooth_setting(s).smooth
             for perm in itertools.permutations(range(s.k)):
-                assert is_smooth_setting(s.permuted(perm)).smooth == base
+                assert is_smooth_setting(permuted(s, perm)).smooth == base
+
+
+def counting_bound(s: MarkedQuiverSetting) -> int:
+    """1 plus the per-vertex counting-bound contributions of a reduced setting."""
+    return 1 + sum(
+        _vertex_contribution(s.dims[v], s.arrows[v][v], s.marked_loops[v])
+        for v in range(s.k)
+    )
 
 
 class TestCountingBound:
     def test_conifold(self, conifold):
-        assert counting_lower_bound(conifold) == 3
+        assert counting_bound(conifold) == 3
 
     def test_marked_loop_contribution(self):
         s = MarkedQuiverSetting.make([2, 1], [[0, 2], [2, 0]], [1, 0])
         assert applicable_moves(s) == []
-        assert counting_lower_bound(s) == 1 + (2 * 2 - 1) + 1
-
-    def test_single_vertex_rejected(self, quantum_plane_origin):
-        with pytest.raises(HypothesisError):
-            counting_lower_bound(quantum_plane_origin)
-
-    def test_non_reduced_rejected(self):
-        s = MarkedQuiverSetting.make([1, 1], [[1, 1], [1, 0]])
-        with pytest.raises(HypothesisError):
-            counting_lower_bound(s)
+        assert counting_bound(s) == 1 + (2 * 2 - 1) + 1
 
     def test_bound_below_dim_on_enumerated(self):
-        for d in (3, 4, 5):
+        for d in (3, 4, 5, 6):
             for s in enumerate_reduced_singular(d):
                 if s.k >= 2:
-                    assert counting_lower_bound(s) <= expected_dim(
-                        s, warn_if_not_simple=False
-                    )
+                    assert counting_bound(s) <= expected_dim(s, warn_if_not_simple=False)
 
 
 def naive_enumerate(d: int) -> set[bytes]:
@@ -259,13 +256,13 @@ class TestEnumeration:
 
     def test_budget_exhaustion_carries_partial(self):
         with pytest.raises(BudgetExhaustedError) as info:
-            enumerate_reduced_singular(6, budget_secs=0.0)
+            enumerate_reduced_singular(6, deadline=0.0)
         assert isinstance(info.value.partial, list)
 
     def test_budget_checked_inside_a_dims_block(self, monkeypatch):
         # the clock starts ticking one second per reading once the (1, 1, 1)
-        # block begins; with a 1.5 s budget the second candidate of that
-        # block is past it, long before the next block starts
+        # block begins; with the deadline at 1.5 s the second candidate of
+        # that block is past it, long before the next block starts
         ticking = False
         now = 0.0
 
@@ -281,7 +278,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
         with pytest.raises(BudgetExhaustedError) as info:
-            enumerate_reduced_singular(5, budget_secs=1.5, progress=progress)
+            enumerate_reduced_singular(5, deadline=1.5, progress=progress)
         assert "dims=(1, 1, 1)" in str(info.value)
         partial = info.value.partial
         full = {canonical_key(s) for s in enumerate_reduced_singular(5)}
@@ -290,6 +287,13 @@ class TestEnumeration:
         assert set(keys) <= full
         # the two settings of the earlier blocks, at most one from this one
         assert len(partial) in (2, 3)
+
+    def test_without_deadline_reads_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=no_clock))
+        assert len(enumerate_reduced_singular(5)) == 11
 
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
@@ -579,8 +583,8 @@ class TestTypeClasses:
 
     def test_budget_partial_keeps_the_input_order(self, monkeypatch):
         # the fake clock of the test below: the checks before the first two
-        # all-ones settings read 2 s and 3 s, under the deadline at 3.5 s,
-        # and the check before the third reads 4 s; settings that are not
+        # all-ones settings read 1 s and 2 s, under the deadline at 2.5 s,
+        # and the check before the third reads 3 s; settings that are not
         # all-ones read no clock and stay undecided where they stand
         now = 0.0
 
@@ -595,7 +599,7 @@ class TestTypeClasses:
         monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: now))
         with pytest.raises(BudgetExhaustedError) as info:
-            singular_type_classes(settings, budget_secs=2.5)
+            singular_type_classes(settings, deadline=2.5)
         assert f"after 2 of {len(ones)}" in str(info.value)
         classes = info.value.partial
         assert [m for c in classes for m in c.members] == settings
@@ -604,10 +608,10 @@ class TestTypeClasses:
         assert all(len(c.members) == 1 for c in classes if not c.equivalence_decided)
 
     def test_budget_leaves_unplaced_settings_undecided(self, monkeypatch):
-        # one second per reading of the grouping's clock: the deadline is
-        # read at 1 s and falls at 3.5 s, the first two settings are placed
-        # at 2 s and 3 s, and the check before the third reads 4 s; the
-        # Hilbert bases and searches read the same clock without moving it
+        # one second per reading of the grouping's clock: the deadline falls
+        # at 2.5 s, the first two settings are placed at 1 s and 2 s, and the
+        # check before the third reads 3 s; the Hilbert bases and searches
+        # read the same clock without moving it
         now = 0.0
 
         def monotonic():
@@ -620,7 +624,7 @@ class TestTypeClasses:
         monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: now))
         with pytest.raises(BudgetExhaustedError) as info:
-            singular_type_classes(found, budget_secs=2.5)
+            singular_type_classes(found, deadline=2.5)
         assert "after 2 of 11" in str(info.value)
         classes = info.value.partial
         keys = [canonical_key(c.representative) for c in classes]
@@ -684,9 +688,9 @@ class TestTypeClasses:
         found = enumerate_reduced_singular(5)
         monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=lambda: 0.0))
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
-        monkeypatch.setattr(toric, "semigroup_isomorphism", no_search)
+        monkeypatch.setattr(toric, "incidence_isomorphism", no_search)
         with pytest.raises(BudgetExhaustedError) as info:
-            singular_type_classes(found, budget_secs=1.5)
+            singular_type_classes(found, deadline=1.5)
         assert "after 0 of 11" in str(info.value)
         assert readings == 2
         assert not any(c.equivalence_decided for c in info.value.partial)

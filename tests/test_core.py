@@ -21,7 +21,7 @@ from qsing.core import (
 )
 from qsing.errors import CapacityError, DimensionMismatchError
 
-from conftest import random_setting
+from conftest import permuted, random_setting
 
 
 def brute_force_euler(s: MarkedQuiverSetting, beta, gamma) -> int:
@@ -104,7 +104,7 @@ class TestEulerForm:
             if not strongly_connected(s):
                 continue
             alpha = (1,) * k
-            assert 1 - euler_form(s, alpha, alpha) == s.num_arrows - s.k + 1
+            assert 1 - euler_form(s, alpha, alpha) == sum(map(sum, s.arrows)) - s.k + 1
             checked += 1
 
 
@@ -152,13 +152,13 @@ class TestValidation:
 
 class TestCanonicalKey:
     def test_conifold_swap(self, conifold):
-        assert canonical_key(conifold) == canonical_key(conifold.permuted([1, 0]))
+        assert canonical_key(conifold) == canonical_key(permuted(conifold, [1, 0]))
 
     def test_mirror_two_vs_three(self):
         # oracle: brute force over the 2 permutations
         s = MarkedQuiverSetting.make([1, 1], [[0, 2], [3, 0]])
         mirror = MarkedQuiverSetting.make([1, 1], [[0, 3], [2, 0]])
-        assert mirror in (s.permuted([0, 1]), s.permuted([1, 0]))
+        assert mirror in (permuted(s, [0, 1]), permuted(s, [1, 0]))
         assert canonical_key(s) == canonical_key(mirror)
 
     def test_different_dims_differ(self):
@@ -175,14 +175,14 @@ class TestCanonicalKey:
                     s = random_setting(rng, max_k=k)
                 key = canonical_key(s)
                 for perm in itertools.permutations(range(k)):
-                    assert canonical_key(s.permuted(perm)) == key
+                    assert canonical_key(permuted(s, perm)) == key
 
     def test_non_isomorphic_same_signature(self):
         # directed triangle vs its opposite with asymmetric multiplicities
         a = MarkedQuiverSetting.make([1, 1, 1], [[0, 2, 0], [0, 0, 1], [1, 0, 0]])
         b = MarkedQuiverSetting.make([1, 1, 1], [[0, 1, 0], [0, 0, 2], [1, 0, 0]])
         iso = any(
-            a.permuted(p) == b for p in itertools.permutations(range(3))
+            permuted(a, p) == b for p in itertools.permutations(range(3))
         )
         assert (canonical_key(a) == canonical_key(b)) == iso
 
@@ -203,7 +203,7 @@ class TestCanonicalKey:
         for _ in range(5):
             perm = list(range(k))
             rng.shuffle(perm)
-            assert canonical_key(s.permuted(perm)) == key
+            assert canonical_key(permuted(s, perm)) == key
 
 
 class TestJson:

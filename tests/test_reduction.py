@@ -18,7 +18,7 @@ from qsing.reduction import (
     reduce_setting,
 )
 
-from conftest import random_setting
+from conftest import random_setting, reduce_in_random_order
 
 
 class TestApplicableMoves:
@@ -160,10 +160,10 @@ class TestReduce:
             s = random_setting(rng)
             if not strongly_connected(s):
                 continue
-            a = reduce_setting(s, rng=random.Random(rng.randint(0, 10**9)))
-            b = reduce_setting(s, rng=random.Random(rng.randint(0, 10**9)))
-            assert canonical_key(a.reduced) == canonical_key(b.reduced)
-            assert a.z == b.z
+            a, za = reduce_in_random_order(s, random.Random(rng.randint(0, 10**9)))
+            b, zb = reduce_in_random_order(s, random.Random(rng.randint(0, 10**9)))
+            assert canonical_key(a) == canonical_key(b)
+            assert za == zb
             checked += 1
 
     def test_uniqueness_fails_without_strong_connectivity(self):

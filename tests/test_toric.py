@@ -6,7 +6,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from operator import mul
+from operator import ge, mul
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +17,6 @@ from qsing.core import Arrow, MarkedQuiverSetting, canonical_key, strongly_conne
 from qsing.errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 from qsing.toric import (
     central_fiber,
-    check_hilbert_minimality,
     facet_incidence,
     hilbert_basis,
     incidence_isomorphism,
@@ -38,7 +37,7 @@ def random_charted_settings(seed: int, count: int, max_entry: int):
     rng = random.Random(seed)
     while count:
         s = random_all_ones_setting(rng, max_k=3, max_arrows=6)
-        if s.k < 2 or s.num_arrows > s.k + 3 or not strongly_connected(s):
+        if s.k < 2 or sum(map(sum, s.arrows)) > s.k + 3 or not strongly_connected(s):
             continue
         theta = [rng.randint(-max_entry, max_entry) for _ in range(s.k - 1)]
         theta.append(-sum(theta))
@@ -46,6 +45,31 @@ def random_charted_settings(seed: int, count: int, max_entry: int):
             continue
         count -= 1
         yield s, theta
+
+
+def check_hilbert_minimality(basis):
+    """The basis elements that are sums of other basis elements (should be none)."""
+    vecs = [tuple(b) for b in basis]
+    bad = []
+    for i, b in enumerate(vecs):
+        others = [v for j, v in enumerate(vecs) if j != i and all(map(ge, b, v))]
+
+        def representable(target, pool):
+            if not any(target):
+                return True
+            if not pool:
+                return False
+            head, *rest = pool
+            max_c = min((t // h for t, h in zip(target, head) if h > 0), default=0)
+            for c in range(max_c, -1, -1):
+                reduced = tuple(t - c * h for t, h in zip(target, head))
+                if min(reduced) >= 0 and representable(reduced, rest):
+                    return True
+            return False
+
+        if others and representable(b, others):
+            bad.append(b)
+    return bad
 
 
 class TestHilbertBasis:
@@ -91,7 +115,7 @@ class TestHilbertBasis:
             alpha = (1,) * s.k
             assert (
                 rank(basis)
-                == s.num_arrows - s.k + 1
+                == sum(map(sum, s.arrows)) - s.k + 1
                 == 1 - euler_form(s, alpha, alpha)
             )
             checked += 1
@@ -113,14 +137,14 @@ class TestToricRelations:
             sum(mono[i] * basis[i][a] for i in range(len(basis))) for a in range(4)
         )
         assert image(rel.lhs) == image(rel.rhs)
-        assert sorted(rel.degrees()) == [2, 2]
+        assert sorted((sum(rel.lhs), sum(rel.rhs))) == [2, 2]
 
     def test_cycle_pair_single_relation(self, dim4_cycle_pair):
         basis = invariant_generators(dim4_cycle_pair)
         assert len(basis) == 5
         rels = toric_relations(basis)
         assert len(rels) == 1
-        assert sorted(rels[0].degrees()) == [2, 3]
+        assert sorted((sum(rels[0].lhs), sum(rels[0].rhs))) == [2, 3]
         # degree-2 side: the two 3-cycles; degree-3 side: the three 2-cycles
         two_cycles = [i for i, u in enumerate(basis) if sum(u) == 2]
         three_cycles = [i for i, u in enumerate(basis) if sum(u) == 3]
@@ -504,11 +528,24 @@ class TestProjCharts:
         self.assert_one_hilbert_basis_per_call(monkeypatch, proj_charts)
 
     def test_one_hilbert_basis_per_charts_report(self, monkeypatch):
-        # the report reads its degree-zero generators off the graded basis
-        # of its charts
+        # the report's degree-zero generators come from the cycle walk, not
+        # from a second completion
         self.assert_one_hilbert_basis_per_call(
             monkeypatch, lambda s, theta: toric.toric_report(s, "charts", theta=theta)
         )
+
+    def test_past_deadline_raises(self, conifold, monkeypatch):
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: 1.0))
+        with pytest.raises(BudgetExhaustedError):
+            proj_charts(conifold, (-1, 1), deadline=0.5)
+        assert proj_charts(conifold, (-1, 1), deadline=1.5) == proj_charts(conifold, (-1, 1))
+
+    def test_without_deadline_reads_no_clock(self, conifold, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        assert len(proj_charts(conifold, (-1, 1))) == 2
 
     def test_theta_zero_guard(self, conifold):
         with pytest.raises(EmptyProjError):
@@ -812,25 +849,6 @@ class TestBacktrackingSearch:
         assert_monoid_isomorphism(basis, permuted, match)
         assert facet_incidence(basis).key == facet_incidence(permuted).key
 
-    def test_deadline_checked_at_every_node(self, monkeypatch):
-        basis = max(census_bases(), key=len)
-        readings = 0
-
-        def monotonic():
-            nonlocal readings
-            readings += 1
-            return float(readings)
-
-        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
-        assert semigroup_isomorphism(basis, basis, deadline=1e9) is not None
-        # one reading per node: the root and one per assigned base generator
-        nodes = readings
-        assert nodes > linalg.rank(basis)
-        readings = 0
-        with pytest.raises(BudgetExhaustedError):
-            semigroup_isomorphism(basis, basis, deadline=nodes - 0.5)
-        assert readings == nodes
-
 
 def reference_key(incidence):
     """The bucket key, recomputed from the facet masks."""
@@ -897,7 +915,8 @@ class TestFacetIncidence:
             assert incidence.generators == m
             everyone = (1 << m) - 1
             zero_sets = {
-                sum(1 << g for g, u in enumerate(basis) if not u[a]) for a in range(s.num_arrows)
+                sum(1 << g for g, u in enumerate(basis) if not u[a])
+                for a in range(len(s.arrow_list()))
             } - {everyone}
             r = linalg.rank(basis)
             oracle = {
@@ -1224,7 +1243,14 @@ class TestCycleWalk:
         assert all(sum(map(mul, row, u)) == 0 for row in rows for u in basis)
 
     def test_degree_zero_part_of_semi_invariants(self):
-        for s, theta in strongly_connected_settings(89, 150):
+        # the charts report takes its degree-zero generators from the cycle
+        # walk; loops, parallel arrows and disconnected quivers included
+        rng = random.Random(97)
+        cases = list(strongly_connected_settings(89, 150))
+        for _, _, s in cycle_walk_settings(97, 300):
+            theta = [rng.randint(-2, 2) for _ in range(s.k - 1)]
+            cases.append((s, (*theta, -sum(theta))))
+        for s, theta in cases:
             gens = semi_invariant_generators(s, theta)
             assert [g.exponents for g in gens if not g.degree] == invariant_generators(s), (
                 s.to_json(),
