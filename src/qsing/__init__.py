@@ -30,7 +30,6 @@ from .reduction import Move, ReductionResult, applicable_moves, apply_move, redu
 from .toric import (
     ProjChart,
     central_fiber,
-    hilbert_basis,
     invariant_generators,
     is_theta_semistable,
     proj_charts,

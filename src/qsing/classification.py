@@ -522,13 +522,13 @@ def census_report(
     classes and the type count is compared with ``EXPECTED_SINGULAR_COUNTS``.
     ``budget_secs`` becomes one deadline for the enumeration and the
     grouping together, so the grouping gets what the enumeration left of
-    it; a negative budget raises ``ValueError``.  A run out of budget
-    reports its partial census, with the settings it could not group as
-    undecided singleton classes, and fails.  A count that differs adds a
-    diff report, and fails the census for d <= 5; the d = 6 count is a
-    stretch goal.
+    it; a budget that is not >= 0, NaN included, raises ``ValueError``.  A
+    run out of budget reports its partial census, with the settings it
+    could not group as undecided singleton classes, and fails.  A count
+    that differs adds a diff report, and fails the census for d <= 5; the
+    d = 6 count is a stretch goal.
     """
-    if budget_secs is not None and budget_secs < 0:
+    if budget_secs is not None and not budget_secs >= 0:
         raise ValueError("budget must be >= 0 seconds")
     deadline = None if budget_secs is None else time.monotonic() + budget_secs
     exhausted = None

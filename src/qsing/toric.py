@@ -8,42 +8,24 @@ a stability vector theta grades the semi-invariants by the multiple l in
 W u = l * theta, and every chart of their proj is a shift of that one graded
 Hilbert basis.
 
-W is the incidence matrix of a digraph, hence totally unimodular, so the
-Hilbert basis of ker W is exactly the set of 0/1 vectors of the simple
-directed cycles (the traces of cycles of Le Bruyn-Procesi 1990).  The
-invariant generators are therefore found by a cycle walk, one per least
-vertex, over bitmasks of visited vertices; the general completion below
-serves the graded systems W u = l * theta and their faces.
+W is the incidence matrix of a digraph, hence totally unimodular, and no
+general Hilbert-basis completion is needed: the invariant generators are
+the simple directed cycles (Le Bruyn-Procesi 1990), the positive-degree
+semi-invariant generators the acyclic integer theta-flows, and a support
+carries a nonvanishing one iff a transshipment problem is feasible, which
+one max-flow decides.  :func:`hilbert_basis`, a Contejean-Devie completion
+(Contejean and Devie 1994), is the reference these kernels are checked
+against.
 
-The Hilbert-basis computation is a Contejean-Devie completion (Contejean and
-Devie 1994): breadth-first growth from unit vectors, extending u by e_i only
-when the defect vectors M u and M e_i have negative inner product, pruning
-anything dominated by a known solution.  This terminates and returns exactly
-the minimal nonzero solutions.  Each vector carries G u with G = M^T M in
-place of its defect, so that inner product is the i-th entry of G u and a
-child's vector is one addition of a row of G.  Since no frontier vector
-dominates a known solution, a child u + e_i can only dominate a solution
-whose i-th coordinate is u_i + 1, and the found solutions are indexed by
-coordinate and value so that only those are compared.
+King's test and the central fiber work on bitmasks of arrows (bit i for
+arrow i of ``arrow_list()``).  The census groups settings by isomorphism of
+their invariant monoids, decided on the generator-facet incidence (see
+:func:`incidence_isomorphism`); :func:`semigroup_isomorphism`, a search for
+a linear map between any two Hilbert bases, is its reference.
 
-The other searches work on bitmasks of arrows (bit i for arrow i of
-``arrow_list()``).  King's test reads one table per call of the vertex
-subsets with theta <= 0, stably sorted by theta, each with the mask of the
-arrows leaving it; the first row a support does not leave gives the
-verdict.  The central fiber tests each support mask against the masks of
-the invariant generators and that one table.  The binomial relations build
-their monomials degree by degree, each image its parent's plus one
-generator, and split each fiber by a union-find over the moves of the
-relations found so far.
-
-The census groups settings by isomorphism of their invariant monoids, and
-decides it on the generator-facet incidence.  The facets of the cone are
-the maximal proper sets of generators that vanish on one arrow, as bitmasks
-over the generators, and two monoids are isomorphic iff their incidence
-matrices agree up to a permutation of the rows and one of the columns (see
-:func:`incidence_isomorphism`).  :func:`semigroup_isomorphism`, a search
-for a linear map between any two Hilbert bases, is the reference that test
-is checked against.
+Every ``deadline`` is a ``time.monotonic()`` reading; a search that reads a
+later time raises :class:`~qsing.errors.BudgetExhaustedError`, and none
+reads the clock without a deadline.
 """
 
 from __future__ import annotations
@@ -73,17 +55,6 @@ def _arrow_ends(s: MarkedQuiverSetting) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(s.arrows) for j, c in enumerate(row) for _ in range(c)]
 
 
-def _weight_rows(s: MarkedQuiverSetting) -> list[list[int]]:
-    """The weight matrix W, one row per vertex: column a is e_head - e_tail of arrow a."""
-    _require_all_ones(s)
-    ends = _arrow_ends(s)
-    rows = [[0] * len(ends) for _ in range(s.k)]
-    for col, (tail, head) in enumerate(ends):
-        rows[head][col] += 1
-        rows[tail][col] -= 1
-    return rows
-
-
 def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
     """``theta`` as a tuple of ints of length k with theta . alpha = 0, else ``ValueError``."""
     t = tuple(exact_int(x) for x in theta)
@@ -98,31 +69,19 @@ def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
 # Hilbert bases
 
 
-def _dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(u, v))
-
-
 def hilbert_basis(
     matrix: Sequence[Sequence[int]], *, deadline: float | None = None
 ) -> list[Vector]:
-    """Minimal nonzero solutions of M u = 0, u in N^n (Contejean-Devie).
+    """Minimal nonzero solutions of M u = 0, u in N^n (Contejean-Devie), sorted.
 
-    ``matrix`` is a list of rows of length n.  Always terminates; the result
-    is the Hilbert basis of the solution monoid, sorted.
-
-    Round r holds the frontier of degree r.  Each frontier vector u carries
-    g(u) = G u with G = M^T M, so the Contejean-Devie condition
-    <M u, M e_i> < 0 reads g(u)_i < 0, the child u + e_i carries
-    g(u) + G e_i, and u is a solution iff g(u) = 0 (u . g(u) = |M u|^2).
-    A round first moves its solutions into the basis and then extends the
-    rest, so every solution of lower degree is known when a child is made.
-    No frontier vector dominates a known solution, so if u + e_i dominates
-    a solution b then b_i = u_i + 1, and only the solutions with that i-th
-    coordinate need to be compared.
-
-    ``deadline`` is a ``time.monotonic()`` reading, checked once per round;
-    past it the completion raises
-    :class:`~qsing.errors.BudgetExhaustedError`.
+    The reference the cycle walk and the theta-flow search are checked
+    against; ``matrix`` is a list of rows of length n.  Round r holds the
+    frontier of degree r, each vector u with g(u) = G u for G = M^T M: the
+    condition <M u, M e_i> < 0 reads g(u)_i < 0, u + e_i carries
+    g(u) + G e_i, and u is a solution iff g(u) = 0.  A round files its
+    solutions before it extends the rest, and no frontier vector dominates
+    a known solution, so u + e_i is compared only with the solutions whose
+    i-th coordinate is u_i + 1.  ``deadline`` is checked once per round.
     """
     rows = [tuple(r) for r in matrix]
     n = len(rows[0]) if rows else 0
@@ -170,9 +129,6 @@ class _PairFibers:
     fiber's id and ``size[f]`` its number of pairs.  A generator's profile
     is the sorted multiset of (fiber size, is-a-square) over its n pairs,
     each pair written as the int 2 * size + is-a-square.
-
-    Only :func:`semigroup_isomorphism` uses it, and it stays with that
-    search as part of the reference the census grouping is tested against.
     """
 
     __slots__ = ("fiber", "size", "profiles")
@@ -192,8 +148,7 @@ class _PairFibers:
                     size.append(0)
                 size[f] += 1
                 row[j] = fiber[j][i] = f
-        self.fiber = fiber
-        self.size = size
+        self.fiber, self.size = fiber, size
         self.profiles = [
             tuple(sorted(2 * size[f] + (i == j) for j, f in enumerate(fiber[i])))
             for i in range(n)
@@ -206,30 +161,19 @@ def semigroup_isomorphism(
 ) -> dict[int, int] | None:
     """A monoid isomorphism matching two Hilbert bases, or None.
 
-    Searches for an injective linear map carrying one Hilbert basis
-    bijectively onto the other; such a map identifies the (saturated)
-    solution monoids, hence the semigroup algebras.  Returns the generator
-    matching as a dict.
+    Searches for an injective linear map carrying one Hilbert basis of any
+    kind bijectively onto the other, which identifies the semigroup
+    algebras, and returns the generator matching.  It is the oracle that
+    :func:`incidence_isomorphism` is checked against.
 
-    It takes any Hilbert bases, not only the 0/1 bases of all-ones
-    settings, and no longer groups the census (:func:`incidence_isomorphism`
-    does).  It stays as the independent oracle that the incidence test is
-    checked against, and as the public name the benchmark harness wraps.
-
-    The map is fixed by the images of a base, the pivot generators of one
-    elimination of ``basis1``, and the search backtracks over those images,
-    the base generator with the fewest equal-profile targets first.  A
-    monoid isomorphism carries every relation g_i + g_j = g_k + g_l to the
-    same relation between the images, and it is injective, so it maps each
-    pair-sum fiber onto a fiber of equal size, and distinct fibers to
-    distinct ones.  Every assignment is therefore checked at once against
-    all generators assigned before it: fibers must match in size and the
-    map from fibers to fibers must stay a well-defined bijection.  A
-    generator whose base coordinates are all assigned gets its image at
-    once, which must be a generator of ``basis2`` that is unused and has an
-    equal profile; it then joins the fiber checks.  None of these checks
-    rejects a true isomorphism, and a complete assignment that passes them
-    all is one, so the search is exact.
+    The map is fixed by the images of a base (the pivots of one elimination
+    of ``basis1``), and the search backtracks over those, fewest
+    equal-profile targets first.  An isomorphism maps each pair-sum fiber
+    bijectively onto one of equal size, so every assignment is checked
+    against all earlier ones, and a generator whose base coordinates are
+    all assigned gets its image at once (an unused generator of ``basis2``
+    with an equal profile).  No check rejects a true isomorphism, and a
+    complete assignment that passes them all is one.
     """
     hb1 = [tuple(v) for v in basis1]
     hb2 = [tuple(v) for v in basis2]
@@ -342,8 +286,7 @@ class FacetIncidence:
     they span (bit g set iff generator g lies in the facet), sorted by
     (size, mask).  ``key`` is the number of generators, the number of
     facets and the sorted multiset over the generators of the sorted sizes
-    of the facets that contain them; it does not depend on the order of the
-    generators or of the arrows.
+    of the facets containing them, independent of generator and arrow order.
     """
 
     generators: int
@@ -359,9 +302,8 @@ def facet_incidence(basis: Sequence[Sequence[int]]) -> FacetIncidence:
     arrow a let Z_a be the set of generators with g_a = 0.  u_a >= 0 on C,
     so every Z_a spans a face of C, and every facet of C is C meet
     {u_a = 0} for some arrow a.  Every proper face lies in a facet, so the
-    facets are exactly the inclusion-maximal Z_a that are proper subsets;
-    no rank is computed.  An arrow on no cycle has Z_a = every generator
-    and names no facet.  With no generators there are no facets.
+    facets are exactly the inclusion-maximal Z_a that are proper subsets.
+    An arrow on no cycle has Z_a = every generator and names no facet.
     """
     m = len(basis)
     everyone = (1 << m) - 1
@@ -395,28 +337,22 @@ def incidence_isomorphism(
     """A generator bijection matching two facet incidences, or None.
 
     This decides isomorphism of the invariant monoids of two all-ones
-    settings exactly.  Their generators are 0/1 vectors (the simple cycles;
-    see :func:`invariant_generators`), so for any arrow a of a facet F the
-    form u_a takes the values 0 and 1 on the generators: it is F's
-    primitive support form, and two arrows of the same facet give the same
-    form.  The cone is pointed, so its facet forms span the dual of the
-    space it spans, and u -> (u_F) over the facets is injective there.  It
-    carries the monoid onto the monoid generated by the rows of the 0/1
-    generator x facet matrix.  A monoid isomorphism carries generators to
-    generators and facets to facets (Bruns-Gubeladze, *Polytopes, Rings,
-    and K-theory*, 2009, ch. 2).  So two such monoids are isomorphic iff
-    their incidence matrices agree up to a permutation of the rows and one
-    of the columns, and a matching of equal rows is a monoid isomorphism.
+    settings exactly.  Their generators are 0/1 vectors (the simple
+    cycles), so for any arrow a of a facet F the form u_a is F's primitive
+    support form.  The cone is pointed, so u -> (u_F) over the facets is
+    injective on the space it spans and carries the monoid onto the one
+    generated by the rows of the 0/1 generator x facet matrix.  A monoid
+    isomorphism carries generators to generators and facets to facets
+    (Bruns-Gubeladze, *Polytopes, Rings, and K-theory*, 2009, ch. 2), so
+    two such monoids are isomorphic iff their incidence matrices agree up
+    to a permutation of the rows and one of the columns.
 
     The search assigns the facets of ``first``, in order of size, to unused
-    facets of ``second`` of the same size, and goes on only while the
-    sorted rows restricted to the facets assigned so far are equal on both
-    sides.  A full assignment matches the generators by their equal rows;
-    the result maps each generator of ``first`` to one of ``second``.
+    facets of ``second`` of the same size while the sorted rows restricted
+    to the facets assigned so far agree; a full assignment matches the
+    generators of ``first`` to those of ``second`` by their equal rows.
 
-    ``deadline`` is a ``time.monotonic()`` reading, checked once per node
-    of the search; past it the search raises
-    :class:`~qsing.errors.BudgetExhaustedError`.
+    ``deadline`` is checked once per node of the search.
     """
     if first.key != second.key:
         return None
@@ -484,8 +420,8 @@ class Relation:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
-# the cycle walk reads the clock after every _CYCLES_PER_CHECK-th cycle it emits
-_CYCLES_PER_CHECK = 1024
+# the cycles the walk emits, or the steps the theta-flow search takes, per clock reading
+_PER_CHECK = 1024
 
 
 def invariant_generators(
@@ -494,24 +430,20 @@ def invariant_generators(
     """Hilbert basis of the weight-zero monomials: the simple directed cycles.
 
     The invariant ring is generated by traces of oriented cycles (Le
-    Bruyn-Procesi 1990), and with one-dimensional vertex spaces the trace of
-    a cycle is the monomial of its arrows.  W is a digraph incidence matrix,
-    hence totally unimodular, so the Hilbert basis of ker W meet N^arrows is
-    exactly the set of 0/1 vectors of the simple directed cycles: flow
-    decomposition writes every nonnegative circulation as a sum of simple
-    cycles, and no simple cycle is a sum of two nonzero circulations (for a
-    unimodular matrix the circuits are the Graver basis; Sturmfels,
-    *Groebner Bases and Convex Polytopes*, 1996, ch. 4 and 8).  A loop is
-    a 1-cycle.  The result equals ``hilbert_basis(W)``, sorted.
+    Bruyn-Procesi 1990), here the monomials of their arrows.  W is totally
+    unimodular, so the Hilbert basis of ker W meet N^arrows is the set of
+    0/1 vectors of the simple directed cycles: flow decomposition writes
+    every nonnegative circulation as a sum of simple cycles, and no simple
+    cycle is a sum of two nonzero circulations (Sturmfels, *Groebner Bases
+    and Convex Polytopes*, 1996, ch. 4 and 8).  A loop is a 1-cycle.  The
+    result equals ``hilbert_basis(W)``, sorted.
 
     One walk per least vertex s0 extends simple paths (visited vertices as
-    a bitmask) through vertices above s0; every edge back to s0 closes one
-    vertex cycle, which expands over the parallel arrows of its edges into
-    0/1 vectors indexed by ``s.arrow_list()``.
+    a bitmask) through vertices above s0; every edge back to s0 closes a
+    vertex cycle, expanded over the parallel arrows of its edges.
 
-    ``deadline`` is a ``time.monotonic()`` reading, checked once per least
-    vertex and after every 1,024th cycle emitted; past it the walk raises
-    :class:`~qsing.errors.BudgetExhaustedError`.
+    ``deadline`` is checked once per least vertex and after every 1,024th
+    cycle emitted.
     """
     _require_all_ones(s)
     k = s.k
@@ -539,7 +471,7 @@ def invariant_generators(
                     cycles.append(tuple(u))
                     for a in chosen:
                         u[a] = 0
-                    if not len(cycles) % _CYCLES_PER_CHECK:
+                    if not len(cycles) % _PER_CHECK:
                         check_deadline()
                 path.pop()
             elif w > s0 and not seen >> w & 1:
@@ -559,27 +491,101 @@ def semi_invariant_generators(
 ) -> tuple[GradedGenerator, ...]:
     """Generators of the graded ring of semi-invariants for theta.
 
-    Solves W u = l * theta for (u, l) in N^(arrows+1); the minimal solutions
-    are the algebra generators, graded by the multiple l and sorted by
-    (degree, exponents).  theta = 0 returns the plain invariant ring in
-    degree zero, from the cycle walk of :func:`invariant_generators`.
+    These are the minimal solutions (u, l) in N^(arrows+1) of W u = l * theta,
+    sorted by (degree l, exponents).  Degree 0 is the cycle walk of
+    :func:`invariant_generators`; theta = 0 has nothing else.
 
-    Every degree is 0 or 1.  W is the incidence matrix of a digraph, hence
-    totally unimodular, so {u >= 0 : W u = theta} has the integer
-    decomposition property (Baum-Trotter 1977): a solution of degree l is a
-    sum of l solutions of degree 1.
+    Every other degree is 1: W is totally unimodular, so {u >= 0 : W u =
+    theta} has the integer decomposition property (Baum-Trotter 1977).  And
+    (u, 1) is reducible iff the support of u contains a directed cycle:
+    subtracting a simple cycle in it reduces it, and (u', 1) + (c, 0) with
+    c != 0 has the cycles of c in its support.  So the degree-1 generators
+    are the acyclic integer theta-flows, u >= 0 with W u = theta and no
+    directed cycle (a loop is one) in the support.
 
-    ``deadline`` bounds the completion as in :func:`hilbert_basis`, or the
-    cycle walk as in :func:`invariant_generators`.
+    They are searched depth-first over the edges (tail, head), tail != head,
+    each value then spread over the edge's parallel arrows in every way.
+    An acyclic flow is a sum of simple paths from theta < 0 to theta > 0 of
+    total weight T, the sum of the positive entries of theta, so no edge
+    carries more than T, and no vertex takes in more than T less its supply
+    or sends out more than T less its demand.  A value is kept only within
+    these bounds, if both its vertices can still balance with at most T on
+    each of their later edges, and, if positive, if its head does not
+    reach its tail.
+
+    ``deadline`` is checked as in :func:`invariant_generators` and after
+    every 1,024th step of the flow search, an edge visited or a flow found.
     """
     t = _theta(s, theta)
-    if not any(t):
-        return tuple(GradedGenerator(u, 0) for u in invariant_generators(s, deadline=deadline))
-    basis = hilbert_basis(
-        [row + [-x] for row, x in zip(_weight_rows(s), t)], deadline=deadline
-    )
-    gens = (GradedGenerator(u[:-1], u[-1]) for u in basis)
-    return tuple(sorted(gens, key=lambda g: (g.degree, g.exponents)))
+    gens = [GradedGenerator(u, 0) for u in invariant_generators(s, deadline=deadline)]
+    k, cap = s.k, sum(x for x in t if x > 0)
+    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
+    edges = [(i, j) for i in range(k) for j in range(k) if i != j and s.arrows[i][j]]
+    slots = [range(offset[i * k + j], offset[i * k + j + 1]) for i, j in edges]
+    # room[e]: cap times the edges after e into and out of its head and tail
+    into, out = [0] * k, [0] * k
+    room = [(0, 0, 0, 0)] * len(edges)
+    for e in reversed(range(len(edges))):
+        tail, head = edges[e]
+        room[e] = (into[head] * cap, out[head] * cap, into[tail] * cap, out[tail] * cap)
+        into[head] += 1
+        out[tail] += 1
+    if not cap or any(not -out[v] * cap <= t[v] <= into[v] * cap for v in range(k)):
+        return tuple(gens)
+    # the flow into and out of each vertex so far, and the most it may reach
+    inflow, outflow = [0] * k, [0] * k
+    most_in, most_out = [cap - max(-x, 0) for x in t], [cap - max(x, 0) for x in t]
+    reach = [1 << v for v in range(k)]  # the vertices v reaches, v included
+    values = [0] * len(edges)
+    flows: list[Vector] = []
+    steps = 0
+
+    def step() -> None:
+        nonlocal steps
+        steps += 1
+        if deadline is not None and not steps % _PER_CHECK and time.monotonic() > deadline:
+            raise BudgetExhaustedError("theta-flows ran past their deadline")
+
+    def place(e: int) -> None:
+        step()
+        if e == len(edges):
+            spreads = map(itertools.combinations_with_replacement, slots, values)
+            for chosen in itertools.product(*spreads):
+                u = [0] * offset[-1]
+                for a in itertools.chain(*chosen):
+                    u[a] += 1
+                flows.append(tuple(u))
+                step()
+            return
+        tail, head = edges[e]
+        in_h, out_h, in_t, out_t = room[e]
+        need_h = t[head] - inflow[head] + outflow[head]
+        need_t = t[tail] - inflow[tail] + outflow[tail]
+        lo = max(0, need_h - in_h, -out_t - need_t)
+        hi = min(need_h + out_h, in_t - need_t, most_in[head] - inflow[head])
+        hi = min(hi, most_out[tail] - outflow[tail])
+        if not lo and hi >= 0:
+            place(e + 1)
+            lo = 1
+        if lo > hi or reach[head] >> tail & 1:
+            return
+        saved = reach[:]
+        for v in range(k):
+            if reach[v] >> tail & 1:
+                reach[v] |= reach[head]
+        for x in range(lo, hi + 1):
+            values[e] = x
+            inflow[head] += x
+            outflow[tail] += x
+            place(e + 1)
+            inflow[head] -= x
+            outflow[tail] -= x
+        values[e] = 0
+        reach[:] = saved
+
+    place(0)
+    flows.sort()
+    return tuple(gens + [GradedGenerator(u, 1) for u in flows])
 
 
 def toric_relations(
@@ -598,16 +604,11 @@ def toric_relations(
     bound is not claimed.  A degree bound below 1 raises ``ValueError``.
 
     The monomials are built degree by degree, each as its parent times one
-    generator no smaller than the parent's largest, so its image is the
-    parent's image plus that generator's exponents.  A fiber's components
-    come from a union-find over the moves of the relations emitted so far,
-    each the source lhs a monomial must dominate and the difference
-    rhs - lhs it adds.  The union-find is undirected, so the reverse move
-    rhs -> lhs would only find the same pairs from their other end.
+    generator no smaller than the parent's largest.  A fiber's components
+    come from a union-find over the moves (lhs, rhs - lhs) of the relations
+    emitted so far; being undirected, it needs no reverse moves.
 
-    ``deadline`` is a ``time.monotonic()`` reading, checked once per degree
-    and once per fiber visited; past it the search raises
-    :class:`~qsing.errors.BudgetExhaustedError`.
+    ``deadline`` is checked once per degree and once per fiber visited.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
@@ -683,11 +684,8 @@ class StabilityVerdict:
     witness: tuple[int, ...] | None
 
     def to_json(self) -> dict:
-        return {
-            "semistable": self.semistable,
-            "stable": self.stable,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
+        witness = None if self.witness is None else list(self.witness)
+        return {**vars(self), "witness": witness}
 
 
 def _support_mask(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> int:
@@ -715,12 +713,7 @@ def is_theta_semistable(
     closed under the nonzero arrows ``support``.  Semistable means theta is
     >= 0 on every proper nonempty closed subset, stable means > 0; the
     witness is a minimizing subset when the verdict is negative, the first
-    one in the order of (size, vertices).
-
-    The test reads one table of the subsets with theta <= 0, stably sorted
-    by theta, each with the bitmask of the arrows leaving it: a subset is
-    closed under ``support`` iff that mask misses it, and the first such
-    row is the witness (see :func:`_king_table`).
+    one in the order of (size, vertices), read off :func:`_king_table`.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
@@ -734,11 +727,10 @@ def _king_table(s: MarkedQuiverSetting, t: Vector) -> list[tuple[int, StabilityV
     """The King's test table of an all-ones setting and a checked theta.
 
     One row per proper nonempty vertex subset X with theta(X) <= 0: the
-    bitmask of the arrows leaving X (tail in X, head outside, bit i for
-    arrow i of ``s.arrow_list()``) and the verdict X witnesses.  The rows
-    are enumerated by (size, vertices) and stably sorted by theta(X), so
-    the first row whose mask misses a support is the first minimizer among
-    the subsets closed under it.  A support that no row fits is stable.
+    bitmask of the arrows leaving X and the verdict X witnesses, enumerated
+    by (size, vertices) and stably sorted by theta(X), so the first row
+    whose mask misses a support is the first minimizer among the subsets
+    closed under it.  A support that no row fits is stable.
     """
     tails = [0] * s.k
     heads = [0] * s.k
@@ -761,9 +753,7 @@ def _king_table(s: MarkedQuiverSetting, t: Vector) -> list[tuple[int, StabilityV
     return [(leaving, verdict) for _, leaving, verdict in rows]
 
 
-def _king_verdict(
-    table: Sequence[tuple[int, StabilityVerdict]], support: int
-) -> StabilityVerdict:
+def _king_verdict(table: Sequence[tuple[int, StabilityVerdict]], support: int) -> StabilityVerdict:
     """King's test of the arrow bitmask ``support`` against a :func:`_king_table`."""
     for leaving, verdict in table:
         if not leaving & support:
@@ -780,16 +770,20 @@ def semistable_via_semiinvariants(
 ) -> bool:
     """Detect semistability by a nonvanishing positive-weight semi-invariant.
 
-    True when some generator of positive weight of the semi-invariant ring
-    has support inside the nonzero arrows S.  Testing the generators is
-    exact: a monomial semi-invariant of positive weight that does not vanish
-    is a product of generators, each supported inside S, and at least one of
-    them has positive weight.  The generators supported inside S are the
-    Hilbert basis of W_S u = l * theta, with W_S the columns of S: the
-    solutions supported inside S form a face of the solution monoid, and
-    the Hilbert basis of a face is the part of the basis that lies in it.
+    True when some monomial x^u of weight l * theta, l >= 1, is supported
+    inside the nonzero arrows S.  By the integer decomposition property
+    (see :func:`semi_invariant_generators`) one of weight theta exists iff
+    any does: a theta-flow supported in S, the feasibility of an
+    uncapacitated transshipment problem with supply -theta_v where
+    theta < 0 and demand theta_v where theta > 0 (Gale 1957, Hoffman 1960).
 
-    ``deadline`` bounds the completion as in :func:`hilbert_basis`.
+    One max-flow decides it, not King's subset test: augmenting paths found
+    breadth-first from the vertices with supply left, until all is shipped
+    (the flow is the semi-invariant) or no path reaches a demand.  An arrow
+    of S gets capacity T, the sum of the positive entries of theta: an
+    acyclic flow, to which any flow cancels, carries no more.
+
+    ``deadline`` is checked once per augmenting path.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
@@ -797,9 +791,37 @@ def semistable_via_semiinvariants(
     if not any(t):
         # the constant 1 is a weight-zero semi-invariant vanishing nowhere
         return True
-    cols = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    face = [[row[i] for i in cols] + [-x] for row, x in zip(_weight_rows(s), t)]
-    return any(u[-1] for u in hilbert_basis(face, deadline=deadline))
+    k, cap = s.k, sum(x for x in t if x > 0)
+    residual = [[0] * k for _ in range(k)]
+    for a, (tail, head) in enumerate(_arrow_ends(s)):
+        if mask >> a & 1 and tail != head:
+            residual[tail][head] = cap
+    supply, demand = [max(-x, 0) for x in t], [max(x, 0) for x in t]
+    while any(supply):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("semistability flow ran past its deadline")
+        prev = [v if supply[v] else -1 for v in range(k)]
+        queue = [v for v in range(k) if supply[v]]
+        for v in queue:
+            if demand[v]:
+                break
+            for w, left in enumerate(residual[v]):
+                if left and prev[w] < 0:
+                    prev[w] = v
+                    queue.append(w)
+        else:
+            return False
+        path = [v]
+        while prev[path[-1]] != path[-1]:
+            path.append(prev[path[-1]])
+        hops = list(zip(path[1:], path))
+        shipped = min(supply[path[-1]], demand[v], *(residual[x][y] for x, y in hops))
+        for x, y in hops:
+            residual[x][y] -= shipped
+            residual[y][x] += shipped
+        supply[path[-1]] -= shipped
+        demand[v] -= shipped
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -811,9 +833,8 @@ class ProjChart:
     """Affine chart of proj at a positive-degree generator.
 
     ``smooth`` means the chart monoid is N^a x Z^b.  ``monoid_generators``
-    is its minimal generating set when the chart has no units, and otherwise
-    a generating set that need not be minimal.  ``free_rank`` is the chart's
-    dimension.
+    generates it, minimally when it has no units.  ``free_rank`` is the
+    chart's dimension.
     """
 
     pivot: GradedGenerator
@@ -822,12 +843,8 @@ class ProjChart:
     free_rank: int
 
     def to_json(self) -> dict:
-        return {
-            "pivot": self.pivot.to_json(),
-            "monoid_generators": [list(g) for g in self.monoid_generators],
-            "smooth": self.smooth,
-            "free_rank": self.free_rank,
-        }
+        gens = [list(g) for g in self.monoid_generators]
+        return {**vars(self), "pivot": self.pivot.to_json(), "monoid_generators": gens}
 
 
 def _chart_generators(
@@ -844,7 +861,7 @@ def _chart_generators(
     """
     image = {v: tuple(v[a] for a in outside) for v in set(shifted) if any(v)}
     nonzero = {w for w in image.values() if any(w)}
-    minimal = {w for w in nonzero if not any(u != w and _dominates(w, u) for u in nonzero)}
+    minimal = {w for w in nonzero if not any(u != w and all(map(ge, w, u)) for u in nonzero)}
     gens = sorted(v for v, w in image.items() if w in minimal or not any(w))
     return gens, linalg.rank(list(minimal)) == len(minimal)
 
@@ -855,15 +872,19 @@ def proj_charts(
     """One affine chart per positive-degree generator of the semi-invariant ring.
 
     The chart at a generator f is the degree-zero part of the localization
-    at f.  Every positive degree is 1 (see :func:`semi_invariant_generators`),
-    so f is some (e, 1), and the chart is generated by the shifts u - l * e
-    of the generators (u, l) of that one graded Hilbert basis.  These
-    exponent vectors v are exactly those with W v = 0 and v_a >= 0 wherever
-    e is 0.  The chart is flagged smooth when that monoid is N^a x Z^b: the
-    units split off, and the irreducible elements of the unit-free quotient
-    are linearly independent.
+    at f = (e, 1) (every positive degree is 1), generated by the shifts
+    u - l * e of the graded generators (u, l): the v with W v = 0 and
+    v_a >= 0 wherever e is 0.  It is flagged smooth when that monoid is
+    N^a x Z^b.
 
-    ``deadline`` bounds the graded Hilbert basis as in :func:`hilbert_basis`.
+    Every chart has the same free rank.  The semi-invariant ring R is a
+    graded domain of transcendence degree r, the rank of its generators
+    (u, l).  R_f has the same fraction field and is the chart's ring with
+    the unit f adjoined as a free variable, so every chart has
+    transcendence degree, hence monoid rank, r - 1.
+
+    ``deadline`` bounds the graded basis as in
+    :func:`semi_invariant_generators`.
     """
     t = _theta(s, theta)
     if not any(t):
@@ -872,17 +893,16 @@ def proj_charts(
     pivots = [g for g in graded if g.degree]
     if not pivots:
         raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
+    free_rank = linalg.rank([(*g.exponents, g.degree) for g in graded]) - 1
     charts = []
     for pivot in pivots:
-        # W u = l * theta is the chart system of a degree-1 pivot, and
-        # Baum-Trotter leaves no other degree
         shifted = [
             tuple(x - g.degree * e for x, e in zip(g.exponents, pivot.exponents))
             for g in graded
         ]
         outside = [a for a, e in enumerate(pivot.exponents) if e == 0]
         gens, smooth = _chart_generators(shifted, outside)
-        charts.append(ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
+        charts.append(ProjChart(pivot, tuple(gens), smooth, free_rank))
     return charts
 
 
@@ -894,12 +914,7 @@ class FiberStratum:
     non_free_action: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "support": list(self.support),
-            "stable": self.stable,
-            "orbit_space_dim": self.orbit_space_dim,
-            "non_free_action": self.non_free_action,
-        }
+        return {**vars(self), "support": list(self.support)}
 
 
 def central_fiber(
@@ -907,27 +922,21 @@ def central_fiber(
 ) -> list[FiberStratum]:
     """Semistable strata of the fiber over the origin of the quotient.
 
-    Enumerates arrow-support sets on which every nonconstant invariant
-    vanishes (no invariant generator's support fits inside) and keeps the
-    theta-semistable ones.  The orbit-space dimension |S| - (k - 1) assumes
-    the support spans a connected graph on all vertices; otherwise the
-    stratum is flagged non_free_action and no dimension is reported.
+    Enumerates arrow supports on which every nonconstant invariant vanishes
+    and keeps the theta-semistable ones.  The orbit-space dimension
+    |S| - (k - 1) assumes the support spans a connected graph on all
+    vertices; otherwise the stratum is flagged non_free_action, without one.
 
-    Supports, the supports of the invariant generators and the vertices
-    an arrow touches are int bitmasks, so a support S carries an invariant
-    iff u & S == u for some generator support u, and each support's King
-    verdict comes from one :func:`_king_table` for the call.
+    Supports and the supports u of the invariant generators are bitmasks,
+    so S carries an invariant iff u & S == u for some u; the King verdicts
+    come from one :func:`_king_table` for the call.
 
-    There are 2^arrows supports.  ``deadline`` is a ``time.monotonic()``
-    reading, checked once per support and passed to the cycle walk of
-    :func:`invariant_generators`; past it the search raises
-    :class:`~qsing.errors.BudgetExhaustedError`.
+    There are 2^arrows supports.  ``deadline`` is checked once per support
+    and in the cycle walk of :func:`invariant_generators`.
     """
     t = _theta(s, theta)
-    invariant_masks = [
-        sum(1 << i for i, e in enumerate(u) if e)
-        for u in invariant_generators(s, deadline=deadline)
-    ]
+    basis = invariant_generators(s, deadline=deadline)
+    invariant_masks = [sum(1 << i for i, e in enumerate(u) if e) for u in basis]
     table = _king_table(s, t)
     ends = [(1 << tail) | (1 << head) for tail, head in _arrow_ends(s)]
     bits = [1 << i for i in range(len(ends))]
@@ -948,14 +957,8 @@ def central_fiber(
             if not verdict.semistable:
                 continue
             spanning = _spans([ends[i] for i in idx], everyone)
-            out.append(
-                FiberStratum(
-                    support=idx,
-                    stable=verdict.stable,
-                    orbit_space_dim=(size - (s.k - 1)) if spanning else None,
-                    non_free_action=not spanning,
-                )
-            )
+            dim = size - (s.k - 1) if spanning else None
+            out.append(FiberStratum(idx, verdict.stable, dim, not spanning))
     return out
 
 
@@ -977,17 +980,15 @@ def toric_report(
     Every report starts with the arrow legend, the order of exponent
     vectors.  ``invariants`` adds the invariant generators and ``relations``
     their binomial relations up to ``degree_bound``.  ``semistable`` decides
-    King stability of the arrow indices in ``support`` both combinatorially
-    and through semi-invariants and says whether the two verdicts agree;
-    ``charts`` gives the proj charts and ``fiber`` the central fiber with its
-    largest orbit-space dimension.  The last three need ``theta``.
+    stability of the arrow indices in ``support`` by King's test and by a
+    semi-invariant and says whether the verdicts agree; ``charts`` gives
+    the proj charts and ``fiber`` the central fiber with its largest
+    orbit-space dimension.  The last three need ``theta``.
 
-    ``budget_secs`` bounds the wall-clock time of the invariant cycle walk,
-    the Hilbert bases, the relations and the fiber search; past it they raise
-    :class:`~qsing.errors.BudgetExhaustedError`.  A negative budget raises
-    ``ValueError``.
+    ``budget_secs`` becomes the deadline of every search the action runs.
+    A budget that is not >= 0, NaN included, raises ``ValueError``.
     """
-    if budget_secs is not None and budget_secs < 0:
+    if budget_secs is not None and not budget_secs >= 0:
         raise ValueError("budget must be >= 0 seconds")
     deadline = None if budget_secs is None else time.monotonic() + budget_secs
     arrows = s.arrow_list()
@@ -1025,9 +1026,8 @@ def toric_report(
     elif action == "charts":
         charts = proj_charts(s, theta, deadline=deadline)
         report["charts"] = [c.to_json() for c in charts]
-        report["degree_zero_generators"] = [
-            list(u) for u in invariant_generators(s, deadline=deadline)
-        ]
+        basis = invariant_generators(s, deadline=deadline)
+        report["degree_zero_generators"] = [list(u) for u in basis]
     else:
         strata = central_fiber(s, theta, deadline=deadline)
         report["strata"] = [f.to_json() for f in strata]
@@ -1039,8 +1039,7 @@ def toric_report(
 def _spans(ends: Sequence[int], everyone: int) -> bool:
     """Whether the edges ``ends`` (vertex bitmasks) touch and connect all of ``everyone``.
 
-    The search grows from vertex 0, so the empty vertex set (``everyone``
-    = 0) is not spanned.
+    The search grows from vertex 0, so the empty vertex set is not spanned.
     """
     touched = 0
     for e in ends:

@@ -637,6 +637,13 @@ class TestTypeClasses:
         )
         assert all(len(c.members) == 1 for c in undecided)
 
+    @pytest.mark.parametrize("budget", [-1.0, float("nan"), float("-inf")])
+    def test_budget_must_not_be_negative_or_nan(self, budget):
+        # NaN fails every comparison, so a test for < 0 alone would pass it
+        # on and monotonic() + nan would never be past
+        with pytest.raises(ValueError, match="budget must be >= 0 seconds"):
+            classification.census_report(4, budget_secs=budget)
+
     def test_census_budget_bounds_the_grouping(self, monkeypatch):
         # the clock stands still through the enumeration and starts ticking
         # one second per reading of the grouping's own checks at the first

@@ -281,6 +281,8 @@ EMPTY = {"dims": [], "arrows": []}
         (["toric", "semistable", CONIFOLD, "--support", "0"], None),
         (["enumerate", "--dim", "3", "--budget", "-1"], None),
         (["toric", "fiber", CONIFOLD, "--theta=-1,1", "--budget", "-1"], None),
+        (["enumerate", "--dim", "4", "--budget", "nan"], None),
+        (["toric", "charts", CONIFOLD, "--theta=-1,1", "--budget", "nan"], None),
         # a summand longer than the setting, one that is not simple, negative entries
         (["local", CONIFOLD, "--tau", "[[1,[1,0,5]]]"], None),
         (["local", CONIFOLD, "--tau", "[[1,[0,0]],[1,[1,1]]]"], None),
@@ -291,7 +293,8 @@ EMPTY = {"dims": [], "arrows": []}
         "theta", "support", "dimx", "tau", "zero-dim", "mark-at-dim-1",
         "triples", "points", "degree-bound", "float-dim", "bool-dim", "empty",
         "empty-reduce", "charts-without-theta", "fiber-without-theta",
-        "semistable-without-theta", "negative-budget", "toric-negative-budget", "tau-length",
+        "semistable-without-theta", "negative-budget", "toric-negative-budget",
+        "nan-budget", "toric-nan-budget", "tau-length",
         "tau-not-simple", "tau-negative", "tau-float",
     ],
 )
@@ -408,6 +411,21 @@ class TestToricBudget:
         start = time.monotonic()
         self.assert_exits_one_with_one_line(args)
         assert time.monotonic() - start < 5
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["enumerate", "--dim", "4", "--budget", "nan"],
+            ["toric", "charts", CONIFOLD, "--theta=-1,1", "--budget", "nan"],
+        ],
+        ids=["enumerate", "toric-charts"],
+    )
+    def test_nan_budget_exits_two(self, args, capsys):
+        # NaN is no budget: it would make a deadline that is never past
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qsing: budget must be >= 0 seconds\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -70,6 +71,16 @@ def check_hilbert_minimality(basis):
         if others and representable(b, others):
             bad.append(b)
     return bad
+
+
+def weight_rows(s: MarkedQuiverSetting) -> list[list[int]]:
+    """The weight matrix W, one row per vertex: column a is e_head - e_tail of arrow a."""
+    ends = toric._arrow_ends(s)
+    rows = [[0] * len(ends) for _ in range(s.k)]
+    for col, (tail, head) in enumerate(ends):
+        rows[head][col] += 1
+        rows[tail][col] -= 1
+    return rows
 
 
 class TestHilbertBasis:
@@ -367,7 +378,8 @@ class TestStability:
             checked += 1
 
     def test_face_basis_matches_full_basis_filter(self):
-        # the Hilbert basis of the support's face against the positive-degree
+        # the semi-invariant verdict (once read off the Hilbert basis of the
+        # support's face, now one max-flow) against the positive-degree
         # generators of the full graded basis that lie inside the support
         rng = random.Random(61)
         checked = 0
@@ -503,36 +515,37 @@ class TestProjCharts:
         assert compared >= 100
 
     @staticmethod
-    def assert_one_hilbert_basis_per_call(monkeypatch, call):
-        original = toric.hilbert_basis
-        calls = 0
+    def assert_no_hilbert_basis(monkeypatch, call):
+        # W is totally unimodular: the graded basis, the charts and the
+        # semistability test need no general completion
+        def forbidden(matrix, **kwargs):
+            raise AssertionError("hilbert_basis called")
 
-        def counting(matrix, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(matrix, **kwargs)
-
-        monkeypatch.setattr(toric, "hilbert_basis", counting)
+        monkeypatch.setattr(toric, "hilbert_basis", forbidden)
         kronecker = MarkedQuiverSetting.make([1, 1], [[0, 2], [0, 0]])
         cases = [(kronecker, (-2, 2)), (kronecker, (3, -3))]
         cases += list(random_charted_settings(59, 20, 2))
         for s, theta in cases:
-            calls = 0
             try:
                 call(s, theta)
             except EmptyProjError:
                 pass
-            assert calls == 1, (s.to_json(), theta)
 
-    def test_one_hilbert_basis_per_call(self, monkeypatch):
-        self.assert_one_hilbert_basis_per_call(monkeypatch, proj_charts)
+    def test_charts_need_no_hilbert_basis(self, monkeypatch):
+        self.assert_no_hilbert_basis(monkeypatch, proj_charts)
 
-    def test_one_hilbert_basis_per_charts_report(self, monkeypatch):
-        # the report's degree-zero generators come from the cycle walk, not
-        # from a second completion
-        self.assert_one_hilbert_basis_per_call(
+    def test_charts_report_needs_no_hilbert_basis(self, monkeypatch):
+        self.assert_no_hilbert_basis(
             monkeypatch, lambda s, theta: toric.toric_report(s, "charts", theta=theta)
         )
+
+    def test_semi_invariant_queries_need_no_hilbert_basis(self, monkeypatch):
+        def both(s, theta):
+            semi_invariant_generators(s, theta)
+            for support in (s.arrow_list(), s.arrow_list()[1:], []):
+                semistable_via_semiinvariants(s, support, theta)
+
+        self.assert_no_hilbert_basis(monkeypatch, both)
 
     def test_past_deadline_raises(self, conifold, monkeypatch):
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: 1.0))
@@ -693,6 +706,11 @@ class TestToricReportBudget:
     def test_negative_budget_rejected(self, conifold):
         with pytest.raises(ValueError, match="budget"):
             toric.toric_report(conifold, "invariants", budget_secs=-1)
+
+    @pytest.mark.parametrize("action", ["invariants", "charts"])
+    def test_nan_budget_rejected(self, conifold, action):
+        with pytest.raises(ValueError, match="budget must be >= 0 seconds"):
+            toric.toric_report(conifold, action, theta=(-1, 1), budget_secs=float("nan"))
 
 
 class TestSemigroupIsomorphism:
@@ -1138,7 +1156,7 @@ class TestGramCompletion:
     def test_graded_systems_match_reference(self):
         compared = 0
         for s, theta in random_charted_settings(73, 120, 3):
-            rows = [row + [-x] for row, x in zip(toric._weight_rows(s), theta)]
+            rows = [row + [-x] for row, x in zip(weight_rows(s), theta)]
             basis = hilbert_basis(rows)
             assert basis == reference_hilbert_basis(rows), (s.to_json(), theta)
             compared += len(basis) > 0
@@ -1153,17 +1171,17 @@ class TestGramCompletion:
         ]
         assert len(settings) == 74
         for s in settings:
-            rows = toric._weight_rows(s)
+            rows = weight_rows(s)
             assert hilbert_basis(rows) == reference_hilbert_basis(rows), s.to_json()
 
     @pytest.mark.parametrize("k,size", [(5, 84), (6, 409)])
     def test_complete_quivers(self, k, size):
-        basis = hilbert_basis(toric._weight_rows(complete_quiver(k)))
+        basis = hilbert_basis(weight_rows(complete_quiver(k)))
         assert len(basis) == size
         assert check_hilbert_minimality(basis) == []
 
     def test_deadline_checked_once_per_round(self, monkeypatch):
-        rows = toric._weight_rows(complete_quiver(4))
+        rows = weight_rows(complete_quiver(4))
         basis = hilbert_basis(rows)
         readings = 0
 
@@ -1187,7 +1205,7 @@ class TestGramCompletion:
             raise AssertionError("the clock is read without a deadline")
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
-        assert len(hilbert_basis(toric._weight_rows(complete_quiver(5)))) == 84
+        assert len(hilbert_basis(weight_rows(complete_quiver(5)))) == 84
 
 
 def cycle_walk_settings(seed: int, count: int):
@@ -1223,7 +1241,7 @@ class TestCycleWalk:
         loops = parallel = two_sided = 0
         for kind, m, s in cycle_walk_settings(83, 360):
             basis = invariant_generators(s)
-            assert basis == hilbert_basis(toric._weight_rows(s)), s.to_json()
+            assert basis == hilbert_basis(weight_rows(s)), s.to_json()
             if kind == "acyclic":
                 assert basis == []
             loops += any(s.arrows[v][v] for v in range(s.k))
@@ -1238,7 +1256,7 @@ class TestCycleWalk:
         s = complete_quiver(k)
         basis = invariant_generators(s)
         assert len(basis) == len(set(basis)) == size
-        rows = toric._weight_rows(s)
+        rows = weight_rows(s)
         assert all(set(u) <= {0, 1} for u in basis)
         assert all(sum(map(mul, row, u)) == 0 for row in rows for u in basis)
 
@@ -1296,6 +1314,134 @@ class TestCycleWalk:
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
         assert len(invariant_generators(complete_quiver(7))) == 2365
+
+
+def flow_settings(seed: int, count: int):
+    """(kind, setting, theta) for the :func:`cycle_walk_settings` with at most 4 vertices and 7 arrows.
+
+    theta has entries in -3..3 and sum 0, and may be zero.
+    """
+    rng = random.Random(seed)
+    for kind, _, s in cycle_walk_settings(seed, count):
+        if s.k > 4 or sum(map(sum, s.arrows)) > 7:
+            continue
+        while True:
+            theta = [rng.randint(-3, 3) for _ in range(s.k - 1)]
+            if abs(sum(theta)) <= 3:
+                break
+        yield kind, s, (*theta, -sum(theta))
+
+
+def reference_face_verdict(s, support, theta):
+    """The semi-invariant verdict as the face completion gave it, kept as an oracle.
+
+    The generators supported inside S are the Hilbert basis of
+    W_S u = l * theta, with W_S the columns of S.
+    """
+    chosen = set(support)
+    cols = [a for a, arrow in enumerate(s.arrow_list()) if arrow in chosen]
+    face = [[row[a] for a in cols] + [-x] for row, x in zip(weight_rows(s), theta)]
+    return not any(theta) or any(u[-1] for u in hilbert_basis(face))
+
+
+class TestThetaFlows:
+    """Degree-1 semi-invariants are acyclic theta-flows; semistability is one max-flow."""
+
+    def test_flows_and_verdicts_match_the_completion(self):
+        rng = random.Random(103)
+        kinds = collections.Counter()
+        loops = parallel = charted = 0
+        verdicts = collections.Counter()
+        for kind, s, theta in flow_settings(107, 750):
+            kinds[kind] += 1
+            loops += any(s.arrows[v][v] for v in range(s.k))
+            parallel += any(c > 1 for row in s.arrows for c in row)
+            arrows = s.arrow_list()
+            for mult in (1, 2, 3):
+                t = tuple(mult * x for x in theta)
+                graded = hilbert_basis([row + [-x] for row, x in zip(weight_rows(s), t)])
+                expected = sorted(u[:-1] for u in graded if u[-1]) if any(t) else []
+                gens = semi_invariant_generators(s, t)
+                assert [g.exponents for g in gens if g.degree] == expected, (s.to_json(), t)
+                charted += bool(expected)
+                for _ in range(2):
+                    support = [a for a in arrows if rng.random() < 0.6]
+                    via = semistable_via_semiinvariants(s, support, t)
+                    assert via == reference_face_verdict(s, support, t), (s.to_json(), t, support)
+                    assert via == is_theta_semistable(s, support, t).semistable
+                    verdicts[via] += 1
+        assert min(kinds.values()) >= 100 and loops > 100 and parallel > 100
+        assert charted > 100 and min(verdicts.values()) > 300
+
+    def test_flows_are_acyclic(self):
+        # a loop is a cycle, parallel arrows in one direction are not, a pair
+        # of opposite arrows is a 2-cycle
+        s = MarkedQuiverSetting.make([1, 1], [[1, 2], [1, 0]])
+        degree1 = [g.exponents for g in semi_invariant_generators(s, (-2, 2)) if g.degree]
+        assert degree1 == [(0, 0, 2, 0), (0, 1, 1, 0), (0, 2, 0, 0)]
+
+    ticking_clock = staticmethod(TestCycleWalk.ticking_clock)
+
+    @pytest.mark.parametrize(
+        "s, theta, readings",
+        [
+            # 12 parallel arrows carry the 1,365 compositions of 4 into 12
+            # parts, all spread from one edge value: the cycle walk reads the
+            # clock twice (no cycles), the flow search at its 1,024th step
+            (MarkedQuiverSetting.make([1, 1], [[0, 12], [0, 0]]), (-4, 4), 2 + 1),
+            # 166 flows among 15,360 to 16,383 steps, nearly all of them
+            # edges visited; the walk reads once per vertex (84 cycles)
+            (complete_quiver(5), (-2, -1, 0, 1, 2), 5 + 15),
+        ],
+        ids=["spread-over-parallel-arrows", "complete-5"],
+    )
+    def test_flow_search_reads_the_clock_per_1024_steps(self, monkeypatch, s, theta, readings):
+        ticks = self.ticking_clock(monkeypatch)
+        gens = semi_invariant_generators(s, theta, deadline=1e9)
+        assert len(ticks) == readings
+        ticks.clear()
+        with pytest.raises(BudgetExhaustedError, match="theta-flows"):
+            semi_invariant_generators(s, theta, deadline=readings - 0.5)
+        assert len(ticks) == readings
+        monkeypatch.undo()
+        assert gens == semi_invariant_generators(s, theta)
+
+    def test_max_flow_reads_the_clock_once_per_augmenting_path(self, monkeypatch):
+        # sources 0, 1 and sinks 2, 3; the first path 0 -> 2 must be
+        # rerouted by the second, 1 -> 2 -> 0 -> 3
+        s = MarkedQuiverSetting.make([1] * 4, [[0, 0, 1, 1], [0, 0, 1, 0], [0] * 4, [0] * 4])
+        theta = (-1, -1, 1, 1)
+        readings = self.ticking_clock(monkeypatch)
+        assert semistable_via_semiinvariants(s, s.arrow_list(), theta, deadline=1e9)
+        assert len(readings) == 2
+        readings.clear()
+        with pytest.raises(BudgetExhaustedError, match="semistability flow"):
+            semistable_via_semiinvariants(s, s.arrow_list(), theta, deadline=1.5)
+        assert len(readings) == 2
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            semi_invariant_generators,
+            proj_charts,
+            lambda s, theta, **kw: semistable_via_semiinvariants(s, s.arrow_list(), theta, **kw),
+        ],
+        ids=["generators", "charts", "semistable"],
+    )
+    def test_past_deadline_raises(self, conifold, monkeypatch, call):
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: 1.0))
+        with pytest.raises(BudgetExhaustedError):
+            call(conifold, (-1, 1), deadline=0.5)
+
+    def test_no_clock_without_deadline(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        s = MarkedQuiverSetting.make([1, 1], [[0, 12], [0, 0]])
+        assert len(semi_invariant_generators(s, (-4, 4))) == 1365
+        s = MarkedQuiverSetting.make([1] * 4, [[0, 0, 1, 1], [0, 0, 1, 0], [0] * 4, [0] * 4])
+        assert semistable_via_semiinvariants(s, s.arrow_list(), (-1, -1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
