@@ -56,12 +56,14 @@ def _digest_params(*parts) -> str:
 
 
 def _input_digest(args, file_digest: str | None) -> str:
-    """The setting file's sha256, folded with the options that select the result."""
-    if file_digest is None:
-        return _digest_params(args.command, *(getattr(args, name) for name in args.digest_args))
-    if args.command == "toric" and args.action in THETA_ACTIONS:
-        return _digest_params(file_digest, args.action, args.theta, args.support)
-    return file_digest
+    """The setting file's sha256, folded with the values of ``digest_args`` if there are any.
+
+    A command that reads no setting folds its name in place of the file's sha256.
+    """
+    if file_digest is not None and not args.digest_args:
+        return file_digest
+    options = (getattr(args, name) for name in args.digest_args)
+    return _digest_params(file_digest or args.command, *options)
 
 
 def _int_list(raw: str | None, flag: str) -> list[int] | None:
@@ -145,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, run, help, *, setting=True, digest_args=(), out_help=None):
         """A subcommand with --out and --timings.
 
-        ``digest_args`` name the options folded into the input digest of a
-        command that reads no setting.
+        ``digest_args`` name the options that select the result; they are
+        folded into the input digest.
         """
         p = sub.add_parser(name, help=help)
         if setting:
@@ -159,12 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("reduce", _cmd_reduce, "reduce a setting to its terminal form")
     p.add_argument("--strict", action="store_true", help="warn when a vertex removal holds with strict inequality")
 
-    p = command("classify", _cmd_classify, "smoothness classification of a setting")
+    p = command("classify", _cmd_classify, "smoothness classification of a setting", digest_args=("dimx",))
     p.add_argument("--dimx", type=int, help="also report the defect against this central dimension")
 
     command("dim", _cmd_dim, "expected central dimension of a setting")
 
-    p = command("local", _cmd_local, "local setting at a decomposition type")
+    p = command("local", _cmd_local, "local setting at a decomposition type", digest_args=("tau",))
     p.add_argument("--tau", required=True, help='decomposition type, e.g. "[[1,[1,0]],[1,[0,1]]]"')
 
     command("strata", _cmd_strata, "classify every decomposition type of a setting")
@@ -181,7 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
 
     # the setting comes after the action here
-    p = command("toric", _cmd_toric, "toric invariant theory for all-ones settings", setting=False)
+    p = command(
+        "toric",
+        _cmd_toric,
+        "toric invariant theory for all-ones settings",
+        setting=False,
+        digest_args=("action", "theta", "support", "degree_bound"),
+    )
     p.add_argument("action", choices=["invariants", "relations", *THETA_ACTIONS])
     p.add_argument("setting")
     p.add_argument("--theta", help='comma-separated stability vector; use --theta=-1,1 for leading minus')

@@ -33,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from . import linalg
 from .errors import QsingError
@@ -248,22 +248,17 @@ X = ConifoldElement.from_word("X")
 Y = ConifoldElement.from_word("Y")
 Z = ConifoldElement.from_word("Z")
 
-IntTerms = list[tuple[Monomial, int]]  # a polynomial's terms with integer coefficients
-
-# (w1, w2) -> normal form of the word w1 w2 as (word, integer terms) pairs;
-# filled on first use
-_PRODUCT_TABLE: dict[tuple[str, str], tuple[tuple[str, IntTerms], ...]] = {}
+IntTerms = Sequence[tuple[Monomial, int]]  # a polynomial's terms with integer coefficients
 
 
+@functools.cache
 def _basis_product(w1: str, w2: str) -> tuple[tuple[str, IntTerms], ...]:
-    key = (w1, w2)
-    if key not in _PRODUCT_TABLE:
-        # the rewrite coefficients are integral, so every denominator is 1
-        _PRODUCT_TABLE[key] = tuple(
-            (word, [(mono, c.numerator) for mono, c in poly.terms])
-            for word, poly in _reduce_word(w1 + w2).items()
-        )
-    return _PRODUCT_TABLE[key]
+    """The normal form of the word w1 w2 as (word, integer terms) pairs, shared by every caller."""
+    # the rewrite coefficients are integral, so every denominator is 1
+    return tuple(
+        (word, tuple((mono, c.numerator) for mono, c in poly.terms))
+        for word, poly in _reduce_word(w1 + w2).items()
+    )
 
 
 def _integer_terms(a: ConifoldElement) -> tuple[int, list[tuple[str, IntTerms]]]:
@@ -347,7 +342,7 @@ def rewrite_critical_pairs() -> list[tuple[str, ConifoldElement, ConifoldElement
 class TernaryForm:
     """The symmetric matrix [[x, z, 0], [z, y, 0], [0, 0, 1]] over C[x, y, z]."""
 
-    matrix: tuple[tuple[CenterPoly, ...], ...] = (
+    matrix: ClassVar[tuple[tuple[CenterPoly, ...], ...]] = (
         (POLY_X, POLY_Z, ZERO),
         (POLY_Z, POLY_Y, ZERO),
         (ZERO, ZERO, ONE),
@@ -448,7 +443,8 @@ def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
 
     Solvable charts rotate: mostly z1 != 0 (back-solve x1, y1), with z1 = 0
     charts mixed in by solving z2 z3 = 1 and back-solving x3, y3.  Every
-    returned point satisfies the equations exactly.
+    returned point satisfies the equations exactly; each is checked, and
+    one that does not raises ``AssertionError``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -477,7 +473,8 @@ def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
             x1 = -(x2 * z3 + x3 * z2) / (2 * z1)
             y1 = -(y2 * z3 + y3 * z2) / (2 * z1)
         point = (x1, x2, x3, y1, y2, y3, z1, z2, z3)
-        assert not any(_scaled_residuals(*_scaled_point(point)))
+        if any(_scaled_residuals(*_scaled_point(point))):
+            raise AssertionError(f"sampled point {point} is not on the scheme")
         points.append(point)
     return points
 
@@ -528,17 +525,14 @@ def evaluate_at_point(a: ConifoldElement, point: Sequence) -> tuple[tuple[Fracti
     yn = 2 * (y1 * y1 + y2 * y3)
     zn = 2 * x1 * y1 + x2 * y3 + x3 * y2
     # the common denominator coef_den * center_den^top_deg * q^top_len
-    coef_den = math.lcm(*(c.denominator for poly in a.coeffs.values() for _, c in poly.terms))
-    top_deg = max((sum(m) for poly in a.coeffs.values() for m, _ in poly.terms), default=0)
+    coef_den, terms = _integer_terms(a)
+    top_deg = max((sum(m) for _, poly in terms for m, _ in poly), default=0)
     top_len = max(map(len, a.coeffs), default=0)
     t11 = t12 = t21 = t22 = 0
-    for word, poly in a.coeffs.items():
+    for word, poly in terms:
         value = 0
-        for (i, j, k), c in poly.terms:
-            value += (
-                c.numerator * (coef_den // c.denominator)
-                * xn**i * yn**j * zn**k * center_den ** (top_deg - i - j - k)
-            )
+        for (i, j, k), c in poly:
+            value += c * xn**i * yn**j * zn**k * center_den ** (top_deg - i - j - k)
         value *= q ** (top_len - len(word))
         if word:
             (m11, m12), (m21, m22) = functools.reduce(_mat_mul2, map(letters.__getitem__, word))

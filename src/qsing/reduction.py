@@ -35,14 +35,6 @@ class MoveKind(enum.Enum):
     BIG_LOOP_REMOVAL = "big_loop_removal"
 
 
-# deterministic ordering of kinds at equal vertex index
-_KIND_ORDER = {
-    MoveKind.VERTEX_REMOVAL: 0,
-    MoveKind.SMALL_LOOP_REMOVAL: 1,
-    MoveKind.BIG_LOOP_REMOVAL: 2,
-}
-
-
 @dataclass(frozen=True)
 class Move:
     """One applicable reduction step.
@@ -58,9 +50,6 @@ class Move:
     marked: bool = False
     neighbor: int | None = None
     incoming: bool = False
-
-    def sort_key(self) -> tuple:
-        return (self.vertex, _KIND_ORDER[self.kind], self.incoming, self.neighbor or 0)
 
     def describe(self) -> str:
         if self.kind is MoveKind.VERTEX_REMOVAL:
@@ -102,7 +91,8 @@ class ReductionResult:
 
 
 def applicable_moves(s: MarkedQuiverSetting) -> list[Move]:
-    """Every legal move on ``s``, in the deterministic order used by reduce."""
+    """Every legal move on ``s`` in reduce's order: by vertex, then vertex removal, loop
+    removal, big-loop removal along the outgoing arrow and along the incoming one."""
     moves: list[Move] = []
     alpha = s.dims
     for v in range(s.k):
@@ -130,7 +120,7 @@ def applicable_moves(s: MarkedQuiverSetting) -> list[Move]:
                         incoming=True,
                     )
                 )
-    return sorted(moves, key=Move.sort_key)
+    return moves
 
 
 def apply_move(

@@ -34,7 +34,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import add, ge, itemgetter, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .core import Arrow, MarkedQuiverSetting, exact_int
@@ -69,9 +69,7 @@ def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
 # Hilbert bases
 
 
-def hilbert_basis(
-    matrix: Sequence[Sequence[int]], *, deadline: float | None = None
-) -> list[Vector]:
+def hilbert_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
     """Minimal nonzero solutions of M u = 0, u in N^n (Contejean-Devie), sorted.
 
     The reference the cycle walk and the theta-flow search are checked
@@ -81,7 +79,7 @@ def hilbert_basis(
     g(u) + G e_i, and u is a solution iff g(u) = 0.  A round files its
     solutions before it extends the rest, and no frontier vector dominates
     a known solution, so u + e_i is compared only with the solutions whose
-    i-th coordinate is u_i + 1.  ``deadline`` is checked once per round.
+    i-th coordinate is u_i + 1.
     """
     rows = [tuple(r) for r in matrix]
     n = len(rows[0]) if rows else 0
@@ -95,8 +93,6 @@ def hilbert_basis(
     unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
     frontier: dict[Vector, Vector] = dict(zip(unit, gram))
     while frontier:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("Hilbert basis ran past its deadline")
         growing = []
         for u, g in frontier.items():
             if any(g):
@@ -440,7 +436,8 @@ def invariant_generators(
 
     One walk per least vertex s0 extends simple paths (visited vertices as
     a bitmask) through vertices above s0; every edge back to s0 closes a
-    vertex cycle, expanded over the parallel arrows of its edges.
+    vertex cycle, expanded over the parallel arrows of its edges.  The path
+    is an explicit stack, so a long one needs no recursion.
 
     ``deadline`` is checked once per least vertex and after every 1,024th
     cycle emitted.
@@ -461,27 +458,36 @@ def invariant_generators(
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhaustedError("invariant cycles ran past their deadline")
 
-    def walk(s0: int, v: int, seen: int) -> None:
-        for w in successors[v]:
-            if w == s0:
-                path.append(slots[v][w])
-                for chosen in itertools.product(*path):
-                    for a in chosen:
-                        u[a] = 1
-                    cycles.append(tuple(u))
-                    for a in chosen:
-                        u[a] = 0
-                    if not len(cycles) % _PER_CHECK:
-                        check_deadline()
-                path.pop()
-            elif w > s0 and not seen >> w & 1:
-                path.append(slots[v][w])
-                walk(s0, w, seen | 1 << w)
-                path.pop()
-
     for s0 in range(k):
         check_deadline()
-        walk(s0, s0, 1 << s0)
+        # the path's vertices, and per vertex the successors left to try
+        verts, todo, seen = [s0], [iter(successors[s0])], 1 << s0
+        while todo:
+            v = verts[-1]
+            for w in todo[-1]:
+                if w == s0:
+                    path.append(slots[v][w])
+                    for chosen in itertools.product(*path):
+                        for a in chosen:
+                            u[a] = 1
+                        cycles.append(tuple(u))
+                        for a in chosen:
+                            u[a] = 0
+                        if not len(cycles) % _PER_CHECK:
+                            check_deadline()
+                    path.pop()
+                elif w > s0 and not seen >> w & 1:
+                    path.append(slots[v][w])
+                    verts.append(w)
+                    todo.append(iter(successors[w]))
+                    seen |= 1 << w
+                    break
+            else:
+                todo.pop()
+                verts.pop()
+                seen ^= 1 << v
+                if verts:
+                    path.pop()
     cycles.sort()
     return cycles
 
@@ -546,7 +552,7 @@ def semi_invariant_generators(
         if deadline is not None and not steps % _PER_CHECK and time.monotonic() > deadline:
             raise BudgetExhaustedError("theta-flows ran past their deadline")
 
-    def place(e: int) -> None:
+    def place(e: int) -> Iterator:
         step()
         if e == len(edges):
             spreads = map(itertools.combinations_with_replacement, slots, values)
@@ -565,7 +571,7 @@ def semi_invariant_generators(
         hi = min(need_h + out_h, in_t - need_t, most_in[head] - inflow[head])
         hi = min(hi, most_out[tail] - outflow[tail])
         if not lo and hi >= 0:
-            place(e + 1)
+            yield place(e + 1)
             lo = 1
         if lo > hi or reach[head] >> tail & 1:
             return
@@ -577,13 +583,20 @@ def semi_invariant_generators(
             values[e] = x
             inflow[head] += x
             outflow[tail] += x
-            place(e + 1)
+            yield place(e + 1)
             inflow[head] -= x
             outflow[tail] -= x
         values[e] = 0
         reach[:] = saved
 
-    place(0)
+    # each level yields its child levels, which wait on an explicit stack
+    stack = [place(0)]
+    while stack:
+        for child in stack[-1]:
+            stack.append(child)
+            break
+        else:
+            stack.pop()
     flows.sort()
     return tuple(gens + [GradedGenerator(u, 1) for u in flows])
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -179,9 +178,8 @@ def test_criterion_4_dim5_count():
 
 
 def test_criterion_4_dim6_stretch(tmp_path):
-    budget = float(os.environ.get("QSING_BUDGET_SECS", "3600"))
     started = time.perf_counter()
-    found = enumerate_reduced_singular(6, deadline=time.monotonic() + budget)
+    found = enumerate_reduced_singular(6)
     classes = singular_type_classes(found)
     elapsed = time.perf_counter() - started
     decided = [c for c in classes if c.equivalence_decided]

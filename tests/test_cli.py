@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -194,6 +195,33 @@ class TestReportContract:
             assert code == 0
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["local", "--tau", "[[1,[1,0]],[1,[0,1]]]"], ["local", "--tau", "[[1,[1,1]]]"]),
+            (["classify"], ["classify", "--dimx", "3"]),
+            (["toric", "relations", "--degree-bound", "2"], ["toric", "relations"]),
+            (["toric", "charts", "--theta=-1,1"], ["toric", "charts", "--theta=1,-1"]),
+            (["toric", "invariants"], ["toric", "relations"]),
+        ],
+        ids=["tau", "dimx", "degree-bound", "theta", "action"],
+    )
+    def test_digest_tells_apart_options_that_select_the_result(self, first, second, capsys):
+        conifold = str(FIXTURES / "conifold.json")
+        digests = set()
+        for args in (first, second):
+            at = 2 if args[0] == "toric" else 1
+            code, report = run_cli([*args[:at], conifold, *args[at:]], capsys)
+            assert code == 0
+            digests.add(report["input_digest"])
+        assert len(digests) == 2
+
+    @pytest.mark.parametrize("args", [["dim"], ["strata"], ["reduce"], ["reduce", "--strict"]])
+    def test_digest_of_an_optionless_command_is_the_file_sha256(self, args, capsys):
+        path = FIXTURES / "conifold.json"
+        _, report = run_cli([*args, str(path)], capsys)
+        assert report["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_timings_excluded_by_default(self, capsys):
         _, report = run_cli(["dim", str(FIXTURES / "conifold.json")], capsys)

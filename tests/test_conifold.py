@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
@@ -285,6 +288,18 @@ class TestClifford:
 
 
 class TestTrep2:
+    def test_sample_check_survives_optimize(self):
+        # a sampled point off the scheme raises under python -O too
+        code = (
+            "import qsing.conifold as c\n"
+            "c._scaled_residuals = lambda q, P: (1, 0, 0)\n"
+            "c.trep2_sample(1)\n"
+        )
+        repo = Path(__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, cwd=repo)
+        assert proc.returncode == 1
+        assert "AssertionError: sampled point" in proc.stderr
+
     def test_sample_point_from_worked_example(self):
         point = (0, 1, 1, 0, 1, -1, 1, 0, 0)
         assert trep2_residuals(point) == (0, 0, 0)

@@ -57,6 +57,21 @@ class TestApplicableMoves:
         assert all(m.vertex != 0 for m in vertex_moves)
 
 
+    def test_moves_come_out_in_order(self):
+        # by vertex, then by kind in declaration order, then an outgoing
+        # big-loop arrow before an incoming one; the keys never tie
+        kinds = list(MoveKind)
+        rng = random.Random(17)
+        shared = 0
+        for _ in range(2000):
+            s = random_setting(rng, max_mult=1)
+            keys = [(m.vertex, kinds.index(m.kind), m.incoming) for m in applicable_moves(s)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), s.to_json()
+            shared += len({v for v, _, _ in keys}) < len(keys)
+        # two moves at one vertex: big-loop removal along either arrow
+        assert shared > 20
+
+
 class TestApplyMove:
     def test_three_small_loops(self):
         s = MarkedQuiverSetting.make([1], [[3]])

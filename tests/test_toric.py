@@ -6,6 +6,7 @@ import collections
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction
 from operator import ge, mul
 from types import SimpleNamespace
@@ -1140,6 +1141,12 @@ def complete_quiver(k: int) -> MarkedQuiverSetting:
     return MarkedQuiverSetting.make([1] * k, [[int(i != j) for j in range(k)] for i in range(k)])
 
 
+def directed_cycle(k: int) -> MarkedQuiverSetting:
+    """The all-ones directed cycle 0 -> 1 -> ... -> k - 1 -> 0."""
+    arrows = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+    return MarkedQuiverSetting.make([1] * k, arrows)
+
+
 class TestGramCompletion:
     def test_random_matrices_match_reference(self):
         rng = random.Random(71)
@@ -1179,26 +1186,6 @@ class TestGramCompletion:
         basis = hilbert_basis(weight_rows(complete_quiver(k)))
         assert len(basis) == size
         assert check_hilbert_minimality(basis) == []
-
-    def test_deadline_checked_once_per_round(self, monkeypatch):
-        rows = weight_rows(complete_quiver(4))
-        basis = hilbert_basis(rows)
-        readings = 0
-
-        def monotonic():
-            nonlocal readings
-            readings += 1
-            return float(readings)
-
-        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
-        assert hilbert_basis(rows, deadline=1e9) == basis
-        # a basis element of degree r is found in round r
-        rounds = readings
-        assert rounds >= max(sum(u) for u in basis) > 1
-        readings = 0
-        with pytest.raises(BudgetExhaustedError):
-            hilbert_basis(rows, deadline=rounds - 0.5)
-        assert readings == rounds
 
     def test_no_clock_without_deadline(self, monkeypatch):
         def no_clock():
@@ -1259,6 +1246,11 @@ class TestCycleWalk:
         rows = weight_rows(s)
         assert all(set(u) <= {0, 1} for u in basis)
         assert all(sum(map(mul, row, u)) == 0 for row in rows for u in basis)
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # the walk from vertex 0 goes one level deeper per vertex of the cycle
+        s = directed_cycle(sys.getrecursionlimit() + 100)
+        assert invariant_generators(s) == [(1,) * s.k]
 
     def test_degree_zero_part_of_semi_invariants(self):
         # the charts report takes its degree-zero generators from the cycle
@@ -1372,6 +1364,16 @@ class TestThetaFlows:
                     verdicts[via] += 1
         assert min(kinds.values()) >= 100 and loops > 100 and parallel > 100
         assert charted > 100 and min(verdicts.values()) > 300
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # the flow search goes one level deeper per edge; the one flow from
+        # vertex 0 to vertex 1 is the arrow 0 -> 1, arrow 0 in the legend
+        s = directed_cycle(sys.getrecursionlimit() + 100)
+        theta = (-1, 1) + (0,) * (s.k - 2)
+        assert semi_invariant_generators(s, theta) == (
+            toric.GradedGenerator((1,) * s.k, 0),
+            toric.GradedGenerator((1,) + (0,) * (s.k - 1), 1),
+        )
 
     def test_flows_are_acyclic(self):
         # a loop is a cycle, parallel arrows in one direction are not, a pair
