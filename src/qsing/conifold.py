@@ -13,10 +13,13 @@ so rewriting terminates, and the critical pairs of the system can be checked
 by :func:`rewrite_critical_pairs`.
 
 Products are computed over the integers.  Every rewrite coefficient (x, y,
-1, 2z, -1) is integral, so the table of the 64 basis products holds integer
-coefficients; :func:`multiply` writes each operand over one common
-denominator, multiplies numerators through that table, and divides by the
-product of the two denominators once per output term.
+1, 2z, -1) is integral, so each of the 64 basis products is a sum of one or
+two terms c * x^i y^j z^k with integer c and i, j, k in {0, 1}.
+:func:`multiply` writes each operand over one common denominator, packs
+each monomial into one integer with a field width fitted to the call's own
+operands, so that multiplying monomials is adding integers, adds every
+product of two terms and a basis-product term straight into the result,
+and divides by the product of the two denominators once per output term.
 
 Points of the 2-dimensional trace-zero representation scheme are cleared
 the same way, once per point: the lcm q of a point's denominators turns
@@ -252,19 +255,33 @@ IntTerms = Sequence[tuple[Monomial, int]]  # a polynomial's terms with integer c
 
 
 @functools.cache
-def _basis_product(w1: str, w2: str) -> tuple[tuple[str, IntTerms], ...]:
-    """The normal form of the word w1 w2 as (word, integer terms) pairs, shared by every caller."""
-    # the rewrite coefficients are integral, so every denominator is 1
-    return tuple(
-        (word, tuple((mono, c.numerator) for mono, c in poly.terms))
-        for word, poly in _reduce_word(w1 + w2).items()
-    )
+def _basis_product(w1: str, w2: str) -> tuple[tuple[str, int, int], ...]:
+    """The normal form of the word w1 w2 as flat (word, shift, coefficient) entries.
+
+    Every coefficient of the normal form is a single term c * x^i y^j z^k
+    with i, j, k in {0, 1} and c an integer (the rewrite coefficients x, y,
+    1, 2z and -1 are), so each entry holds c and the shift packed one bit per
+    variable, (i << 2) | (j << 1) | k.  The table is filled lazily and
+    shared by every caller.
+    """
+    entries = []
+    for word, poly in _reduce_word(w1 + w2).items():
+        (((i, j, k), c),) = poly.terms
+        entries.append((word, (i << 2) | (j << 1) | k, c.numerator))
+    return tuple(entries)
 
 
-def _integer_terms(a: ConifoldElement) -> tuple[int, list[tuple[str, IntTerms]]]:
-    """The lcm D of a's coefficient denominators, and a's terms as numerators over D."""
-    den = math.lcm(*(c.denominator for poly in a.coeffs.values() for _, c in poly.terms))
-    return den, [
+def _integer_terms(a: ConifoldElement) -> tuple[int, int, list[tuple[str, IntTerms]]]:
+    """a written over one denominator: (D, top, terms).
+
+    D is the lcm of a's coefficient denominators, ``terms`` holds each
+    word's terms with their numerators over D, and ``top`` is the largest
+    total degree of a monomial of a (0 for the zero element).
+    """
+    polys = a.coeffs.values()
+    den = math.lcm(*[c.denominator for poly in polys for _, c in poly.terms])
+    top = max([sum(mono) for poly in polys for mono, _ in poly.terms], default=0)
+    return den, top, [
         (word, [(mono, c.numerator * (den // c.denominator)) for mono, c in poly.terms])
         for word, poly in a.coeffs.items()
     ]
@@ -276,30 +293,58 @@ def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
     The product is computed over the integers: with a = A / D_a and
     b = B / D_b for integral A and B, the integral product table gives
     A * B, and each of its coefficients is divided by D_a * D_b once.
+
+    Monomials are packed into one integer, x^i y^j z^k as
+    (i << 2S) | (j << S) | k, so that multiplying monomials is adding
+    integers.  The width S is the call's own: no exponent of A * B exceeds
+    top_a + top_b + 1, the largest total degrees of the operands plus the
+    at most one of a basis product, so S = (top_a + top_b + 1).bit_length()
+    bits hold every field without a carry, and the packed keys sort in
+    the order of the exponent tuples.
     """
-    den_a, terms_a = _integer_terms(a)
-    den_b, terms_b = _integer_terms(b)
-    acc: dict[str, dict[Monomial, int]] = {}
-    for w1, t1 in terms_a:
-        for w2, t2 in terms_b:
-            factor: dict[Monomial, int] = {}
-            for (i1, j1, k1), c1 in t1:
-                for (i2, j2, k2), c2 in t2:
-                    mono = (i1 + i2, j1 + j2, k1 + k2)
-                    factor[mono] = factor.get(mono, 0) + c1 * c2
-            for word, poly in _basis_product(w1, w2):
-                out = acc.setdefault(word, {})
-                for (i1, j1, k1), c1 in factor.items():
-                    for (i2, j2, k2), c2 in poly:
-                        mono = (i1 + i2, j1 + j2, k1 + k2)
-                        out[mono] = out.get(mono, 0) + c1 * c2
-    den = den_a * den_b
-    return ConifoldElement(
-        {
-            word: CenterPoly(tuple(sorted((m, Fraction(n, den)) for m, n in out.items() if n)))
-            for word, out in acc.items()
-        }
+    den_a, top_a, terms_a = _integer_terms(a)
+    den_b, top_b, terms_b = _integer_terms(b)
+    width = (top_a + top_b + 1).bit_length()
+    wide = 2 * width
+    packed_a, packed_b = (
+        [(w, [((i << wide) | (j << width) | k, n) for (i, j, k), n in t]) for w, t in terms]
+        for terms in (terms_a, terms_b)
     )
+    # the packed monomials x and y, and a basis product's shift bits
+    # (i << 2) | (j << 1) | k spread to width S
+    x, y = 1 << wide, 1 << width
+    shifts = (0, 1, y, y | 1, x, x | 1, x | y, x | y | 1)
+    acc: dict[str, dict[int, int]] = {}
+    for w1, t1 in packed_a:
+        for w2, t2 in packed_b:
+            for word, bits, t in _basis_product(w1, w2):
+                out = acc.get(word)
+                if out is None:
+                    out = acc[word] = {}
+                shift = shifts[bits]
+                for m1, c1 in t1:
+                    m1 += shift
+                    c1 *= t
+                    for m2, c2 in t2:
+                        m = m1 + m2
+                        out[m] = out.get(m, 0) + c1 * c2
+    den = den_a * den_b
+    mask = y - 1
+    product = {}
+    for word, out in acc.items():
+        product[word] = CenterPoly(
+            tuple(
+                [
+                    (
+                        (m >> wide, (m >> width) & mask, m & mask),
+                        Fraction(n) if den == 1 else Fraction(n, den),
+                    )
+                    for m, n in sorted(out.items())
+                    if n
+                ]
+            )
+        )
+    return ConifoldElement(product)
 
 
 def commutator_element() -> ConifoldElement:
@@ -525,8 +570,7 @@ def evaluate_at_point(a: ConifoldElement, point: Sequence) -> tuple[tuple[Fracti
     yn = 2 * (y1 * y1 + y2 * y3)
     zn = 2 * x1 * y1 + x2 * y3 + x3 * y2
     # the common denominator coef_den * center_den^top_deg * q^top_len
-    coef_den, terms = _integer_terms(a)
-    top_deg = max((sum(m) for _, poly in terms for m, _ in poly), default=0)
+    coef_den, top_deg, terms = _integer_terms(a)
     top_len = max(map(len, a.coeffs), default=0)
     t11 = t12 = t21 = t22 = 0
     for word, poly in terms:

@@ -416,7 +416,8 @@ class Relation:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
-# the cycles the walk emits, or the steps the theta-flow search takes, per clock reading
+# the cycles the walk emits, the steps the theta-flow search takes, or the
+# vertex subsets King's test lists, per clock reading
 _PER_CHECK = 1024
 
 
@@ -718,7 +719,11 @@ def _support_mask(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> int:
 
 
 def is_theta_semistable(
-    s: MarkedQuiverSetting, support: Iterable[Arrow], theta: Sequence[int]
+    s: MarkedQuiverSetting,
+    support: Iterable[Arrow],
+    theta: Sequence[int],
+    *,
+    deadline: float | None = None,
 ) -> StabilityVerdict:
     """King's test for an all-ones setting, exact and combinatorial.
 
@@ -726,17 +731,20 @@ def is_theta_semistable(
     closed under the nonzero arrows ``support``.  Semistable means theta is
     >= 0 on every proper nonempty closed subset, stable means > 0; the
     witness is a minimizing subset when the verdict is negative, the first
-    one in the order of (size, vertices), read off :func:`_king_table`.
+    one in the order of (size, vertices), read off :func:`_king_table`,
+    which checks ``deadline``.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    return _king_verdict(_king_table(s, t), _support_mask(s, support))
+    return _king_verdict(_king_table(s, t, deadline=deadline), _support_mask(s, support))
 
 
 _STABLE = StabilityVerdict(True, True, None)
 
 
-def _king_table(s: MarkedQuiverSetting, t: Vector) -> list[tuple[int, StabilityVerdict]]:
+def _king_table(
+    s: MarkedQuiverSetting, t: Vector, *, deadline: float | None = None
+) -> list[tuple[int, StabilityVerdict]]:
     """The King's test table of an all-ones setting and a checked theta.
 
     One row per proper nonempty vertex subset X with theta(X) <= 0: the
@@ -744,26 +752,41 @@ def _king_table(s: MarkedQuiverSetting, t: Vector) -> list[tuple[int, StabilityV
     by (size, vertices) and stably sorted by theta(X), so the first row
     whose mask misses a support is the first minimizer among the subsets
     closed under it.  A support that no row fits is stable.
+
+    There are 2^k - 2 subsets.  ``deadline`` is checked after every
+    1,024th of them.
     """
     tails = [0] * s.k
     heads = [0] * s.k
     for i, (tail, head) in enumerate(_arrow_ends(s)):
         tails[tail] |= 1 << i
         heads[head] |= 1 << i
+    subsets: Iterator[tuple[int, ...]] = itertools.chain.from_iterable(
+        itertools.combinations(range(s.k), size) for size in range(1, s.k)
+    )
+    if deadline is not None:
+        subsets = _checked(subsets, deadline, "King's test ran past its deadline")
     rows = []
-    for size in range(1, s.k):
-        for subset in itertools.combinations(range(s.k), size):
-            value = sum(map(t.__getitem__, subset))
-            if value > 0:
-                continue
-            out = into = 0
-            for v in subset:
-                out |= tails[v]
-                into |= heads[v]
-            verdict = StabilityVerdict(value == 0, False, subset)
-            rows.append((value, out & ~into, verdict))
+    for subset in subsets:
+        value = sum(map(t.__getitem__, subset))
+        if value > 0:
+            continue
+        out = into = 0
+        for v in subset:
+            out |= tails[v]
+            into |= heads[v]
+        verdict = StabilityVerdict(value == 0, False, subset)
+        rows.append((value, out & ~into, verdict))
     rows.sort(key=itemgetter(0))
     return [(leaving, verdict) for _, leaving, verdict in rows]
+
+
+def _checked(items: Iterable, deadline: float, message: str) -> Iterator:
+    """``items`` one by one, reading the clock after every ``_PER_CHECK``-th."""
+    for count, item in enumerate(items, 1):
+        yield item
+        if not count % _PER_CHECK and time.monotonic() > deadline:
+            raise BudgetExhaustedError(message)
 
 
 def _king_verdict(table: Sequence[tuple[int, StabilityVerdict]], support: int) -> StabilityVerdict:
@@ -944,13 +967,14 @@ def central_fiber(
     so S carries an invariant iff u & S == u for some u; the King verdicts
     come from one :func:`_king_table` for the call.
 
-    There are 2^arrows supports.  ``deadline`` is checked once per support
-    and in the cycle walk of :func:`invariant_generators`.
+    There are 2^arrows supports.  ``deadline`` is checked once per support,
+    in the cycle walk of :func:`invariant_generators` and in the subset
+    listing of :func:`_king_table`.
     """
     t = _theta(s, theta)
     basis = invariant_generators(s, deadline=deadline)
     invariant_masks = [sum(1 << i for i, e in enumerate(u) if e) for u in basis]
-    table = _king_table(s, t)
+    table = _king_table(s, t, deadline=deadline)
     ends = [(1 << tail) | (1 << head) for tail, head in _arrow_ends(s)]
     bits = [1 << i for i in range(len(ends))]
     everyone = (1 << s.k) - 1
@@ -1030,7 +1054,7 @@ def toric_report(
         if any(not 0 <= i < len(arrows) for i in support):
             raise ValueError(f"support indices must lie in 0..{len(arrows) - 1}")
         chosen = [arrows[i] for i in support]
-        verdict = is_theta_semistable(s, chosen, theta)
+        verdict = is_theta_semistable(s, chosen, theta, deadline=deadline)
         via = semistable_via_semiinvariants(s, chosen, theta, deadline=deadline)
         report["support"] = list(support)
         report["verdict"] = verdict.to_json()

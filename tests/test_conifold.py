@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
+import math
 import random
 import subprocess
 import sys
@@ -67,6 +70,80 @@ def reference_multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElemen
         for w2, p2 in b.coeffs.items():
             total = total + ConifoldElement.from_word(w1 + w2).scale_poly(p1 * p2)
     return total
+
+
+@functools.cache
+def reference_basis_product(w1: str, w2: str):
+    """The normal form of the word w1 w2 as (word, integer terms) pairs."""
+    return tuple(
+        (word, tuple((mono, c.numerator) for mono, c in poly.terms))
+        for word, poly in ConifoldElement.from_word(w1 + w2).coeffs.items()
+    )
+
+
+def reference_integer_terms(a: ConifoldElement):
+    """The lcm D of a's coefficient denominators, and a's terms as numerators over D."""
+    den = math.lcm(*(c.denominator for poly in a.coeffs.values() for _, c in poly.terms))
+    return den, [
+        (word, [(mono, c.numerator * (den // c.denominator)) for mono, c in poly.terms])
+        for word, poly in a.coeffs.items()
+    ]
+
+
+def reference_integer_multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
+    """The tuple-monomial integer kernel that the packed kernel replaced, kept as an oracle.
+
+    The product is computed over the integers: with a = A / D_a and
+    b = B / D_b for integral A and B, the integral product table gives
+    A * B, and each of its coefficients is divided by D_a * D_b once.
+    """
+    den_a, terms_a = reference_integer_terms(a)
+    den_b, terms_b = reference_integer_terms(b)
+    acc = {}
+    for w1, t1 in terms_a:
+        for w2, t2 in terms_b:
+            factor = {}
+            for (i1, j1, k1), c1 in t1:
+                for (i2, j2, k2), c2 in t2:
+                    mono = (i1 + i2, j1 + j2, k1 + k2)
+                    factor[mono] = factor.get(mono, 0) + c1 * c2
+            for word, poly in reference_basis_product(w1, w2):
+                out = acc.setdefault(word, {})
+                for (i1, j1, k1), c1 in factor.items():
+                    for (i2, j2, k2), c2 in poly:
+                        mono = (i1 + i2, j1 + j2, k1 + k2)
+                        out[mono] = out.get(mono, 0) + c1 * c2
+    den = den_a * den_b
+    return ConifoldElement(
+        {
+            word: CenterPoly(tuple(sorted((m, Fraction(n, den)) for m, n in out.items() if n)))
+            for word, out in acc.items()
+        }
+    )
+
+
+def dense_element(rng: random.Random) -> ConifoldElement:
+    """All 8 words, 3 terms each of total degree <= 2, rational coefficients."""
+    monos = [m for m in itertools.product(range(3), repeat=3) if sum(m) <= 2]
+    coeffs = {}
+    for word in BASIS:
+        terms = {
+            mono: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            for mono in rng.sample(monos, 3)
+        }
+        coeffs[word] = CenterPoly.from_dict(terms)
+    return ConifoldElement(coeffs)
+
+
+def assert_exact_product(product: ConifoldElement, expected: ConifoldElement):
+    """Same words, and per word the same terms in the same order, all Fractions over int exponents."""
+    assert product.coeffs.keys() == expected.coeffs.keys()
+    for word, poly in product.coeffs.items():
+        assert poly.terms == expected.coeffs[word].terms
+        monos = [m for m, _ in poly.terms]
+        assert all(m1 < m2 for m1, m2 in zip(monos, monos[1:]))
+        assert all(type(c) is Fraction for _, c in poly.terms)
+        assert all(type(e) is int for m in monos for e in m)
 
 
 def mat_mul2(a, b):
@@ -215,6 +292,68 @@ class TestRationalMultiplication:
         left, right = multiply(a, one + Z), multiply(one - Z, b)
         assert multiply(left, right).is_zero
         assert reference_multiply(left, right).is_zero
+
+    def test_dense_triples_match_the_tuple_kernel(self):
+        rng = random.Random(2111)
+        for _ in range(4):
+            a, b, c = (dense_element(rng) for _ in range(3))
+            ab, bc = multiply(a, b), multiply(b, c)
+            for left, right, product in (
+                (a, b, ab),
+                (b, c, bc),
+                (ab, c, multiply(ab, c)),
+                (a, bc, multiply(a, bc)),
+            ):
+                expected = reference_integer_multiply(left, right)
+                assert list(product.coeffs) == list(expected.coeffs)
+                assert_exact_product(product, expected)
+
+    def test_basis_products_shift_by_at_most_one_per_variable(self):
+        # the kernel's packing width allows one extra degree per variable
+        # from a basis product, each coefficient a single integral term
+        for w1, w2 in itertools.product(BASIS, repeat=2):
+            for poly in ConifoldElement.from_word(w1 + w2).coeffs.values():
+                ((mono, coef),) = poly.terms
+                assert max(mono) <= 1 and coef.denominator == 1
+
+    @pytest.mark.parametrize("exponent", [2**20 - 1, 2**21, 2**40, 2**70])
+    def test_wide_exponents_and_coefficients(self, exponent):
+        # a packing of fixed width would carry between exponent fields here
+        big = 2**64 + 13
+        wide = ConifoldElement(
+            {
+                "": CenterPoly.from_dict({(exponent, 0, 0): big}),
+                "XY": CenterPoly.from_dict(
+                    {(exponent, 0, 1): Fraction(big, 7), (0, exponent, 0): -big, (1, 1, exponent): Fraction(3, big)}
+                ),
+                "YZ": CenterPoly.from_dict({(exponent, exponent, exponent): big**2}),
+            }
+        )
+        small = dense_element(random.Random(exponent))
+        for a, b in ((wide, small), (small, wide), (wide, wide), (wide, X + Y)):
+            product = multiply(a, b)
+            assert_exact_product(product, reference_multiply(a, b))
+            assert_exact_product(product, reference_integer_multiply(a, b))
+
+    def test_cancellation_across_word_pairs(self):
+        # X*Y = XY and Y*X = 2z - XY: the XY terms of two word pairs cancel
+        square = multiply(X + Y, X + Y)
+        assert "XY" not in square.coeffs
+        assert_exact_product(square, ConifoldElement.from_center(POLY_X + POLY_Y + POLY_Z.scale(2)))
+        one = ConifoldElement.one()
+        assert multiply(one + Z, one - Z).coeffs == {}
+        half = X.scale_poly(POLY_Y.scale(Fraction(1, 2)))
+        for a, b in ((ConifoldElement.zero(), half), (half, ConifoldElement.zero())):
+            assert multiply(a, b).coeffs == {}
+        assert multiply(ConifoldElement.zero(), ConifoldElement.zero()).coeffs == {}
+
+    def test_integral_products_hold_fractions(self):
+        rng = random.Random(2113)
+        for _ in range(30):
+            a, b = random_element(rng), random_element(rng)
+            product = multiply(a, b)
+            assert_exact_product(product, reference_integer_multiply(a, b))
+            assert all(c.denominator == 1 for p in product.coeffs.values() for _, c in p.terms)
 
     @given(rational_elements, rational_elements, rational_elements)
     @hyp_settings(max_examples=40, deadline=None)

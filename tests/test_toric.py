@@ -1752,3 +1752,73 @@ class TestRelationsDeadline:
         with pytest.raises(BudgetExhaustedError, match="relations"):
             toric.toric_report(s, "relations", degree_bound=4, budget_secs=rounds + 0.5)
         assert readings == 1 + rounds + 1
+
+
+class TestKingDeadline:
+    # the directed 12-cycle has 2^12 - 2 = 4,094 proper nonempty vertex
+    # subsets, so King's test reads the clock after the 1,024th, 2,048th and
+    # 3,072nd of them
+    THETA = (-1, 1) + (0,) * 10
+
+    @staticmethod
+    def ticking_clock(monkeypatch):
+        """A toric clock that reads 1, 2, 3, ... and the list of its readings."""
+        readings = []
+
+        def monotonic():
+            readings.append(float(len(readings) + 1))
+            return readings[-1]
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        return readings
+
+    def test_reads_once_per_1024_subsets(self, monkeypatch):
+        s = directed_cycle(12)
+        support = s.arrow_list()[:2]
+        expected = is_theta_semistable(s, support, self.THETA)
+        readings = self.ticking_clock(monkeypatch)
+        assert is_theta_semistable(s, support, self.THETA, deadline=1e9) == expected
+        assert len(readings) == 3
+
+    def test_deadline_stops_the_subsets(self, monkeypatch):
+        readings = self.ticking_clock(monkeypatch)
+        with pytest.raises(BudgetExhaustedError, match="King's test"):
+            is_theta_semistable(directed_cycle(12), [], self.THETA, deadline=1.5)
+        assert len(readings) == 2
+
+    def test_without_deadline_reads_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock is read without a deadline")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
+        s = directed_cycle(12)
+        assert is_theta_semistable(s, s.arrow_list(), self.THETA).stable
+        assert central_fiber(directed_cycle(11), self.THETA[:11])
+
+    def test_fiber_checks_the_table(self, monkeypatch):
+        # once per least vertex of the cycle walk, three times in King's
+        # test and once per support (2^12)
+        s = directed_cycle(12)
+        expected = central_fiber(s, self.THETA)
+        readings = self.ticking_clock(monkeypatch)
+        invariant_generators(s, deadline=1e9)
+        rounds = len(readings)
+        readings.clear()
+        assert central_fiber(s, self.THETA, deadline=1e9) == expected
+        assert len(readings) == rounds + 3 + 2**12
+        # a deadline between the walk and the table's second check stops the table
+        readings.clear()
+        with pytest.raises(BudgetExhaustedError, match="King's test"):
+            central_fiber(s, self.THETA, deadline=rounds + 1.5)
+        assert len(readings) == rounds + 2
+
+    def test_report_budget_runs_out_inside_kings_test(self, monkeypatch):
+        # the report reads the clock once to set its deadline, so a budget
+        # of 1.5 seconds lets King's test pass its first check and stops it
+        # at its second
+        readings = self.ticking_clock(monkeypatch)
+        with pytest.raises(BudgetExhaustedError, match="King's test"):
+            toric.toric_report(
+                directed_cycle(12), "semistable", theta=self.THETA, support=(0, 1), budget_secs=1.5
+            )
+        assert len(readings) == 1 + 2
