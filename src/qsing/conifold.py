@@ -6,26 +6,35 @@ algebra of the ternary form [[x, z, 0], [z, y, 0], [0, 0, 1]] over the
 polynomial ring C[x, y, z] with x = X^2, y = Y^2, z = (XY + YX)/2, and a
 free module of rank 8 over it with basis 1, X, Y, Z, XY, XZ, YZ, XYZ.
 
-Elements are stored as maps from the eight basis words to exact polynomial
-coefficients.  Words multiply through a six-rule rewrite system oriented by
-X < Y < Z; each rule either shortens the word or lowers its inversion count,
-so rewriting terminates, and the critical pairs of the system can be checked
+An element is a map from the eight basis words to exact polynomial
+coefficients.  It is held in up to two forms, each built on first use and
+then kept: ``coeffs``, one ``CenterPoly`` of ``Fraction`` coefficients per
+word, and the canonical integer form (den, top, terms), every coefficient
+an integer numerator over one denominator den > 0 with gcd(den, every
+numerator) = 1.  The integer form is unique, so equality and hashing use
+it.  Products are built in the integer form and their ``coeffs`` only when
+read; callers must not mutate ``coeffs``.
+
+Words multiply through a six-rule rewrite system oriented by X < Y < Z;
+each rule either shortens the word or lowers its inversion count, so
+rewriting terminates, and the critical pairs of the system can be checked
 by :func:`rewrite_critical_pairs`.
 
 Products are computed over the integers.  Every rewrite coefficient (x, y,
 1, 2z, -1) is integral, so each of the 64 basis products is a sum of one or
 two terms c * x^i y^j z^k with integer c and i, j, k in {0, 1}.
-:func:`multiply` writes each operand over one common denominator, packs
-each monomial into one integer with a field width fitted to the call's own
-operands, so that multiplying monomials is adding integers, adds every
-product of two terms and a basis-product term straight into the result,
-and divides by the product of the two denominators once per output term.
+:func:`multiply` takes each operand's integer form, packs each monomial
+into one integer with a field width fitted to the call's own operands, so
+that multiplying monomials is adding integers, adds every product of two
+terms and a basis-product term straight into the result, and reduces the
+product of the two denominators by one gcd with the result's numerators.
+A chain of products never leaves the integers.
 
 Points of the 2-dimensional trace-zero representation scheme are cleared
 the same way, once per point: the lcm q of a point's denominators turns
 p into the integer 9-tuple P = q p, and the residuals, the Jacobian rank
-and the evaluation of an element all run on P in integers.  A ``Fraction``
-is made only for a returned value.
+and the evaluation of an element (read from its integer form) all run on
+P in integers.  A ``Fraction`` is made only for a returned value.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ from . import linalg
 from .errors import QsingError
 
 Monomial = tuple[int, int, int]  # exponents of x, y, z
+IntTerms = tuple[tuple[Monomial, int], ...]  # a polynomial's terms with integer numerators
+IntegerForm = tuple[int, int, dict[str, IntTerms]]  # (den, top, terms) of a ConifoldElement
 
 
 @dataclass(frozen=True)
@@ -169,9 +180,26 @@ def _reduce_word(word: str) -> dict[str, CenterPoly]:
 
 
 class ConifoldElement:
-    """An element in the rank-8 basis with polynomial coefficients."""
+    """An element in the rank-8 basis with polynomial coefficients.
 
-    __slots__ = ("coeffs",)
+    An element holds up to two forms of the same value, each built on first
+    use and then kept:
+
+    - ``coeffs``, a read-only property: each nonzero word's ``CenterPoly``
+      coefficient, in the order the element was built.  Callers must not
+      mutate the dict it returns.
+    - ``integer_form``, the canonical integer form ``(den, top, terms)``:
+      ``terms`` maps each nonzero word to its ``((i, j, k), numerator)``
+      pairs over the common denominator ``den`` in exponent order, with zero
+      terms dropped; ``den > 0`` and gcd(den, every numerator) = 1; ``top``
+      is the largest total degree of a monomial (0 for the zero element).
+
+    An element built from a mapping holds ``coeffs``; a product from
+    :func:`multiply` holds ``integer_form``.  The integer form of a value is
+    unique, so ``==`` and ``hash`` compare and hash it.
+    """
+
+    __slots__ = ("_coeffs", "_form")
 
     def __init__(self, coeffs: Mapping[str, CenterPoly]):
         data = {}
@@ -180,7 +208,37 @@ class ConifoldElement:
                 raise ValueError(f"{word!r} is not a basis word")
             if not poly.is_zero:
                 data[word] = poly
-        self.coeffs: dict[str, CenterPoly] = data
+        self._coeffs: dict[str, CenterPoly] | None = data
+        self._form: IntegerForm | None = None
+
+    @classmethod
+    def _from_form(cls, den: int, top: int, terms: dict[str, IntTerms]) -> "ConifoldElement":
+        element = cls.__new__(cls)
+        element._coeffs = None
+        element._form = (den, top, terms)
+        return element
+
+    @property
+    def coeffs(self) -> dict[str, CenterPoly]:
+        if self._coeffs is None:
+            den, _, terms = self._form
+            self._coeffs = {
+                word: CenterPoly(tuple([(mono, Fraction(n, den)) for mono, n in t]))
+                for word, t in terms.items()
+            }
+        return self._coeffs
+
+    @property
+    def integer_form(self) -> IntegerForm:
+        if self._form is None:
+            polys = self._coeffs.values()
+            den = math.lcm(*[c.denominator for poly in polys for _, c in poly.terms])
+            top = max([sum(mono) for poly in polys for mono, _ in poly.terms], default=0)
+            self._form = den, top, {
+                word: tuple([(mono, c.numerator * (den // c.denominator)) for mono, c in poly.terms])
+                for word, poly in self._coeffs.items()
+            }
+        return self._form
 
     @classmethod
     def from_word(cls, word: str) -> "ConifoldElement":
@@ -206,15 +264,18 @@ class ConifoldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._form[2] if self._coeffs is None else self._coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConifoldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        den, _, terms = self.integer_form
+        other_den, _, other_terms = other.integer_form
+        return den == other_den and terms == other_terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        den, _, terms = self.integer_form
+        return hash((den, frozenset(terms.items())))
 
     def __add__(self, other: "ConifoldElement") -> "ConifoldElement":
         data = dict(self.coeffs)
@@ -251,8 +312,6 @@ X = ConifoldElement.from_word("X")
 Y = ConifoldElement.from_word("Y")
 Z = ConifoldElement.from_word("Z")
 
-IntTerms = Sequence[tuple[Monomial, int]]  # a polynomial's terms with integer coefficients
-
 
 @functools.cache
 def _basis_product(w1: str, w2: str) -> tuple[tuple[str, int, int], ...]:
@@ -271,28 +330,15 @@ def _basis_product(w1: str, w2: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(entries)
 
 
-def _integer_terms(a: ConifoldElement) -> tuple[int, int, list[tuple[str, IntTerms]]]:
-    """a written over one denominator: (D, top, terms).
-
-    D is the lcm of a's coefficient denominators, ``terms`` holds each
-    word's terms with their numerators over D, and ``top`` is the largest
-    total degree of a monomial of a (0 for the zero element).
-    """
-    polys = a.coeffs.values()
-    den = math.lcm(*[c.denominator for poly in polys for _, c in poly.terms])
-    top = max([sum(mono) for poly in polys for mono, _ in poly.terms], default=0)
-    return den, top, [
-        (word, [(mono, c.numerator * (den // c.denominator)) for mono, c in poly.terms])
-        for word, poly in a.coeffs.items()
-    ]
-
-
 def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
     """Bilinear extension of the basis product table (coefficients are central).
 
-    The product is computed over the integers: with a = A / D_a and
-    b = B / D_b for integral A and B, the integral product table gives
-    A * B, and each of its coefficients is divided by D_a * D_b once.
+    The product is computed over the integers on the operands' integer
+    forms: with a = A / D_a and b = B / D_b for integral A and B, the
+    integral product table gives A * B, and the product is returned in its
+    integer form, reduced once by g = gcd(D_a * D_b, every numerator of
+    A * B) to the denominator D_a * D_b / g.  No ``Fraction`` is made; the
+    product's ``coeffs`` are built only if they are read.
 
     Monomials are packed into one integer, x^i y^j z^k as
     (i << 2S) | (j << S) | k, so that multiplying monomials is adding
@@ -302,12 +348,12 @@ def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
     bits hold every field without a carry, and the packed keys sort in
     the order of the exponent tuples.
     """
-    den_a, top_a, terms_a = _integer_terms(a)
-    den_b, top_b, terms_b = _integer_terms(b)
+    den_a, top_a, terms_a = a.integer_form
+    den_b, top_b, terms_b = b.integer_form
     width = (top_a + top_b + 1).bit_length()
     wide = 2 * width
     packed_a, packed_b = (
-        [(w, [((i << wide) | (j << width) | k, n) for (i, j, k), n in t]) for w, t in terms]
+        [(w, [((i << wide) | (j << width) | k, n) for (i, j, k), n in t]) for w, t in terms.items()]
         for terms in (terms_a, terms_b)
     )
     # the packed monomials x and y, and a basis product's shift bits
@@ -329,22 +375,23 @@ def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
                         m = m1 + m2
                         out[m] = out.get(m, 0) + c1 * c2
     den = den_a * den_b
+    # den == 1 is already reduced; a zero product reduces to den == 1
+    g = math.gcd(den, *[n for out in acc.values() for n in out.values()]) if den > 1 else 1
     mask = y - 1
-    product = {}
+    top = 0
+    terms = {}
     for word, out in acc.items():
-        product[word] = CenterPoly(
-            tuple(
-                [
-                    (
-                        (m >> wide, (m >> width) & mask, m & mask),
-                        Fraction(n) if den == 1 else Fraction(n, den),
-                    )
-                    for m, n in sorted(out.items())
-                    if n
-                ]
-            )
+        t = tuple(
+            [
+                ((m >> wide, (m >> width) & mask, m & mask), n // g)
+                for m, n in sorted(out.items())
+                if n
+            ]
         )
-    return ConifoldElement(product)
+        if t:
+            terms[word] = t
+            top = max(top, *[i + j + k for (i, j, k), _ in t])
+    return ConifoldElement._from_form(den // g, top, terms)
 
 
 def commutator_element() -> ConifoldElement:
@@ -570,10 +617,10 @@ def evaluate_at_point(a: ConifoldElement, point: Sequence) -> tuple[tuple[Fracti
     yn = 2 * (y1 * y1 + y2 * y3)
     zn = 2 * x1 * y1 + x2 * y3 + x3 * y2
     # the common denominator coef_den * center_den^top_deg * q^top_len
-    coef_den, top_deg, terms = _integer_terms(a)
-    top_len = max(map(len, a.coeffs), default=0)
+    coef_den, top_deg, terms = a.integer_form
+    top_len = max(map(len, terms), default=0)
     t11 = t12 = t21 = t22 = 0
-    for word, poly in terms:
+    for word, poly in terms.items():
         value = 0
         for (i, j, k), c in poly:
             value += c * xn**i * yn**j * zn**k * center_den ** (top_deg - i - j - k)

@@ -50,9 +50,31 @@ def _require_all_ones(s: MarkedQuiverSetting) -> None:
         raise UnsupportedSettingError("operation requires a mark-free setting")
 
 
+def _first_slots(s: MarkedQuiverSetting) -> dict[tuple[int, int], int]:
+    """The first slot of each edge (tail, head) with arrows, in ``s.arrow_list()`` order.
+
+    The edge's parallel arrows take the slots from there on.  Only the edges
+    with arrows are listed, so a sparse setting costs one C-level scan of
+    each row and nothing per empty vertex pair.
+    """
+    first, n = {}, 0
+    cols = range(s.k)
+    for i, row in enumerate(s.arrows):
+        for j in itertools.compress(cols, row):
+            first[i, j] = n
+            n += row[j]
+    return first
+
+
 def _arrow_ends(s: MarkedQuiverSetting) -> list[tuple[int, int]]:
     """(tail, head) of each unmarked arrow, in the order of ``s.arrow_list()``."""
-    return [(i, j) for i, row in enumerate(s.arrows) for j, c in enumerate(row) for _ in range(c)]
+    cols = range(s.k)
+    return [
+        (i, j)
+        for i, row in enumerate(s.arrows)
+        for j in itertools.compress(cols, row)
+        for _ in range(row[j])
+    ]
 
 
 def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
@@ -445,15 +467,14 @@ def invariant_generators(
     """
     _require_all_ones(s)
     k = s.k
-    # the slots of (tail, head) follow offset[tail * k + head] in arrow order
-    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
-    n = offset[-1]
-    slots = [[range(offset[i * k + j], offset[i * k + j + 1]) for j in range(k)] for i in range(k)]
-    successors = [[j for j in range(k) if s.arrows[i][j]] for i in range(k)]
+    # per vertex its successors w, each with the slots of its arrows to w
+    successors: list[list[tuple[int, range]]] = [[] for _ in range(k)]
+    for (i, j), first in _first_slots(s).items():
+        successors[i].append((j, range(first, first + s.arrows[i][j])))
     cycles: list[Vector] = []
     path: list[range] = []
     # the 0/1 vector of the cycle being emitted, cleared after each
-    u = [0] * n
+    u = [0] * sum(map(sum, s.arrows))
 
     def check_deadline() -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -465,9 +486,9 @@ def invariant_generators(
         verts, todo, seen = [s0], [iter(successors[s0])], 1 << s0
         while todo:
             v = verts[-1]
-            for w in todo[-1]:
+            for w, slots in todo[-1]:
                 if w == s0:
-                    path.append(slots[v][w])
+                    path.append(slots)
                     for chosen in itertools.product(*path):
                         for a in chosen:
                             u[a] = 1
@@ -478,7 +499,7 @@ def invariant_generators(
                             check_deadline()
                     path.pop()
                 elif w > s0 and not seen >> w & 1:
-                    path.append(slots[v][w])
+                    path.append(slots)
                     verts.append(w)
                     todo.append(iter(successors[w]))
                     seen |= 1 << w
@@ -526,9 +547,12 @@ def semi_invariant_generators(
     t = _theta(s, theta)
     gens = [GradedGenerator(u, 0) for u in invariant_generators(s, deadline=deadline)]
     k, cap = s.k, sum(x for x in t if x > 0)
-    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
-    edges = [(i, j) for i in range(k) for j in range(k) if i != j and s.arrows[i][j]]
-    slots = [range(offset[i * k + j], offset[i * k + j + 1]) for i, j in edges]
+    n = sum(map(sum, s.arrows))
+    edges, slots = [], []
+    for (i, j), first in _first_slots(s).items():
+        if i != j:
+            edges.append((i, j))
+            slots.append(range(first, first + s.arrows[i][j]))
     # room[e]: cap times the edges after e into and out of its head and tail
     into, out = [0] * k, [0] * k
     room = [(0, 0, 0, 0)] * len(edges)
@@ -558,7 +582,7 @@ def semi_invariant_generators(
         if e == len(edges):
             spreads = map(itertools.combinations_with_replacement, slots, values)
             for chosen in itertools.product(*spreads):
-                u = [0] * offset[-1]
+                u = [0] * n
                 for a in itertools.chain(*chosen):
                     u[a] += 1
                 flows.append(tuple(u))
@@ -704,8 +728,7 @@ class StabilityVerdict:
 
 def _support_mask(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> int:
     """``support`` as a bitmask over the arrows of a mark-free ``s``, else ``ValueError``."""
-    # the slots of (tail, head) follow offset[tail * k + head] in arrow order
-    offset = list(itertools.accumulate(itertools.chain(*s.arrows), initial=0))
+    first = _first_slots(s)
     mask = 0
     for a in support:
         if a.marked or not (
@@ -714,7 +737,7 @@ def _support_mask(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> int:
             and a.slot in range(s.arrows[a.tail][a.head])
         ):
             raise ValueError(f"{a} is not an arrow of the setting")
-        mask |= 1 << (offset[a.tail * s.k + a.head] + a.slot)
+        mask |= 1 << (first[a.tail, a.head] + a.slot)
     return mask
 
 

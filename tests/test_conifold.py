@@ -587,6 +587,76 @@ class TestIntegerPointKernel:
         assert str(info.value) == expected
 
 
+class TestIntegerForm:
+    """Products hold the canonical integer form; ``coeffs`` is built when read."""
+
+    @given(rational_elements, rational_elements, rational_elements)
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_equality_and_hash_follow_coeffs(self, a, b, c):
+        product = multiply(a, b)
+        rebuilt = ConifoldElement(product.coeffs)
+        assert product == rebuilt and hash(product) == hash(rebuilt)
+        assert product.integer_form == rebuilt.integer_form
+        other = multiply(a, c)
+        same = product.coeffs == other.coeffs
+        assert (product == other) is same
+        assert (product == ConifoldElement(other.coeffs)) is same
+        if same:
+            assert hash(product) == hash(other)
+
+    @given(rational_elements, rational_elements)
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_products_are_canonical(self, a, b):
+        den, top, terms = multiply(a, b).integer_form
+        numerators = [n for t in terms.values() for _, n in t]
+        assert den > 0 and math.gcd(den, *numerators) == 1
+        assert all(numerators) and all(terms.values())
+        for t in terms.values():
+            monos = [m for m, _ in t]
+            assert monos == sorted(set(monos))
+        assert top == max((sum(m) for t in terms.values() for m, _ in t), default=0)
+
+    def test_cancelled_denominators_reduce(self):
+        # (X/2)(2X) = x: the operands' denominators 2 and 1 cancel
+        half_x = X.scale_poly(CenterPoly.constant(Fraction(1, 2)))
+        two_x = X.scale_poly(CenterPoly.constant(2))
+        assert multiply(half_x, two_x).integer_form == (1, 1, {"": (((1, 0, 0), 1),)})
+        # (2X/3)(X/2) = 2x/6 reduces to x/3
+        two_thirds_x = X.scale_poly(CenterPoly.constant(Fraction(2, 3)))
+        assert multiply(two_thirds_x, half_x).integer_form == (3, 1, {"": (((1, 0, 0), 1),)})
+        # (2X/3 + 4Y/3)(3X/2) over 3 * 2 = 6 has numerators 6x + 24z and -12XY
+        left = ConifoldElement(
+            {"X": CenterPoly.constant(Fraction(2, 3)), "Y": CenterPoly.constant(Fraction(4, 3))}
+        )
+        right = X.scale_poly(CenterPoly.constant(Fraction(3, 2)))
+        product = multiply(left, right)
+        assert product.integer_form == (1, 1, {"": (((0, 0, 1), 4), ((1, 0, 0), 1)), "XY": (((0, 0, 0), -2),)})
+        assert product == ConifoldElement(product.coeffs)
+
+    def test_cancelling_product_is_zero_before_coeffs(self):
+        one = ConifoldElement.one()
+        third = CenterPoly.constant(Fraction(1, 3))
+        for left, right in ((one + Z, one - Z), ((one + Z).scale_poly(third), (one - Z).scale_poly(third))):
+            product = multiply(left, right)
+            assert product._coeffs is None
+            assert product.is_zero
+            assert product.integer_form == (1, 0, {})
+            assert product._coeffs is None
+            assert product == ConifoldElement.zero()
+
+    @given(rational_elements, rational_elements, points)
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_evaluation_reads_the_integer_form(self, a, b, point):
+        product = multiply(a, b)
+        assert evaluate_at_point(product, point) == evaluate_at_point(ConifoldElement(product.coeffs), point)
+
+    def test_coeffs_built_once(self):
+        product = multiply(dense_element(random.Random(3)), X + Y)
+        assert product._coeffs is None
+        first = product.coeffs
+        assert product.coeffs is first
+
+
 class TestByteIdentity:
     """Digests recorded before the point layer moved to integer arithmetic."""
 

@@ -1238,6 +1238,18 @@ class TestCycleWalk:
             two_sided += {any(itertools.compress(u, below)) for u in basis} == {False, True}
         assert loops > 100 and parallel > 100 and two_sided > 10
 
+    def test_first_slots_follow_the_arrow_list(self):
+        # the walk, the θ-flows and the support masks index arrows through
+        # the sparse slot table; it must number them as arrow_list() does
+        settings = [s for _, _, s in cycle_walk_settings(101, 90)] + [directed_cycle(50)]
+        for s in settings:
+            arrows = s.arrow_list()
+            first = toric._first_slots(s)
+            assert list(first) == sorted({(a.tail, a.head) for a in arrows})
+            assert [first[a.tail, a.head] + a.slot for a in arrows] == list(range(len(arrows)))
+            assert toric._arrow_ends(s) == [(a.tail, a.head) for a in arrows]
+            assert toric._support_mask(s, arrows) == (1 << len(arrows)) - 1
+
     @pytest.mark.parametrize("k,size", [(5, 84), (6, 409), (7, 2365)])
     def test_complete_quiver_cycle_counts(self, k, size):
         s = complete_quiver(k)
