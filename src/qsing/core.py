@@ -12,6 +12,7 @@ identified by (tail, head, slot), see :class:`Arrow`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -135,9 +136,11 @@ class MarkedQuiverSetting:
         This order is the legend used for exponent vectors in toric output.
         """
         out: list[Arrow] = []
-        for i in range(self.k):
-            for j in range(self.k):
-                out.extend(Arrow(i, j, s) for s in range(self.arrows[i][j]))
+        cols = range(self.k)
+        for i, row in enumerate(self.arrows):
+            # one C-level scan of each row, nothing per empty vertex pair
+            for j in itertools.compress(cols, row):
+                out.extend(Arrow(i, j, s) for s in range(row[j]))
         for v in range(self.k):
             out.extend(Arrow(v, v, s, marked=True) for s in range(self.marked_loops[v]))
         return tuple(out)

@@ -727,17 +727,21 @@ class StabilityVerdict:
 
 
 def _support_mask(s: MarkedQuiverSetting, support: Iterable[Arrow]) -> int:
-    """``support`` as a bitmask over the arrows of a mark-free ``s``, else ``ValueError``."""
-    first = _first_slots(s)
+    """``support`` as a bitmask over the arrows of a mark-free ``s``, else ``ValueError``.
+
+    Arrow (tail, head, slot) is bit number slot plus the arrows of the rows
+    above ``tail`` and of row ``tail`` before ``head``, in ``s.arrow_list()``
+    order; a support has a few arrows, so no slot table is built.
+    """
     mask = 0
+    vertices, rows = range(s.k), s.arrows
     for a in support:
+        tail, head, slot = a.tail, a.head, a.slot
         if a.marked or not (
-            a.tail in range(s.k)
-            and a.head in range(s.k)
-            and a.slot in range(s.arrows[a.tail][a.head])
+            tail in vertices and head in vertices and slot in range(rows[tail][head])
         ):
             raise ValueError(f"{a} is not an arrow of the setting")
-        mask |= 1 << (first[a.tail, a.head] + a.slot)
+        mask |= 1 << (sum(map(sum, rows[:tail])) + sum(rows[tail][:head]) + slot)
     return mask
 
 
@@ -759,7 +763,11 @@ def is_theta_semistable(
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    return _king_verdict(_king_table(s, t, deadline=deadline), _support_mask(s, support))
+    row = _king_row(_king_table(s, t, deadline=deadline), _support_mask(s, support))
+    if row is None:
+        return _STABLE
+    value, _, subset = row
+    return StabilityVerdict(value == 0, False, subset)
 
 
 _STABLE = StabilityVerdict(True, True, None)
@@ -767,14 +775,15 @@ _STABLE = StabilityVerdict(True, True, None)
 
 def _king_table(
     s: MarkedQuiverSetting, t: Vector, *, deadline: float | None = None
-) -> list[tuple[int, StabilityVerdict]]:
+) -> list[tuple[int, int, tuple[int, ...]]]:
     """The King's test table of an all-ones setting and a checked theta.
 
-    One row per proper nonempty vertex subset X with theta(X) <= 0: the
-    bitmask of the arrows leaving X and the verdict X witnesses, enumerated
-    by (size, vertices) and stably sorted by theta(X), so the first row
-    whose mask misses a support is the first minimizer among the subsets
-    closed under it.  A support that no row fits is stable.
+    One row (theta(X), leaving, X) per proper nonempty vertex subset X with
+    theta(X) <= 0, ``leaving`` the bitmask of the arrows leaving X,
+    enumerated by (size, vertices) and stably sorted by theta(X), so the
+    first row whose mask misses a support is the first minimizer among the
+    subsets closed under it: semistable iff its theta(X) is 0, and never
+    stable.  A support that no row fits is stable.
 
     There are 2^k - 2 subsets.  ``deadline`` is checked after every
     1,024th of them.
@@ -798,10 +807,9 @@ def _king_table(
         for v in subset:
             out |= tails[v]
             into |= heads[v]
-        verdict = StabilityVerdict(value == 0, False, subset)
-        rows.append((value, out & ~into, verdict))
+        rows.append((value, out & ~into, subset))
     rows.sort(key=itemgetter(0))
-    return [(leaving, verdict) for _, leaving, verdict in rows]
+    return rows
 
 
 def _checked(items: Iterable, deadline: float, message: str) -> Iterator:
@@ -812,12 +820,14 @@ def _checked(items: Iterable, deadline: float, message: str) -> Iterator:
             raise BudgetExhaustedError(message)
 
 
-def _king_verdict(table: Sequence[tuple[int, StabilityVerdict]], support: int) -> StabilityVerdict:
-    """King's test of the arrow bitmask ``support`` against a :func:`_king_table`."""
-    for leaving, verdict in table:
-        if not leaving & support:
-            return verdict
-    return _STABLE
+def _king_row(
+    table: Sequence[tuple[int, int, tuple[int, ...]]], support: int
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """The first row of a :func:`_king_table` that the arrow bitmask ``support`` fits, or None."""
+    for row in table:
+        if not row[1] & support:
+            return row
+    return None
 
 
 def semistable_via_semiinvariants(
@@ -906,23 +916,31 @@ class ProjChart:
         return {**vars(self), "pivot": self.pivot.to_json(), "monoid_generators": gens}
 
 
-def _chart_generators(
-    shifted: Sequence[Vector], outside: Sequence[int]
-) -> tuple[list[Vector], bool]:
-    """A generating set of a chart monoid, and whether the monoid is N^a x Z^b.
+def _cycle_rank(ends: Sequence[tuple[int, int]], mask: int) -> int:
+    """The cycle rank |E| - |V| + c of the arrows in the bitmask ``mask``.
 
-    ``shifted`` generates S = {v : W v = 0, v_a >= 0 for a in ``outside``},
-    the coordinates outside the pivot's support.  The projection
-    p(v) = (v_a for a in ``outside``) sends exactly the units of S to 0, and
-    p(S) = p(ker W) meet N^outside is saturated and pointed, so a nonzero
-    image is irreducible iff no other nonzero image lies below it
-    coordinatewise.  S is Z^b x p(S): smooth iff those images are independent.
+    ``ends`` is the (tail, head) of each arrow, as :func:`_arrow_ends` lists
+    them.  The rank is the dimension of the circulations on those arrows,
+    the kernel of W on their columns: a union-find joins the ends of each
+    arrow in turn, and an arrow whose ends it has already joined, a loop
+    included, closes one more independent cycle.
     """
-    image = {v: tuple(v[a] for a in outside) for v in set(shifted) if any(v)}
-    nonzero = {w for w in image.values() if any(w)}
-    minimal = {w for w in nonzero if not any(u != w and all(map(ge, w, u)) for u in nonzero)}
-    gens = sorted(v for v, w in image.items() if w in minimal or not any(w))
-    return gens, linalg.rank(list(minimal)) == len(minimal)
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while (up := root.get(v, v)) != v:
+            root[v] = v = root.get(up, up)
+        return v
+
+    cycles = 0
+    for a, (tail, head) in enumerate(ends):
+        if mask >> a & 1:
+            x, y = find(tail), find(head)
+            if x == y:
+                cycles += 1
+            else:
+                root[x] = y
+    return cycles
 
 
 def proj_charts(
@@ -930,21 +948,40 @@ def proj_charts(
 ) -> list[ProjChart]:
     """One affine chart per positive-degree generator of the semi-invariant ring.
 
-    The chart at a generator f is the degree-zero part of the localization
-    at f = (e, 1) (every positive degree is 1), generated by the shifts
-    u - l * e of the graded generators (u, l): the v with W v = 0 and
-    v_a >= 0 wherever e is 0.  It is flagged smooth when that monoid is
-    N^a x Z^b.
+    The chart at a generator f = (e, 1) (every positive degree is 1) is the
+    degree-zero part of the localization at f, generated by the shifts
+    u - l * e of the graded generators (u, l): the monoid S of the v with
+    W v = 0 and v_a >= 0 wherever e is 0.  Both ranks below are cycle
+    ranks (see :func:`_cycle_rank`), so no elimination is run.
 
-    Every chart has the same free rank.  The semi-invariant ring R is a
-    graded domain of transcendence degree r, the rank of its generators
-    (u, l).  R_f has the same fraction field and is the chart's ring with
-    the unit f adjoined as a free variable, so every chart has
-    transcendence degree, hence monoid rank, r - 1.
+    Free rank.  The semi-invariant ring R is a graded domain whose
+    transcendence degree r is the rank of its generators (u, l); R_f has
+    the same fraction field and is the chart's ring with the unit f
+    adjoined as a free variable, so every chart has monoid rank r - 1.  The
+    cone {(u, l) >= 0 : W u = l * theta} has a relative-interior point that
+    is positive on the union U of the generators' supports and has l > 0,
+    so it spans {(u, l) : supp u in U, W u = l * theta}, of dimension
+    1 + dim ker W|_U: r - 1 is the cycle rank of U.
+
+    Smoothness.  The units of S are the integer circulations on supp(e).
+    The projection p(v) = (v_a where e_a = 0) sends exactly them to 0, and
+    p(S), the exponents of the generators restricted there, is pointed and
+    saturated of rank r - 1 less the cycle rank of supp(e).  Its Hilbert
+    basis, the minimal nonzero images, spans it, so S is N^a x Z^b iff that
+    basis has exactly that many elements.  The chart lists the shifts whose
+    image is minimal or zero; the images are visited in order of
+    coordinate sum, each compared only with the minimal ones kept before it.
 
     ``deadline`` bounds the graded basis as in
     :func:`semi_invariant_generators`.
     """
+    return _graded_charts(s, theta, deadline)[1]
+
+
+def _graded_charts(
+    s: MarkedQuiverSetting, theta: Sequence[int], deadline: float | None
+) -> tuple[tuple[GradedGenerator, ...], list[ProjChart]]:
+    """The graded basis of :func:`semi_invariant_generators` and the :func:`proj_charts` read off it."""
     t = _theta(s, theta)
     if not any(t):
         raise EmptyProjError("theta = 0 has no proj; use invariant_generators")
@@ -952,17 +989,33 @@ def proj_charts(
     pivots = [g for g in graded if g.degree]
     if not pivots:
         raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
-    free_rank = linalg.rank([(*g.exponents, g.degree) for g in graded]) - 1
+    ends = _arrow_ends(s)
+    bits = [1 << a for a in range(len(ends))]
+    union = sum(itertools.compress(bits, map(any, zip(*(g.exponents for g in graded)))))
+    free_rank = _cycle_rank(ends, union)
     charts = []
     for pivot in pivots:
-        shifted = [
-            tuple(x - g.degree * e for x, e in zip(g.exponents, pivot.exponents))
-            for g in graded
-        ]
-        outside = [a for a, e in enumerate(pivot.exponents) if e == 0]
-        gens, smooth = _chart_generators(shifted, outside)
-        charts.append(ProjChart(pivot, tuple(gens), smooth, free_rank))
-    return charts
+        e = pivot.exponents
+        outside = [not x for x in e]
+        # the generators by their image, their exponents where e is 0
+        images: dict[Vector, list[GradedGenerator]] = {}
+        for g in graded:
+            images.setdefault(tuple(itertools.compress(g.exponents, outside)), []).append(g)
+        chosen = images.pop((0,) * sum(outside))
+        minimal: list[Vector] = []
+        for w in sorted(images, key=sum):
+            if not any(all(map(ge, w, m)) for m in minimal):
+                minimal.append(w)
+                chosen += images[w]
+        # the shifts; the pivot's own is 0
+        gens = sorted(
+            tuple(map(sub, g.exponents, e)) if g.degree else g.exponents
+            for g in chosen
+            if g is not pivot
+        )
+        units = _cycle_rank(ends, sum(itertools.compress(bits, e)))
+        charts.append(ProjChart(pivot, tuple(gens), len(minimal) == free_rank - units, free_rank))
+    return graded, charts
 
 
 @dataclass(frozen=True)
@@ -1013,12 +1066,12 @@ def central_fiber(
             # u & mask == u for an invariant support u iff u & ~mask == 0
             if not all(map((~mask).__and__, invariant_masks)):
                 continue
-            verdict = _king_verdict(table, mask)
-            if not verdict.semistable:
+            row = _king_row(table, mask)
+            if row is not None and row[0]:
                 continue
             spanning = _spans([ends[i] for i in idx], everyone)
             dim = size - (s.k - 1) if spanning else None
-            out.append(FiberStratum(idx, verdict.stable, dim, not spanning))
+            out.append(FiberStratum(idx, row is None, dim, not spanning))
     return out
 
 
@@ -1084,10 +1137,10 @@ def toric_report(
         report["via_semi_invariants"] = via
         report["verdicts_agree"] = verdict.semistable == via
     elif action == "charts":
-        charts = proj_charts(s, theta, deadline=deadline)
+        graded, charts = _graded_charts(s, theta, deadline)
         report["charts"] = [c.to_json() for c in charts]
-        basis = invariant_generators(s, deadline=deadline)
-        report["degree_zero_generators"] = [list(u) for u in basis]
+        # the degree-0 part of the graded basis is the cycle walk
+        report["degree_zero_generators"] = [list(g.exponents) for g in graded if not g.degree]
     else:
         strata = central_fiber(s, theta, deadline=deadline)
         report["strata"] = [f.to_json() for f in strata]

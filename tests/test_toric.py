@@ -601,9 +601,192 @@ def reference_charts(s, theta):
             for sol in hilbert_basis(rows)
         ]
         outside = [a for a in range(n) if pivot.exponents[a] == 0]
-        gens, smooth = toric._chart_generators(shifted, outside)
+        gens, smooth = reference_chart_generators(shifted, outside)
         charts.append(toric.ProjChart(pivot, tuple(gens), smooth, linalg.rank(gens)))
     return charts
+
+
+def reference_chart_generators(shifted, outside):
+    """A generating set of a chart monoid, and whether the monoid is N^a x Z^b.
+
+    ``shifted`` generates S = {v : W v = 0, v_a >= 0 for a in ``outside``},
+    the coordinates outside the pivot's support.  The projection
+    p(v) = (v_a for a in ``outside``) sends exactly the units of S to 0, and
+    p(S) = p(ker W) meet N^outside is saturated and pointed, so a nonzero
+    image is irreducible iff no other nonzero image lies below it
+    coordinatewise.  S is Z^b x p(S): smooth iff those images are independent.
+    """
+    image = {v: tuple(v[a] for a in outside) for v in set(shifted) if any(v)}
+    nonzero = {w for w in image.values() if any(w)}
+    minimal = {w for w in nonzero if not any(u != w and all(map(ge, w, u)) for u in nonzero)}
+    gens = sorted(v for v, w in image.items() if w in minimal or not any(w))
+    return gens, linalg.rank(list(minimal)) == len(minimal)
+
+
+def reference_proj_charts(s, theta):
+    """The chart loop by elimination, kept as an oracle.
+
+    The free rank is the rank of the graded generators (u, l) less one, and
+    a chart is smooth iff its minimal nonzero images are independent; both
+    are :func:`qsing.linalg.rank` calls.
+    """
+    t = toric._theta(s, theta)
+    if not any(t):
+        raise EmptyProjError("theta = 0 has no proj; use invariant_generators")
+    graded = semi_invariant_generators(s, t)
+    pivots = [g for g in graded if g.degree]
+    if not pivots:
+        raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
+    free_rank = linalg.rank([(*g.exponents, g.degree) for g in graded]) - 1
+    charts = []
+    for pivot in pivots:
+        shifted = [
+            tuple(x - g.degree * e for x, e in zip(g.exponents, pivot.exponents))
+            for g in graded
+        ]
+        outside = [a for a, e in enumerate(pivot.exponents) if e == 0]
+        gens, smooth = reference_chart_generators(shifted, outside)
+        charts.append(toric.ProjChart(pivot, tuple(gens), smooth, free_rank))
+    return charts
+
+
+def chart_cases(seed: int, count: int):
+    """(kind, setting, theta) on k = 1..4 vertices with 1..7 arrows.
+
+    The kinds rotate as in :func:`cycle_walk_settings`: "random" places
+    arrows anywhere, so loops and parallel arrows occur; "acyclic" only from
+    a lower to a higher vertex; "disconnected" never between the first m
+    vertices and the rest.  theta has entries in -2..2 and sum 0, and is
+    scaled by 1, 2 and 3 in turn.
+    """
+    rng = random.Random(seed)
+    for n in range(count):
+        kind = ("random", "acyclic", "disconnected")[n % 3]
+        k = rng.randint(1 if kind == "random" else 2, 4)
+        m = rng.randint(1, k - 1) if kind == "disconnected" else k
+        arrows = [[0] * k for _ in range(k)]
+        for _ in range(rng.randint(1, 7)):
+            i, j = rng.randrange(k), rng.randrange(k)
+            if kind == "acyclic":
+                if i == j:
+                    continue
+                i, j = min(i, j), max(i, j)
+            elif kind == "disconnected" and (i < m) != (j < m):
+                continue
+            arrows[i][j] += 1
+        while True:
+            theta = [rng.randint(-2, 2) for _ in range(k - 1)]
+            if abs(sum(theta)) <= 2:
+                break
+        scale = n // 3 % 3 + 1
+        yield kind, MarkedQuiverSetting.make([1] * k, arrows), tuple(
+            scale * x for x in (*theta, -sum(theta))
+        )
+
+
+class TestChartsWithoutElimination:
+    """Free rank and smoothness as cycle ranks, chart generators from restricted exponents."""
+
+    def test_matches_the_rank_based_loop(self):
+        compared = loops = parallel = not_strong = multiples = 0
+        for _, s, theta in chart_cases(113, 2000):
+            try:
+                expected = reference_proj_charts(s, theta)
+            except EmptyProjError:
+                with pytest.raises(EmptyProjError):
+                    proj_charts(s, theta)
+                continue
+            assert proj_charts(s, theta) == expected, (s.to_json(), theta)
+            compared += 1
+            loops += any(s.arrows[v][v] for v in range(s.k))
+            parallel += any(c > 1 for row in s.arrows for c in row)
+            not_strong += not strongly_connected(s)
+            multiples += max(map(abs, theta)) > 2 or all(x % 2 == 0 for x in theta)
+        assert compared >= 300
+        assert loops > 30 and parallel > 30 and not_strong > 30 and multiples > 100
+
+    @pytest.mark.parametrize("theta", [(-1, 1), (1, -1), (-2, 2), (3, -3)])
+    def test_conifold_matches_the_rank_based_loop(self, conifold, theta):
+        assert proj_charts(conifold, theta) == reference_proj_charts(conifold, theta)
+
+    def test_long_cycle_matches_the_rank_based_loop(self):
+        s = directed_cycle(1100)
+        theta = (-1, 1) + (0,) * 1098
+        charts = proj_charts(s, theta)
+        assert charts == reference_proj_charts(s, theta)
+        assert len(charts) == 1 and charts[0].smooth and charts[0].free_rank == 1
+
+    def test_cycle_rank_is_the_nullity_of_the_incidence_columns(self):
+        rng = random.Random(127)
+        for _, _, s in cycle_walk_settings(127, 200):
+            ends = toric._arrow_ends(s)
+            rows = weight_rows(s)
+            for _ in range(5):
+                mask = rng.getrandbits(len(ends))
+                columns = [a for a in range(len(ends)) if mask >> a & 1]
+                rank = linalg.rank([[row[a] for a in columns] for row in rows])
+                assert toric._cycle_rank(ends, mask) == len(columns) - rank, (s.to_json(), mask)
+
+    def test_charts_need_no_elimination(self, conifold, monkeypatch):
+        cases = [(conifold, (-1, 1)), (directed_cycle(40), (-1, 1) + (0,) * 38)]
+        cases += [(s, theta) for _, s, theta in chart_cases(131, 400)]
+        expected = []
+        for s, theta in cases:
+            try:
+                expected.append(
+                    (proj_charts(s, theta), toric.toric_report(s, "charts", theta=theta))
+                )
+            except EmptyProjError:
+                expected.append(None)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("elimination called")
+
+        monkeypatch.setattr(linalg, "rank", forbidden)
+        monkeypatch.setattr(linalg, "rref", forbidden)
+        for (s, theta), want in zip(cases, expected):
+            if want is None:
+                with pytest.raises(EmptyProjError):
+                    proj_charts(s, theta)
+                continue
+            assert (proj_charts(s, theta), toric.toric_report(s, "charts", theta=theta)) == want
+        assert sum(want is not None for want in expected) > 50
+
+    def test_charts_report_walks_the_cycles_once(self, conifold, monkeypatch):
+        walks = 0
+        walk = toric.invariant_generators
+
+        def counted(*args, **kwargs):
+            nonlocal walks
+            walks += 1
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(toric, "invariant_generators", counted)
+        for s, theta in [(conifold, (-1, 1)), (directed_cycle(30), (-1, 1) + (0,) * 28)]:
+            walks = 0
+            report = toric.toric_report(s, "charts", theta=theta)
+            assert walks == 1
+            assert report["degree_zero_generators"] == [list(u) for u in walk(s)]
+
+    def test_support_mask_rejects_what_is_not_an_arrow(self, conifold):
+        arrows = conifold.arrow_list()
+        for i, a in enumerate(arrows):
+            assert toric._support_mask(conifold, [a]) == 1 << i
+        loops = MarkedQuiverSetting.make([2], [[1]], [1])
+        foreign = [
+            Arrow(0, 1, 2),  # a third arrow 0 -> 1
+            Arrow(0, 0, 0),  # no loop at vertex 0
+            Arrow(2, 0, 0),  # no vertex 2
+            Arrow(0, -1, 0),
+            Arrow(1, 0, -1),
+            Arrow(0, 0, 0, marked=True),
+        ]
+        for a in foreign:
+            with pytest.raises(ValueError, match="is not an arrow of the setting"):
+                toric._support_mask(conifold, [arrows[0], a])
+        with pytest.raises(ValueError, match="is not an arrow of the setting"):
+            toric._support_mask(loops, [Arrow(0, 0, 0, marked=True)])
+        assert toric._support_mask(loops, [Arrow(0, 0, 0)]) == 1
 
 
 class TestCentralFiber:
