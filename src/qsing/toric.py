@@ -17,8 +17,12 @@ one max-flow decides.  :func:`hilbert_basis`, a Contejean-Devie completion
 (Contejean and Devie 1994), is the reference these kernels are checked
 against.
 
-King's test and the central fiber work on bitmasks of arrows (bit i for
-arrow i of ``arrow_list()``).  The census groups settings by isomorphism of
+The kernels number the arrows as ``arrow_list()`` does, through one index,
+:func:`_edges`: per edge with arrows its tail, head and the range of its
+parallel arrows' numbers.  The cycle walk and the theta-flows step along
+its edges; King's test, the max-flow, the chart ranks and the central
+fiber work on bitmasks of arrows (bit i for arrow i), an edge's arrows
+being one run of bits.  The census groups settings by isomorphism of
 their invariant monoids, decided on the generator-facet incidence (see
 :func:`incidence_isomorphism`); :func:`semigroup_isomorphism`, a search for
 a linear map between any two Hilbert bases, is its reference.
@@ -41,6 +45,8 @@ from .core import Arrow, MarkedQuiverSetting, exact_int
 from .errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 
 Vector = tuple[int, ...]
+# (tail, head, slots) of an edge with arrows, as :func:`_edges` lists them
+Edge = tuple[int, int, range]
 
 
 def _require_all_ones(s: MarkedQuiverSetting) -> None:
@@ -50,31 +56,21 @@ def _require_all_ones(s: MarkedQuiverSetting) -> None:
         raise UnsupportedSettingError("operation requires a mark-free setting")
 
 
-def _first_slots(s: MarkedQuiverSetting) -> dict[tuple[int, int], int]:
-    """The first slot of each edge (tail, head) with arrows, in ``s.arrow_list()`` order.
+def _edges(s: MarkedQuiverSetting) -> list[Edge]:
+    """(tail, head, slots) per edge with arrows, in ``s.arrow_list()`` order.
 
-    The edge's parallel arrows take the slots from there on.  Only the edges
-    with arrows are listed, so a sparse setting costs one C-level scan of
-    each row and nothing per empty vertex pair.
+    ``slots`` are the indices of the edge's parallel arrows in that list, so
+    the slots of all edges concatenate to ``range(len(s.arrow_list()))``.
+    Only the edges with arrows are listed: a sparse setting costs one
+    C-level scan of each row and nothing per empty vertex pair.
     """
-    first, n = {}, 0
+    edges, n = [], 0
     cols = range(s.k)
     for i, row in enumerate(s.arrows):
         for j in itertools.compress(cols, row):
-            first[i, j] = n
+            edges.append((i, j, range(n, n + row[j])))
             n += row[j]
-    return first
-
-
-def _arrow_ends(s: MarkedQuiverSetting) -> list[tuple[int, int]]:
-    """(tail, head) of each unmarked arrow, in the order of ``s.arrow_list()``."""
-    cols = range(s.k)
-    return [
-        (i, j)
-        for i, row in enumerate(s.arrows)
-        for j in itertools.compress(cols, row)
-        for _ in range(row[j])
-    ]
+    return edges
 
 
 def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
@@ -469,8 +465,8 @@ def invariant_generators(
     k = s.k
     # per vertex its successors w, each with the slots of its arrows to w
     successors: list[list[tuple[int, range]]] = [[] for _ in range(k)]
-    for (i, j), first in _first_slots(s).items():
-        successors[i].append((j, range(first, first + s.arrows[i][j])))
+    for tail, head, slots in _edges(s):
+        successors[tail].append((head, slots))
     cycles: list[Vector] = []
     path: list[range] = []
     # the 0/1 vector of the cycle being emitted, cleared after each
@@ -548,16 +544,12 @@ def semi_invariant_generators(
     gens = [GradedGenerator(u, 0) for u in invariant_generators(s, deadline=deadline)]
     k, cap = s.k, sum(x for x in t if x > 0)
     n = sum(map(sum, s.arrows))
-    edges, slots = [], []
-    for (i, j), first in _first_slots(s).items():
-        if i != j:
-            edges.append((i, j))
-            slots.append(range(first, first + s.arrows[i][j]))
+    edges = [e for e in _edges(s) if e[0] != e[1]]
     # room[e]: cap times the edges after e into and out of its head and tail
     into, out = [0] * k, [0] * k
     room = [(0, 0, 0, 0)] * len(edges)
     for e in reversed(range(len(edges))):
-        tail, head = edges[e]
+        tail, head, _ = edges[e]
         room[e] = (into[head] * cap, out[head] * cap, into[tail] * cap, out[tail] * cap)
         into[head] += 1
         out[tail] += 1
@@ -580,6 +572,7 @@ def semi_invariant_generators(
     def place(e: int) -> Iterator:
         step()
         if e == len(edges):
+            slots = map(itemgetter(2), edges)
             spreads = map(itertools.combinations_with_replacement, slots, values)
             for chosen in itertools.product(*spreads):
                 u = [0] * n
@@ -588,7 +581,7 @@ def semi_invariant_generators(
                 flows.append(tuple(u))
                 step()
             return
-        tail, head = edges[e]
+        tail, head, _ = edges[e]
         in_h, out_h, in_t, out_t = room[e]
         need_h = t[head] - inflow[head] + outflow[head]
         need_t = t[tail] - inflow[tail] + outflow[tail]
@@ -790,9 +783,10 @@ def _king_table(
     """
     tails = [0] * s.k
     heads = [0] * s.k
-    for i, (tail, head) in enumerate(_arrow_ends(s)):
-        tails[tail] |= 1 << i
-        heads[head] |= 1 << i
+    for tail, head, slots in _edges(s):
+        bits = ((1 << len(slots)) - 1) << slots.start
+        tails[tail] |= bits
+        heads[head] |= bits
     subsets: Iterator[tuple[int, ...]] = itertools.chain.from_iterable(
         itertools.combinations(range(s.k), size) for size in range(1, s.k)
     )
@@ -862,8 +856,8 @@ def semistable_via_semiinvariants(
         return True
     k, cap = s.k, sum(x for x in t if x > 0)
     residual = [[0] * k for _ in range(k)]
-    for a, (tail, head) in enumerate(_arrow_ends(s)):
-        if mask >> a & 1 and tail != head:
+    for tail, head, slots in _edges(s):
+        if tail != head and mask >> slots.start & ((1 << len(slots)) - 1):
             residual[tail][head] = cap
     supply, demand = [max(-x, 0) for x in t], [max(x, 0) for x in t]
     while any(supply):
@@ -916,14 +910,15 @@ class ProjChart:
         return {**vars(self), "pivot": self.pivot.to_json(), "monoid_generators": gens}
 
 
-def _cycle_rank(ends: Sequence[tuple[int, int]], mask: int) -> int:
+def _cycle_rank(edges: Sequence[Edge], mask: int) -> int:
     """The cycle rank |E| - |V| + c of the arrows in the bitmask ``mask``.
 
-    ``ends`` is the (tail, head) of each arrow, as :func:`_arrow_ends` lists
-    them.  The rank is the dimension of the circulations on those arrows,
-    the kernel of W on their columns: a union-find joins the ends of each
-    arrow in turn, and an arrow whose ends it has already joined, a loop
-    included, closes one more independent cycle.
+    ``edges`` is the arrow index of :func:`_edges`.  The rank is the
+    dimension of the circulations on those arrows, the kernel of W on their
+    columns: it is the number of arrows in ``mask`` less the joins of a
+    union-find that joins the ends of each edge ``mask`` hits, once per
+    edge and never for a loop.  Every hit arrow but the one that makes a
+    join closes one more independent cycle.
     """
     root: dict[int, int] = {}
 
@@ -933,13 +928,16 @@ def _cycle_rank(ends: Sequence[tuple[int, int]], mask: int) -> int:
         return v
 
     cycles = 0
-    for a, (tail, head) in enumerate(ends):
-        if mask >> a & 1:
+    for tail, head, slots in edges:
+        hits = (mask >> slots.start & ((1 << len(slots)) - 1)).bit_count()
+        if not hits:
+            continue
+        cycles += hits
+        if tail != head:
             x, y = find(tail), find(head)
-            if x == y:
-                cycles += 1
-            else:
+            if x != y:
                 root[x] = y
+                cycles -= 1
     return cycles
 
 
@@ -989,10 +987,10 @@ def _graded_charts(
     pivots = [g for g in graded if g.degree]
     if not pivots:
         raise EmptyProjError("no positive-degree semi-invariants; semistable locus empty")
-    ends = _arrow_ends(s)
-    bits = [1 << a for a in range(len(ends))]
+    edges = _edges(s)
+    bits = [1 << a for a in range(len(graded[0].exponents))]
     union = sum(itertools.compress(bits, map(any, zip(*(g.exponents for g in graded)))))
-    free_rank = _cycle_rank(ends, union)
+    free_rank = _cycle_rank(edges, union)
     charts = []
     for pivot in pivots:
         e = pivot.exponents
@@ -1013,7 +1011,7 @@ def _graded_charts(
             for g in chosen
             if g is not pivot
         )
-        units = _cycle_rank(ends, sum(itertools.compress(bits, e)))
+        units = _cycle_rank(edges, sum(itertools.compress(bits, e)))
         charts.append(ProjChart(pivot, tuple(gens), len(minimal) == free_rank - units, free_rank))
     return graded, charts
 
@@ -1043,6 +1041,12 @@ def central_fiber(
     so S carries an invariant iff u & S == u for some u; the King verdicts
     come from one :func:`_king_table` for the call.
 
+    S spans iff |S| less its cycle rank is k - 1 and S is nonempty.  The
+    union-find of :func:`_cycle_rank` makes |S| - cycle rank joins, one per
+    merge of two components of the vertices S touches, so at most k - 1,
+    and exactly k - 1 iff S touches all k vertices and connects them.  With
+    k = 1 that takes no join, and the empty support touches no vertex.
+
     There are 2^arrows supports.  ``deadline`` is checked once per support,
     in the cycle walk of :func:`invariant_generators` and in the subset
     listing of :func:`_king_table`.
@@ -1051,13 +1055,13 @@ def central_fiber(
     basis = invariant_generators(s, deadline=deadline)
     invariant_masks = [sum(1 << i for i, e in enumerate(u) if e) for u in basis]
     table = _king_table(s, t, deadline=deadline)
-    ends = [(1 << tail) | (1 << head) for tail, head in _arrow_ends(s)]
-    bits = [1 << i for i in range(len(ends))]
-    everyone = (1 << s.k) - 1
+    edges = _edges(s)
+    n = sum(map(sum, s.arrows))
+    bits = [1 << i for i in range(n)]
     out = []
-    for size in range(len(ends) + 1):
+    for size in range(n + 1):
         for idx, chosen in zip(
-            itertools.combinations(range(len(ends)), size),
+            itertools.combinations(range(n), size),
             itertools.combinations(bits, size),
         ):
             if deadline is not None and time.monotonic() > deadline:
@@ -1069,7 +1073,7 @@ def central_fiber(
             row = _king_row(table, mask)
             if row is not None and row[0]:
                 continue
-            spanning = _spans([ends[i] for i in idx], everyone)
+            spanning = size > 0 and size - _cycle_rank(edges, mask) == s.k - 1
             dim = size - (s.k - 1) if spanning else None
             out.append(FiberStratum(idx, row is None, dim, not spanning))
     return out
@@ -1148,23 +1152,3 @@ def toric_report(
         report["max_orbit_space_dim"] = max(dims) if dims else None
     return report
 
-
-def _spans(ends: Sequence[int], everyone: int) -> bool:
-    """Whether the edges ``ends`` (vertex bitmasks) touch and connect all of ``everyone``.
-
-    The search grows from vertex 0, so the empty vertex set is not spanned.
-    """
-    touched = 0
-    for e in ends:
-        touched |= e
-    if touched != everyone:
-        return False
-    reach = 1
-    while True:
-        grown = reach
-        for e in ends:
-            if e & grown:
-                grown |= e
-        if grown == reach:
-            return reach == everyone
-        reach = grown

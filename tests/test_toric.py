@@ -76,11 +76,11 @@ def check_hilbert_minimality(basis):
 
 def weight_rows(s: MarkedQuiverSetting) -> list[list[int]]:
     """The weight matrix W, one row per vertex: column a is e_head - e_tail of arrow a."""
-    ends = toric._arrow_ends(s)
-    rows = [[0] * len(ends) for _ in range(s.k)]
-    for col, (tail, head) in enumerate(ends):
-        rows[head][col] += 1
-        rows[tail][col] -= 1
+    arrows = s.arrow_list()
+    rows = [[0] * len(arrows) for _ in range(s.k)]
+    for col, a in enumerate(arrows):
+        rows[a.head][col] += 1
+        rows[a.tail][col] -= 1
     return rows
 
 
@@ -718,14 +718,23 @@ class TestChartsWithoutElimination:
 
     def test_cycle_rank_is_the_nullity_of_the_incidence_columns(self):
         rng = random.Random(127)
+        part_of_parallel = multiple_loops = 0
         for _, _, s in cycle_walk_settings(127, 200):
-            ends = toric._arrow_ends(s)
+            edges = toric._edges(s)
+            n = len(s.arrow_list())
             rows = weight_rows(s)
             for _ in range(5):
-                mask = rng.getrandbits(len(ends))
-                columns = [a for a in range(len(ends)) if mask >> a & 1]
+                mask = rng.getrandbits(n)
+                columns = [a for a in range(n) if mask >> a & 1]
                 rank = linalg.rank([[row[a] for a in columns] for row in rows])
-                assert toric._cycle_rank(ends, mask) == len(columns) - rank, (s.to_json(), mask)
+                assert toric._cycle_rank(edges, mask) == len(columns) - rank, (s.to_json(), mask)
+                hits = [
+                    (tail == head, len(slots), sum(mask >> a & 1 for a in slots))
+                    for tail, head, slots in edges
+                ]
+                part_of_parallel += any(0 < h < size for _, size, h in hits)
+                multiple_loops += any(loop and h >= 2 for loop, _, h in hits)
+        assert part_of_parallel > 100 and multiple_loops > 20
 
     def test_charts_need_no_elimination(self, conifold, monkeypatch):
         cases = [(conifold, (-1, 1)), (directed_cycle(40), (-1, 1) + (0,) * 38)]
@@ -1417,20 +1426,22 @@ class TestCycleWalk:
             loops += any(s.arrows[v][v] for v in range(s.k))
             parallel += any(c > 1 for row in s.arrows for c in row)
             # a cycle on each side of the cut
-            below = [tail < m for tail, _ in toric._arrow_ends(s)]
+            below = [a.tail < m for a in s.arrow_list()]
             two_sided += {any(itertools.compress(u, below)) for u in basis} == {False, True}
         assert loops > 100 and parallel > 100 and two_sided > 10
 
-    def test_first_slots_follow_the_arrow_list(self):
-        # the walk, the θ-flows and the support masks index arrows through
-        # the sparse slot table; it must number them as arrow_list() does
+    def test_edges_follow_the_arrow_list(self):
+        # every kernel but the support masks indexes arrows through the
+        # sparse edge list; it must number them as arrow_list() does
         settings = [s for _, _, s in cycle_walk_settings(101, 90)] + [directed_cycle(50)]
         for s in settings:
             arrows = s.arrow_list()
-            first = toric._first_slots(s)
-            assert list(first) == sorted({(a.tail, a.head) for a in arrows})
-            assert [first[a.tail, a.head] + a.slot for a in arrows] == list(range(len(arrows)))
-            assert toric._arrow_ends(s) == [(a.tail, a.head) for a in arrows]
+            edges = toric._edges(s)
+            assert [a for _, _, slots in edges for a in slots] == list(range(len(arrows)))
+            assert [
+                (tail, head, a - slots.start) for tail, head, slots in edges for a in slots
+            ] == [(a.tail, a.head, a.slot) for a in arrows]
+            assert len(edges) == len({(a.tail, a.head) for a in arrows})
             assert toric._support_mask(s, arrows) == (1 << len(arrows)) - 1
 
     @pytest.mark.parametrize("k,size", [(5, 84), (6, 409), (7, 2365)])
@@ -1846,6 +1857,53 @@ class TestBitmaskKernelsMatchReference:
         assert min(by_k.values()) == 60
         # ties need k >= 3 or theta = 0
         assert tied > 150 and relations_found > 40
+
+    def test_cycle_walk_settings_fiber(self):
+        # one vertex, loops, parallel arrows, acyclic and disconnected
+        # settings, which the strongly connected draws above never give
+        rng = random.Random(149)
+        kinds = collections.Counter()
+        loops = parallel = one_vertex = spanning = 0
+        for kind, m, s in cycle_walk_settings(149, 300):
+            theta = [rng.randint(-2, 2) for _ in range(s.k)]
+            # sum 0 on the first m vertices and on the rest
+            theta[m - 1] -= sum(theta[:m])
+            theta[-1] -= sum(theta[m:])
+            strata = central_fiber(s, theta)
+            assert strata == reference_central_fiber(s, theta), (s.to_json(), theta)
+            if not strata:
+                continue
+            kinds[kind] += 1
+            loops += any(s.arrows[v][v] for v in range(s.k))
+            parallel += any(c > 1 for row in s.arrows for c in row)
+            one_vertex += s.k == 1
+            spanning += any(f.orbit_space_dim is not None for f in strata)
+        assert min(kinds.values()) > 20 and loops > 20 and parallel > 20
+        assert one_vertex > 10 and spanning > 20
+
+    def test_one_vertex_with_two_loops(self):
+        # both loops are invariants, so only the empty support is left, and
+        # it touches no vertex
+        s = MarkedQuiverSetting.make([1], [[2]])
+        strata = [toric.FiberStratum((), True, None, True)]
+        assert central_fiber(s, (0,)) == reference_central_fiber(s, (0,)) == strata
+        report = toric.toric_report(s, "fiber", theta=(0,))
+        assert report["strata"] == [
+            {"support": [], "stable": True, "orbit_space_dim": None, "non_free_action": True}
+        ]
+        assert report["max_orbit_space_dim"] is None
+
+    def test_two_disjoint_two_cycles(self):
+        # arrows 0 -> 1, 1 -> 0, 2 -> 3, 3 -> 2; a semistable support needs
+        # 0 -> 1, and no support of at most one arrow per cycle spans
+        arrows = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        s = MarkedQuiverSetting.make([1] * 4, arrows)
+        theta = (-1, 1, 0, 0)
+        strata = central_fiber(s, theta)
+        assert strata == reference_central_fiber(s, theta)
+        assert [f.support for f in strata] == [(0,), (0, 2), (0, 3)]
+        assert all(f.non_free_action and f.orbit_space_dim is None for f in strata)
+        assert toric.toric_report(s, "fiber", theta=theta)["max_orbit_space_dim"] is None
 
     @pytest.mark.parametrize("theta", [(-1, 1), (1, -1), (0, 0), (-2, 2)])
     def test_conifold(self, conifold, theta):
