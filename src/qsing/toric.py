@@ -20,10 +20,17 @@ against.
 The kernels number the arrows as ``arrow_list()`` does, through one index,
 :func:`_edges`: per edge with arrows its tail, head and the range of its
 parallel arrows' numbers.  The cycle walk and the theta-flows step along
-its edges; King's test, the max-flow, the chart ranks and the central
-fiber work on bitmasks of arrows (bit i for arrow i), an edge's arrows
-being one run of bits.  The census groups settings by isomorphism of
-their invariant monoids, decided on the generator-facet incidence (see
+its edges; King's test, the max-flow and the chart ranks work on bitmasks
+of arrows (bit i for arrow i), an edge's arrows being one run of bits.
+The central fiber is a pruned search over the acyclic arrow supports,
+which are exactly those without an invariant, with vertex reach bitmasks
+as in the theta-flows and King's table for the prune.  The binomial
+relations pack monomials and their images into ints, one field per
+coordinate, so a child monomial is one addition and a move's
+applicability one masked subtraction.
+
+The census groups settings by isomorphism of their invariant monoids,
+decided on the generator-facet incidence (see
 :func:`incidence_isomorphism`); :func:`semigroup_isomorphism`, a search for
 a linear map between any two Hilbert bases, is its reference.
 
@@ -36,8 +43,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import add, ge, itemgetter, mul, sub
+from operator import add, ge, itemgetter, lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
@@ -632,49 +640,84 @@ def toric_relations(
     of increasing minimal degree; inside a fiber whose monomials are not yet
     all connected by the relations already emitted, every pair of distinct
     connected components contributes one binomial.  Completeness beyond the
-    bound is not claimed.  A degree bound below 1 raises ``ValueError``.
+    bound is not claimed.  A degree bound below 1 raises ``ValueError``, and
+    so do generators of unequal length or with an entry that is not an
+    ``int`` >= 0.
 
     The monomials are built degree by degree, each as its parent times one
     generator no smaller than the parent's largest.  A fiber's components
-    come from a union-find over the moves (lhs, rhs - lhs) of the relations
-    emitted so far; being undirected, it needs no reverse moves.
+    come from a union-find over the moves (lhs, rhs) of the relations
+    emitted so far, m -> m - lhs + rhs for m >= lhs; being undirected, it
+    needs no reverse moves.
+
+    Monomials and images are packed into ints, one fixed-width field per
+    generator or arrow coordinate, the first one most significant, so
+    integer order is tuple order and a child is its parent plus one
+    constant.  A monomial field holds 2 * degree_bound, as m - lhs + rhs
+    can reach that, and its top bit is a guard bit G that no monomial of
+    degree <= degree_bound sets: m >= lhs in every field iff
+    ((m | G) - lhs) & G == G, and a move that overflows a field sets its
+    guard bit and names no monomial.  An image field holds degree_bound
+    times the largest generator entry.  Exponent tuples are built only for
+    the relations returned.
 
     ``deadline`` is checked once per degree and once per fiber visited.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    gens = [tuple(g) for g in generators]
+    gens = [tuple(map(exact_int, g)) for g in generators]
     ng = len(gens)
     if ng == 0:
         return []
+    length = len(gens[0])
+    if any(len(g) != length for g in gens):
+        raise ValueError("generators must share one length")
+    if any(x < 0 for g in gens for x in g):
+        raise ValueError("generator entries must be >= 0")
 
     def check_deadline() -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhaustedError("toric relations ran past their deadline")
 
-    # fibers fill in order of degree, so a fiber's first monomial has its
-    # minimal degree
-    fibers: dict[Vector, list[Vector]] = {}
+    width = (2 * degree_bound).bit_length()
+    # generator j as a monomial: 1 in field j, field 0 the most significant
+    units = [1 << shift for shift in range(width * (ng - 1), -1, -width)]
+    guard = sum(units) << width - 1
+    field = (1 << width) - 1
+
+    def unpack(mono: int) -> Vector:
+        return tuple(mono // unit & field for unit in units)
+
+    largest = max(itertools.chain.from_iterable(gens), default=0)
+    img_width = max(1, (degree_bound * largest).bit_length())
+    shifts = range(img_width * (length - 1), -1, -img_width)
+    images = [sum(map(lshift, g, shifts)) for g in gens]
+    # (generator, its monomial, its image) per generator
+    steps = list(zip(range(ng), units, images))
+    fibers: defaultdict[int, list[int]] = defaultdict(list)
+    # the number of fibers after each degree: fibers fill in order of
+    # degree, so those of one degree are a run, of their minimal degree
+    runs = []
     # (monomial, image, its largest generator) per monomial of the last degree
-    layer = [((0,) * ng, (0,) * len(gens[0]), 0)]
+    layer = [(0, 0, 0)]
     for _ in range(degree_bound):
         check_deadline()
         children = []
         for mono, img, low in layer:
-            for j in range(low, ng):
-                child = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                child_img = tuple(map(add, img, gens[j]))
-                fibers.setdefault(child_img, []).append(child)
+            for j, unit, image in steps[low:]:
+                child, child_img = mono + unit, img + image
+                fibers[child_img].append(child)
                 children.append((child, child_img, j))
         layer = children
+        runs.append(len(fibers))
 
     relations: list[Relation] = []
-    # (lhs, rhs - lhs) per relation
-    moves: list[tuple[Vector, Vector]] = []
-    order = sorted(
-        (img for img, members in fibers.items() if len(members) > 1),
-        key=lambda img: (sum(fibers[img][0]), img),
-    )
+    # (lhs, rhs) per relation
+    moves: list[tuple[int, int]] = []
+    order: list[int] = []
+    keys = list(fibers)
+    for start, stop in zip([0, *runs], runs):
+        order += sorted(img for img in keys[start:stop] if len(fibers[img]) > 1)
     for img in order:
         check_deadline()
         members = fibers[img]
@@ -687,20 +730,21 @@ def toric_relations(
             return i
 
         for i, m in enumerate(members):
-            for src, delta in moves:
-                if all(map(ge, m, src)):
-                    j = index.get(tuple(map(add, m, delta)))
+            high = m | guard
+            for lhs, rhs in moves:
+                if (high - lhs) & guard == guard:
+                    j = index.get(m - lhs + rhs)
                     if j is not None:
                         root[find(j)] = find(i)
         # the least monomial of each component, in order
-        reps: dict[int, Vector] = {}
+        reps: dict[int, int] = {}
         for m in sorted(members):
             reps.setdefault(find(index[m]), m)
         if len(reps) <= 1:
             continue
         for lhs, rhs in itertools.combinations(reps.values(), 2):
-            relations.append(Relation(lhs, rhs))
-            moves.append((lhs, tuple(map(sub, rhs, lhs))))
+            relations.append(Relation(unpack(lhs), unpack(rhs)))
+            moves.append((lhs, rhs))
     return relations
 
 
@@ -756,7 +800,9 @@ def is_theta_semistable(
     """
     t = _theta(s, theta)
     _require_all_ones(s)
-    row = _king_row(_king_table(s, t, deadline=deadline), _support_mask(s, support))
+    table = _king_table(s, t, deadline=deadline)
+    mask = _support_mask(s, support)
+    row = next((row for row in table if not row[1] & mask), None)
     if row is None:
         return _STABLE
     value, _, subset = row
@@ -812,16 +858,6 @@ def _checked(items: Iterable, deadline: float, message: str) -> Iterator:
         yield item
         if not count % _PER_CHECK and time.monotonic() > deadline:
             raise BudgetExhaustedError(message)
-
-
-def _king_row(
-    table: Sequence[tuple[int, int, tuple[int, ...]]], support: int
-) -> tuple[int, int, tuple[int, ...]] | None:
-    """The first row of a :func:`_king_table` that the arrow bitmask ``support`` fits, or None."""
-    for row in table:
-        if not row[1] & support:
-            return row
-    return None
 
 
 def semistable_via_semiinvariants(
@@ -1032,51 +1068,100 @@ def central_fiber(
 ) -> list[FiberStratum]:
     """Semistable strata of the fiber over the origin of the quotient.
 
-    Enumerates arrow supports on which every nonconstant invariant vanishes
-    and keeps the theta-semistable ones.  The orbit-space dimension
-    |S| - (k - 1) assumes the support spans a connected graph on all
-    vertices; otherwise the stratum is flagged non_free_action, without one.
+    Lists the arrow supports on which every nonconstant invariant vanishes
+    and keeps the theta-semistable ones, sorted by (size, support).  The
+    orbit-space dimension |S| - (k - 1) assumes the support spans a
+    connected graph on all vertices; otherwise the stratum is flagged
+    non_free_action, without one.
 
-    Supports and the supports u of the invariant generators are bitmasks,
-    so S carries an invariant iff u & S == u for some u; the King verdicts
-    come from one :func:`_king_table` for the call.
+    The supports are searched depth-first, adding arrows in increasing
+    order, with an explicit stack; each node is one candidate support, and
+    three lemmas keep the search to the candidates:
 
-    S spans iff |S| less its cycle rank is k - 1 and S is nonempty.  The
-    union-find of :func:`_cycle_rank` makes |S| - cycle rank joins, one per
-    merge of two components of the vertices S touches, so at most k - 1,
-    and exactly k - 1 iff S touches all k vertices and connects them.  With
-    k = 1 that takes no join, and the empty support touches no vertex.
+    Acyclic iff no invariant.  The invariants are spanned by the simple
+    directed cycles (see :func:`invariant_generators`), so S carries a
+    nonconstant one iff it contains a directed cycle, a loop included.  The
+    search admits arrow (tail, head) only if head does not yet reach tail,
+    read off per-vertex reach bitmasks as in the theta-flow search (here
+    the vertices that reach each vertex, so an arrow changes only the masks
+    of its head's descendants), and so visits exactly the acyclic supports
+    and needs no cycle walk.
 
-    There are 2^arrows supports.  ``deadline`` is checked once per support,
-    in the cycle walk of :func:`invariant_generators` and in the subset
+    The upward-closed prune.  S is semistable iff it meets the leaving mask
+    of every :func:`_king_table` row with theta(X) < 0, and a superset of a
+    semistable support is semistable (King 1994).  A node whose S together
+    with every later arrow misses such a row has no semistable descendant
+    and is cut: the children of S take only arrows up to the last arrow of
+    the first row, in order of last arrow, that S misses.  At theta = 0 no
+    row is negative, and no table is built: an acyclic support on k >= 2
+    vertices has a sink, a closed singleton with theta 0, so none is
+    stable, while k = 1 has no proper subset and every support is stable.
+
+    Spanning by joins.  The search joins the components of an arrow's ends
+    as it adds the arrow (never a loop).  Each join merges two of the
+    components of the vertices, so there are at most k - 1, and exactly
+    k - 1 iff S connects all k vertices; S spans iff it does and is
+    nonempty (with k = 1 no join is needed, and the empty support touches
+    no vertex).
+
+    ``deadline`` is checked once per node of the search and in the subset
     listing of :func:`_king_table`.
     """
     t = _theta(s, theta)
-    basis = invariant_generators(s, deadline=deadline)
-    invariant_masks = [sum(1 << i for i, e in enumerate(u) if e) for u in basis]
-    table = _king_table(s, t, deadline=deadline)
-    edges = _edges(s)
-    n = sum(map(sum, s.arrows))
-    bits = [1 << i for i in range(n)]
-    out = []
-    for size in range(n + 1):
-        for idx, chosen in zip(
-            itertools.combinations(range(n), size),
-            itertools.combinations(bits, size),
-        ):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhaustedError("central fiber ran past its deadline")
-            mask = sum(chosen)
-            # u & mask == u for an invariant support u iff u & ~mask == 0
-            if not all(map((~mask).__and__, invariant_masks)):
+    _require_all_ones(s)
+    k = s.k
+    if any(t):
+        table = _king_table(s, t, deadline=deadline)
+        # (last arrow, leaving mask) per negative row, in order of last arrow
+        negative = sorted((m.bit_length() - 1, m) for value, m, _ in table if value < 0)
+        zero = [m for value, m, _ in table if not value]
+    else:
+        # a row with no leaving arrow stands for the closed singleton of a sink
+        negative, zero = [], [0] * (k > 1)
+    ends = [(tail, head) for tail, head, slots in _edges(s) for _ in slots]
+    last = len(ends) - 1
+    strata = []
+
+    def visit(support: tuple[int, ...], mask: int, joins: int) -> int:
+        """Keep the node's support if semistable; the last arrow its children may take."""
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("central fiber ran past its deadline")
+        for top, m in negative:
+            if not m & mask:
+                return top
+        spanning = bool(support) and joins == k - 1
+        dim = len(support) - (k - 1) if spanning else None
+        strata.append(FiberStratum(support, all(map(mask.__and__, zero)), dim, not spanning))
+        return last
+
+    # per node: its support, mask and joins, per vertex the vertices that
+    # reach it and its component, and the arrows left to try as children
+    reach = [1 << v for v in range(k)]
+    stack = [((), 0, 0, reach, reach, iter(range(visit((), 0, 0) + 1)))]
+    while stack:
+        support, mask, joins, reach, comp, arrows = stack[-1]
+        for a in arrows:
+            tail, head = ends[a]
+            up = reach[tail]
+            if up >> head & 1:
                 continue
-            row = _king_row(table, mask)
-            if row is not None and row[0]:
-                continue
-            spanning = size > 0 and size - _cycle_rank(edges, mask) == s.k - 1
-            dim = size - (s.k - 1) if spanning else None
-            out.append(FiberStratum(idx, row is None, dim, not spanning))
-    return out
+            child, child_mask = support + (a,), mask | 1 << a
+            c = comp[tail]
+            if c >> head & 1:
+                child_comp, child_joins = comp, joins
+            else:
+                c |= comp[head]
+                child_comp, child_joins = [c if x & c else x for x in comp], joins + 1
+            top = visit(child, child_mask, child_joins)
+            if top > a:
+                child_reach = [x | up if x >> head & 1 else x for x in reach]
+                todo = iter(range(a + 1, top + 1))
+                stack.append((child, child_mask, child_joins, child_reach, child_comp, todo))
+            break
+        else:
+            stack.pop()
+    strata.sort(key=lambda f: (len(f.support), f.support))
+    return strata
 
 
 # the toric_report actions that need a stability vector

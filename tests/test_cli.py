@@ -419,10 +419,10 @@ class TestToricBudget:
 
     def test_exhausted_budget_stops_the_relations(self, tmp_path):
         # the 20 invariant generators of the complete 4-vertex quiver have
-        # 10,626 monomials up to degree 4, whose relations take several
-        # times 0.05 s
+        # 53,129 nonconstant monomials up to degree 5, whose relations take
+        # several times 0.05 s
         args = with_setting_file(
-            ["toric", "relations", "SETTING", "--degree-bound", "4", "--budget", "0.05"],
+            ["toric", "relations", "SETTING", "--degree-bound", "5", "--budget", "0.05"],
             COMPLETE_4,
             tmp_path,
         )

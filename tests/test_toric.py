@@ -231,6 +231,35 @@ class TestToricRelations:
         # degree bound 6 must not add consequences of the single quadric
         assert len(toric_relations(basis, degree_bound=6)) == 1
 
+    def test_ragged_generators_rejected(self):
+        # read up to the shorter length, these would give the false relation
+        # (0, 2, 0, 0) = (1, 1, 0, 0)
+        with pytest.raises(ValueError, match="generators must share one length"):
+            toric_relations([[1, 0, 1], [1, 0], [0, 1, 1], [1, 1, 2]], 3)
+
+    @pytest.mark.parametrize("entry", [1.5, True, Fraction(1), "1"])
+    def test_non_int_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="expected an integer"):
+            toric_relations([[1, 0], [0, entry]], 3)
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValueError, match="generator entries must be >= 0"):
+            toric_relations([[1, 0], [0, -1], [1, 1]], 3)
+
+    def test_d6_hypersurface_needs_degree_five(self):
+        # the d=6 all-ones hypersurface class: 7 generators and one relation,
+        # x5 x6 = x1 x2 x3 x4 x7, of degrees 2 and 5
+        s = MarkedQuiverSetting.make(
+            [1] * 5,
+            [[0, 1, 1, 0, 0], [1, 0, 0, 1, 0], [1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 0]],
+        )
+        basis = invariant_generators(s)
+        assert len(basis) == 7
+        assert toric_relations(basis, 4) == []
+        rels = toric_relations(basis, 7)
+        assert rels == [toric.Relation((0, 0, 0, 0, 1, 1, 0), (1, 1, 1, 1, 0, 0, 1))]
+        assert rels == reference_toric_relations(basis, 7)
+
 
 class TestSemiInvariants:
     def test_conifold_theta_minus_plus(self, conifold):
@@ -835,10 +864,10 @@ class TestCentralFiber:
         strata = central_fiber(s, (-1, 1))
         assert all(f.support for f in strata)
 
-    def test_deadline_checked_once_per_support(self, conifold, monkeypatch):
+    def test_deadline_checked_once_per_node(self, conifold, monkeypatch):
         # with a clock that never passes the deadline, the fiber search reads
-        # it in the invariant cycle walk (once per least vertex) and once per
-        # support (2^4)
+        # it once per node: the root, which misses the row X = {0} and takes
+        # only arrow 0 or 1 next, and the acyclic supports (0,), (0, 1), (1,)
         readings = 0
 
         def monotonic():
@@ -847,10 +876,9 @@ class TestCentralFiber:
             return 0.0
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
-        invariant_generators(conifold, deadline=1.0)
-        rounds, readings = readings, 0
         strata = central_fiber(conifold, (-1, 1), deadline=1.0)
-        assert readings == rounds + 2**4
+        assert readings == 4
+        assert [f.support for f in strata] == [(0,), (1,), (0, 1)]
         monkeypatch.undo()
         assert strata == central_fiber(conifold, (-1, 1))
 
@@ -878,6 +906,49 @@ class TestCentralFiber:
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
         assert central_fiber(conifold, (-1, 1))
+
+    def test_search_deeper_than_the_recursion_limit(self, monkeypatch):
+        # at theta = 0 every proper subset of the cycle's 1,100 arrows is a
+        # stratum; the first path of the search adds arrows 0..1098, one
+        # node deeper each, and the clock passes the deadline at its 1,500th
+        # reading, on the way back
+        s = directed_cycle(1100)
+        assert s.k > sys.getrecursionlimit()
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        with pytest.raises(BudgetExhaustedError, match="central fiber"):
+            central_fiber(s, (0,) * s.k, deadline=1499.5)
+        assert readings == 1500
+
+    @pytest.mark.parametrize("theta", [(-1, 1), (0, 0)])
+    def test_no_cycle_walk_and_no_cycle_rank(self, conifold, theta, monkeypatch):
+        # acyclic supports are exactly those without an invariant, the
+        # search counts its joins, and theta = 0 needs no King table
+        expected = reference_central_fiber(conifold, theta)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fiber search called a kernel it does not need")
+
+        for name in ("invariant_generators", "_cycle_rank"):
+            monkeypatch.setattr(toric, name, forbidden)
+        if not any(theta):
+            monkeypatch.setattr(toric, "_king_table", forbidden)
+        assert central_fiber(conifold, theta) == expected
+
+    def test_theta_checked_before_the_setting(self):
+        s = MarkedQuiverSetting.make([2, 1], [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="length"):
+            central_fiber(s, (1, -1, 0))
+        with pytest.raises(UnsupportedSettingError):
+            central_fiber(s, (1, -2))
+        with pytest.raises(UnsupportedSettingError):
+            central_fiber(MarkedQuiverSetting.make([1], [[1]], [1]), (0,))
 
 
 class TestToricReportBudget:
@@ -1936,6 +2007,52 @@ class TestBitmaskKernelsMatchReference:
         assert rels == reference_toric_relations(gens, 4)
 
 
+class TestPackedRelations:
+    """The packed monomials and images of toric_relations against the tuple oracle."""
+
+    def test_entries_up_to_three(self):
+        rng = random.Random(163)
+        found = 0
+        for degree_bound in range(1, 7):
+            for _ in range(12):
+                ng, length = rng.randint(2, 4), rng.randint(1, 3)
+                gens = [[rng.randint(0, 3) for _ in range(length)] for _ in range(ng)]
+                gens[0][0] = 3
+                rels = toric_relations(gens, degree_bound)
+                assert rels == reference_toric_relations(gens, degree_bound), (gens, degree_bound)
+                found += bool(rels)
+        assert found > 30
+
+    @pytest.mark.parametrize("degree_bound", [3, 4, 5, 6])
+    def test_moves_past_the_degree_bound(self, degree_bound):
+        # x2 = x1^3 (both images 3), so the move takes x1^(d-1) x2 to
+        # x1^(d+2), an exponent above the bound d that must name no monomial
+        gens = [[1, 0], [3, 0], [0, 1], [3, 1]]
+        rels = toric_relations(gens, degree_bound)
+        assert rels == reference_toric_relations(gens, degree_bound)
+        assert rels[0] == toric.Relation((0, 1, 0, 0), (3, 0, 0, 0))
+        reached = max(
+            m[0] - rel.lhs[0] + rel.rhs[0]
+            for rel in rels
+            for total in range(1, degree_bound + 1)
+            for combo in itertools.combinations_with_replacement(range(len(gens)), total)
+            for m in [tuple(combo.count(j) for j in range(len(gens)))]
+            if all(map(ge, m, rel.lhs))
+        )
+        assert reached == degree_bound + 2
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 2], [0, 0], [2, 1]], [[0, 0, 0]], [[0], [0]]],
+    )
+    def test_all_zero_generator(self, gens):
+        for degree_bound in range(1, 5):
+            rels = toric_relations(gens, degree_bound)
+            assert rels == reference_toric_relations(gens, degree_bound), (gens, degree_bound)
+            # from degree 2 on, the zero generator's square shares its fiber
+            assert rels or degree_bound == 1
+
+
 class TestRelationsDeadline:
     @staticmethod
     def visited_fibers(gens, degree_bound):
@@ -2049,21 +2166,20 @@ class TestKingDeadline:
         assert central_fiber(directed_cycle(11), self.THETA[:11])
 
     def test_fiber_checks_the_table(self, monkeypatch):
-        # once per least vertex of the cycle walk, three times in King's
-        # test and once per support (2^12)
+        # three times in King's test and once per search node: a support is
+        # semistable iff it holds arrow 0 (0 -> 1), so the search visits the
+        # root and the 2^11 - 1 acyclic supports holding arrow 0, its strata
         s = directed_cycle(12)
         expected = central_fiber(s, self.THETA)
+        assert len(expected) == 2**11 - 1
         readings = self.ticking_clock(monkeypatch)
-        invariant_generators(s, deadline=1e9)
-        rounds = len(readings)
-        readings.clear()
         assert central_fiber(s, self.THETA, deadline=1e9) == expected
-        assert len(readings) == rounds + 3 + 2**12
-        # a deadline between the walk and the table's second check stops the table
+        assert len(readings) == 3 + 1 + len(expected)
+        # a deadline between the table's first and second check stops the table
         readings.clear()
         with pytest.raises(BudgetExhaustedError, match="King's test"):
-            central_fiber(s, self.THETA, deadline=rounds + 1.5)
-        assert len(readings) == rounds + 2
+            central_fiber(s, self.THETA, deadline=1.5)
+        assert len(readings) == 2
 
     def test_report_budget_runs_out_inside_kings_test(self, monkeypatch):
         # the report reads the clock once to set its deadline, so a budget
