@@ -32,9 +32,11 @@ A chain of products never leaves the integers.
 
 Points of the 2-dimensional trace-zero representation scheme are cleared
 the same way, once per point: the lcm q of a point's denominators turns
-p into the integer 9-tuple P = q p, and the residuals, the Jacobian rank
-and the evaluation of an element (read from its integer form) all run on
-P in integers.  A ``Fraction`` is made only for a returned value.
+p into the integer 9-tuple P = q p, and the residuals and the evaluation
+of an element (read from its integer form) run on P in integers.  The
+sampler solves its charts on integer (numerator, denominator) pairs, and
+the Jacobian rank, 3 wherever the residuals vanish, is read off the
+Jacobian's block structure.  A ``Fraction`` is made only for a returned value.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Mapping, Sequence
 
-from . import linalg
 from .errors import QsingError
 
 Monomial = tuple[int, int, int]  # exponents of x, y, z
@@ -499,16 +500,6 @@ def _scaled_residuals(q: int, P: Sequence[int]) -> tuple[int, int, int]:
     )
 
 
-def _scaled_jacobian(P: Sequence[int]) -> list[list[int]]:
-    """q times the Jacobian at the point P / q (its entries are linear)."""
-    x1, x2, x3, y1, y2, y3, z1, z2, z3 = P
-    return [
-        [2 * z1, z3, z2, 0, 0, 0, 2 * x1, x3, x2],
-        [0, 0, 0, 2 * z1, z3, z2, 2 * y1, y3, y2],
-        [0, 0, 0, 0, 0, 0, 2 * z1, z3, z2],
-    ]
-
-
 def trep2_residuals(point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     """The three defining equations evaluated at a 9-tuple."""
     q, P = _scaled_point(point)
@@ -519,52 +510,54 @@ def trep2_residuals(point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
 _SPAN = 4
 
 
-def _nonzero_fraction(rng: random.Random) -> Fraction:
-    while True:
-        num = rng.randint(-_SPAN, _SPAN)
-        if num:
-            return Fraction(num, rng.randint(1, _SPAN))
-
-
-def _any_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-_SPAN, _SPAN), rng.randint(1, _SPAN))
-
-
 def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
     """Random rational points on the trace-zero representation scheme.
 
-    Solvable charts rotate: mostly z1 != 0 (back-solve x1, y1), with z1 = 0
-    charts mixed in by solving z2 z3 = 1 and back-solving x3, y3.  Every
-    returned point satisfies the equations exactly; each is checked, and
-    one that does not raises ``AssertionError``.
+    Solvable charts rotate: mostly z1 != 0 (back-solve x1, y1, with z1 = +-1
+    where z2 = 0), with z1 = 0 charts mixed in (z2 z3 = 1, back-solve x3, y3).
+    Each chart is solved on integer (numerator, denominator) pairs, and a
+    point's nine ``Fraction`` values are made once.  Every returned point is
+    checked on the equations; one off the scheme raises ``AssertionError``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
+    randint = rng.randint
+
+    def draw() -> tuple[int, int]:
+        return randint(-_SPAN, _SPAN), randint(1, _SPAN)
+
     points: list[Trep2Point] = []
     for n in range(count):
+        # x_i = a_i / b_i and y_i = c_i / d_i; r / s is the chart's nonzero
+        # coordinate, z2 in the z1 = 0 chart and z1 in the others
+        while not (r := randint(-_SPAN, _SPAN)):
+            pass
+        s = randint(1, _SPAN)
         if n % 5 == 4:
-            # z1 = 0 chart: z2 z3 = 1, x3 and y3 solved from the pairings
-            z1 = Fraction(0)
-            z2 = _nonzero_fraction(rng)
-            z3 = 1 / z2
-            x1, x2 = _any_fraction(rng), _any_fraction(rng)
-            y1, y2 = _any_fraction(rng), _any_fraction(rng)
-            x3 = -x2 * z3 / z2
-            y3 = -y2 * z3 / z2
+            # z1 = 0, z2 = r / s, z3 = s / r; x3 = -x2 z3 / z2 = -x2 s^2 / r^2, y3 alike
+            (a1, b1), (a2, b2), (c1, d1), (c2, d2) = draw(), draw(), draw(), draw()
+            nums = (a1, a2, -a2 * s * s, c1, c2, -c2 * s * s, 0, r, s)
+            dens = (b1, b2, b2 * r * r, d1, d2, d2 * r * r, 1, s, r)
         else:
-            z1 = _nonzero_fraction(rng)
-            z2 = _any_fraction(rng)
-            z3 = (1 - z1 * z1) / z2 if z2 else Fraction(0)
-            if not z2:
+            # z_i = n_i / m_i
+            n1, m1 = r, s
+            n2, m2 = draw()
+            if n2:
+                # z3 = (1 - z1^2) / z2
+                n3, m3 = (m1 * m1 - n1 * n1) * m2, m1 * m1 * n2
+            else:
                 # keep z1^2 + z2 z3 = 1 with z2 = 0
-                z1 = Fraction(rng.choice([-1, 1]))
-                z3 = _any_fraction(rng)
-            x2, x3 = _any_fraction(rng), _any_fraction(rng)
-            y2, y3 = _any_fraction(rng), _any_fraction(rng)
-            x1 = -(x2 * z3 + x3 * z2) / (2 * z1)
-            y1 = -(y2 * z3 + y3 * z2) / (2 * z1)
-        point = (x1, x2, x3, y1, y2, y3, z1, z2, z3)
+                n1, m1 = rng.choice([-1, 1]), 1
+                n3, m3 = draw()
+            (a2, b2), (a3, b3), (c2, d2), (c3, d3) = draw(), draw(), draw(), draw()
+            # x1 = -(x2 z3 + x3 z2) / (2 z1) = -(a2 b3 n3 m2 + a3 b2 n2 m3) m1 / (b2 b3 2 n1 m2 m3)
+            den = 2 * n1 * m2 * m3
+            a1 = -(a2 * b3 * n3 * m2 + a3 * b2 * n2 * m3) * m1
+            c1 = -(c2 * d3 * n3 * m2 + c3 * d2 * n2 * m3) * m1
+            nums = (a1, a2, a3, c1, c2, c3, n1, n2, n3)
+            dens = (b2 * b3 * den, b2, b3, d2 * d3 * den, d2, d3, m1, m2, m3)
+        point = tuple(map(Fraction, nums, dens))
         if any(_scaled_residuals(*_scaled_point(point))):
             raise AssertionError(f"sampled point {point} is not on the scheme")
         points.append(point)
@@ -572,17 +565,21 @@ def trep2_sample(count: int, seed: int = 0) -> list[Trep2Point]:
 
 
 def trep2_jacobian_rank(point: Sequence) -> int:
-    """Exact rank of the Jacobian at a point of the scheme.
+    """Exact rank of the Jacobian at a point of the scheme: always 3.
 
     The point must satisfy the equations exactly (a float is read as the
-    rational it stores); any nonzero residual raises ``QsingError``.  The
-    point is scaled to integers once, p = P / q: the residuals are tested
-    as the integers q^2 r, and the rank is taken of the integer matrix q J.
+    rational it stores); its residuals are tested as the integers q^2 r
+    with p = P / q, and any nonzero one raises ``QsingError``.
+
+    Lemma: in the columns x1..x3, y1..y3, z1..z3 the rows of q J carry
+    v = (2 z1, z3, z2) in the blocks 0-2, 3-5 and 6-8 respectively, and
+    zeros left of them.  On the scheme z1^2 + z2 z3 = 1, so v != 0, and for v_t != 0 the
+    columns t, 3 + t, 6 + t form a triangular minor of determinant v_t^3.
     """
     q, P = _scaled_point(point)
     if any(_scaled_residuals(q, P)):
         raise QsingError(f"point is not on the scheme: residuals {trep2_residuals(point)}")
-    return linalg.rank(_scaled_jacobian(P))
+    return 3
 
 
 def _mat_mul2(a: IntMatrix2, b: IntMatrix2) -> IntMatrix2:

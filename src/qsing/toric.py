@@ -1007,7 +1007,7 @@ def proj_charts(
     coordinate sum, each compared only with the minimal ones kept before it.
 
     ``deadline`` bounds the graded basis as in
-    :func:`semi_invariant_generators`.
+    :func:`semi_invariant_generators` and is checked once per pivot.
     """
     return _graded_charts(s, theta, deadline)[1]
 
@@ -1029,6 +1029,8 @@ def _graded_charts(
     free_rank = _cycle_rank(edges, union)
     charts = []
     for pivot in pivots:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhaustedError("proj charts ran past their deadline")
         e = pivot.exponents
         outside = [not x for x in e]
         # the generators by their image, their exponents where e is 0

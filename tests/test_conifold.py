@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
+from qsing import linalg
 from qsing.conifold import (
     BASIS,
     CenterPoly,
@@ -26,7 +27,6 @@ from qsing.conifold import (
     X,
     Y,
     Z,
-    _scaled_jacobian,
     _scaled_point,
     clifford_check,
     commutator_element,
@@ -37,6 +37,7 @@ from qsing.conifold import (
     trep2_jacobian_rank,
     trep2_residuals,
     trep2_sample,
+    verification_battery,
 )
 from qsing.cli import main
 from qsing.errors import QsingError
@@ -153,10 +154,20 @@ def mat_mul2(a, b):
     )
 
 
+def scaled_jacobian(P):
+    """q times the Jacobian at the point P / q (its entries are linear)."""
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = P
+    return [
+        [2 * z1, z3, z2, 0, 0, 0, 2 * x1, x3, x2],
+        [0, 0, 0, 2 * z1, z3, z2, 2 * y1, y3, y2],
+        [0, 0, 0, 0, 0, 0, 2 * z1, z3, z2],
+    ]
+
+
 def trep2_jacobian(point):
-    """The 3 x 9 Jacobian of the defining equations at a point, read off the integer kernel."""
+    """The 3 x 9 Jacobian of the defining equations at a point."""
     q, P = _scaled_point(point)
-    return [[Fraction(v, q) for v in row] for row in _scaled_jacobian(P)]
+    return [[Fraction(v, q) for v in row] for row in scaled_jacobian(P)]
 
 
 def trep2_matrices(point):
@@ -487,6 +498,113 @@ class TestTrep2:
                         trep2_residuals(plus)[row] - trep2_residuals(minus)[row]
                     ) / (2 * h)
                     assert jac[row][col] == fd
+
+
+def reference_trep2_sample(count: int, seed: int = 0):
+    """The sampler in Fraction arithmetic, drawing from the generator in the same order."""
+    rng = random.Random(seed)
+
+    def nonzero_fraction():
+        while True:
+            num = rng.randint(-4, 4)
+            if num:
+                return Fraction(num, rng.randint(1, 4))
+
+    def any_fraction():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    points = []
+    for n in range(count):
+        if n % 5 == 4:
+            z1 = Fraction(0)
+            z2 = nonzero_fraction()
+            z3 = 1 / z2
+            x1, x2 = any_fraction(), any_fraction()
+            y1, y2 = any_fraction(), any_fraction()
+            x3 = -x2 * z3 / z2
+            y3 = -y2 * z3 / z2
+        else:
+            z1 = nonzero_fraction()
+            z2 = any_fraction()
+            z3 = (1 - z1 * z1) / z2 if z2 else Fraction(0)
+            if not z2:
+                z1 = Fraction(rng.choice([-1, 1]))
+                z3 = any_fraction()
+            x2, x3 = any_fraction(), any_fraction()
+            y2, y3 = any_fraction(), any_fraction()
+            x1 = -(x2 * z3 + x3 * z2) / (2 * z1)
+            y1 = -(y2 * z3 + y3 * z2) / (2 * z1)
+        points.append((x1, x2, x3, y1, y2, y3, z1, z2, z3))
+    return points
+
+
+class TestIntegerSampler:
+    """The sampler solves its charts in integers and returns the Fraction sampler's points."""
+
+    @pytest.mark.parametrize("count", [1, 5, 137])
+    def test_matches_fraction_sampler(self, count):
+        for seed in range(21):
+            points = trep2_sample(count, seed)
+            assert points == reference_trep2_sample(count, seed)
+            assert all(type(v) is Fraction for p in points for v in p)
+
+    def test_z2_zero_branch_is_reached(self):
+        # z2 = 0 occurs only in the z1 != 0 chart, which then sets z1 = +-1
+        hits = [p for seed in range(21) for p in trep2_sample(137, seed) if p[7] == 0]
+        assert {p[6] for p in hits} == {-1, 1}
+        assert all(trep2_residuals(p) == (0, 0, 0) for p in hits)
+
+
+def det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+# hand-built points of each chart: z1, z2 != 0; z1 = -1 with z2 = 0; z1 = 0;
+# and z1 = 1 with z2 = z3 = 0, where only v_0 = 2 z1 is nonzero
+HAND_BUILT_POINTS = [
+    (Fraction(-25, 4), 1, 2, 3, 0, -1, Fraction(1, 2), 3, Fraction(1, 4)),
+    (Fraction(7, 3), 2, 5, 0, 0, 1, -1, 0, Fraction(7, 3)),
+    (5, 1, Fraction(-1, 4), 0, -3, Fraction(3, 4), 0, 2, Fraction(1, 2)),
+    (0, 1, 1, 0, 1, -1, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1, 0, 0),
+]
+
+
+class TestJacobianRankLemma:
+    """The rank is 3 on the scheme, read off the block structure of q J."""
+
+    @staticmethod
+    def assert_rank_three(point):
+        assert trep2_residuals(point) == (0, 0, 0)
+        jac = scaled_jacobian(_scaled_point(point)[1])
+        assert trep2_jacobian_rank(point) == linalg.rank(jac) == 3
+        # v = (2 z1, z3, z2) in the blocks 0-2, 3-5, 6-8 of the three rows, zeros left of it
+        v = jac[2][6:]
+        assert jac[0][:3] == jac[1][3:6] == v and jac[1][:3] + jac[2][:6] == [0] * 9
+        t = next(t for t in range(3) if v[t])
+        assert det3([[row[t], row[3 + t], row[6 + t]] for row in jac]) == v[t] ** 3
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 424])
+    def test_sampled_points(self, seed):
+        for point in trep2_sample(60, seed):
+            self.assert_rank_three(point)
+
+    @pytest.mark.parametrize("point", HAND_BUILT_POINTS)
+    def test_hand_built_points(self, point):
+        self.assert_rank_three(point)
+
+    def test_no_elimination_runs(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rank ran an elimination")
+
+        monkeypatch.setattr(linalg, "rank", forbidden)
+        monkeypatch.setattr(linalg, "rref", forbidden)
+        assert all(trep2_jacobian_rank(p) == 3 for p in trep2_sample(50, seed=2))
+        assert verification_battery(seed=2, triples=5, points=50)["all_passed"]
 
 
 def reference_residuals(point):

@@ -7,6 +7,7 @@ import functools
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 from operator import ge, mul
 from types import SimpleNamespace
@@ -589,6 +590,37 @@ class TestProjCharts:
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=no_clock))
         assert len(proj_charts(conifold, (-1, 1))) == 2
+
+    # the 5-cycle with every arrow doubled: at this theta its graded basis has
+    # 28,080 pivots, and listing every chart outgrows memory
+    DOUBLED_FIVE_CYCLE = MarkedQuiverSetting.make(
+        [1] * 5, [[2 * (j == (i + 1) % 5) for j in range(5)] for i in range(5)]
+    )
+    DOUBLED_THETA = (1, 2, 4, 8, -15)
+
+    def test_deadline_checked_once_per_pivot(self, monkeypatch):
+        # the clock ticks one second per reading; after the graded basis it
+        # passes the deadline at the third pivot
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        semi_invariant_generators(self.DOUBLED_FIVE_CYCLE, self.DOUBLED_THETA, deadline=1e9)
+        basis_readings, readings = readings, 0
+        with pytest.raises(BudgetExhaustedError, match="proj charts"):
+            proj_charts(self.DOUBLED_FIVE_CYCLE, self.DOUBLED_THETA, deadline=basis_readings + 2.5)
+        assert readings == basis_readings + 3
+
+    def test_half_second_deadline_stops_the_charts(self):
+        start = time.monotonic()
+        with pytest.raises(BudgetExhaustedError, match="proj charts"):
+            proj_charts(self.DOUBLED_FIVE_CYCLE, self.DOUBLED_THETA, deadline=start + 0.5)
+        # one pivot takes tens of milliseconds; all 28,080 would take minutes
+        assert time.monotonic() - start < 3.0
 
     def test_theta_zero_guard(self, conifold):
         with pytest.raises(EmptyProjError):
