@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -80,6 +81,17 @@ def _parse_tau(raw: str) -> DecompositionType:
         return DecompositionType.from_json(json.loads(raw))
     except (ValueError, TypeError) as exc:
         raise _bad_input(f"malformed --tau: {exc}")
+
+
+def _write_report(report: dict, stream) -> None:
+    """``report`` as indented, key-sorted JSON and a newline, encoded a batch at a time.
+
+    The text of a large census report is never held whole, only its dict.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    while batch := list(itertools.islice(chunks, 4096)):
+        stream.write("".join(batch))
+    stream.write("\n")
 
 
 def _print_progress(dims, count) -> None:
@@ -232,7 +244,6 @@ def main(argv=None) -> int:
     }
     if args.timings:
         report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
-    text = json.dumps(report, indent=2, sort_keys=True)
     out = args.out
     if out and args.command == "enumerate":
         out_dir = Path(out)
@@ -241,9 +252,10 @@ def main(argv=None) -> int:
             (out_dir / f"setting_{idx:03d}.json").write_text(json.dumps(s, indent=2, sort_keys=True) + "\n")
         out = out_dir / "summary.json"
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as stream:
+            _write_report(report, stream)
     else:
-        print(text)
+        _write_report(report, sys.stdout)
     return 0 if passed else 1
 
 

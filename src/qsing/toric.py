@@ -34,9 +34,11 @@ decided on the generator-facet incidence (see
 :func:`incidence_isomorphism`); :func:`semigroup_isomorphism`, a search for
 a linear map between any two Hilbert bases, is its reference.
 
-Every ``deadline`` is a ``time.monotonic()`` reading; a search that reads a
-later time raises :class:`~qsing.errors.BudgetExhaustedError`, and none
-reads the clock without a deadline.
+Every ``deadline`` is a ``time.monotonic()`` reading.  A search given one
+reads the clock once per step of its own work, through :func:`_check`,
+and raises :class:`~qsing.errors.BudgetExhaustedError` at the first
+reading past it; without a deadline it reads no clock.  Each search's
+docstring names its step.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def _theta(s: MarkedQuiverSetting, theta: Sequence[int]) -> Vector:
     if sum(x * d for x, d in zip(t, s.dims)) != 0:
         raise ValueError("theta . alpha must vanish")
     return t
+
+
+def _check(deadline: float, message: str) -> None:
+    """One step's clock reading: ``BudgetExhaustedError(message)`` if past ``deadline``."""
+    if time.monotonic() > deadline:
+        raise BudgetExhaustedError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +382,7 @@ def incidence_isomorphism(
     to the facets assigned so far agree; a full assignment matches the
     generators of ``first`` to those of ``second`` by their equal rows.
 
-    ``deadline`` is checked once per node of the search.
+    One deadline step is a node of the search.
     """
     if first.key != second.key:
         return None
@@ -391,8 +399,8 @@ def incidence_isomorphism(
 
     def search(p: int, rows2: list[int]) -> list[int] | None:
         """The rows of ``second`` under a full assignment extending the first p."""
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("incidence search ran past its deadline")
+        if deadline is not None:
+            _check(deadline, "incidence search ran past its deadline")
         if p == len(facets1):
             return rows2
         for q, f in enumerate(facets2):
@@ -442,11 +450,6 @@ class Relation:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs)}
 
 
-# the cycles the walk emits, the steps the theta-flow search takes, or the
-# vertex subsets King's test lists, per clock reading
-_PER_CHECK = 1024
-
-
 def invariant_generators(
     s: MarkedQuiverSetting, *, deadline: float | None = None
 ) -> list[Vector]:
@@ -466,8 +469,7 @@ def invariant_generators(
     vertex cycle, expanded over the parallel arrows of its edges.  The path
     is an explicit stack, so a long one needs no recursion.
 
-    ``deadline`` is checked once per least vertex and after every 1,024th
-    cycle emitted.
+    One deadline step is a path extended or a cycle emitted.
     """
     _require_all_ones(s)
     k = s.k
@@ -479,13 +481,7 @@ def invariant_generators(
     path: list[range] = []
     # the 0/1 vector of the cycle being emitted, cleared after each
     u = [0] * sum(map(sum, s.arrows))
-
-    def check_deadline() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("invariant cycles ran past their deadline")
-
     for s0 in range(k):
-        check_deadline()
         # the path's vertices, and per vertex the successors left to try
         verts, todo, seen = [s0], [iter(successors[s0])], 1 << s0
         while todo:
@@ -494,15 +490,17 @@ def invariant_generators(
                 if w == s0:
                     path.append(slots)
                     for chosen in itertools.product(*path):
+                        if deadline is not None:
+                            _check(deadline, "invariant cycles ran past their deadline")
                         for a in chosen:
                             u[a] = 1
                         cycles.append(tuple(u))
                         for a in chosen:
                             u[a] = 0
-                        if not len(cycles) % _PER_CHECK:
-                            check_deadline()
                     path.pop()
                 elif w > s0 and not seen >> w & 1:
+                    if deadline is not None:
+                        _check(deadline, "invariant cycles ran past their deadline")
                     path.append(slots)
                     verts.append(w)
                     todo.append(iter(successors[w]))
@@ -545,8 +543,8 @@ def semi_invariant_generators(
     each of their later edges, and, if positive, if its head does not
     reach its tail.
 
-    ``deadline`` is checked as in :func:`invariant_generators` and after
-    every 1,024th step of the flow search, an edge visited or a flow found.
+    One deadline step is a step of :func:`invariant_generators`, an edge
+    placed or a flow emitted.
     """
     t = _theta(s, theta)
     gens = [GradedGenerator(u, 0) for u in invariant_generators(s, deadline=deadline)]
@@ -569,25 +567,20 @@ def semi_invariant_generators(
     reach = [1 << v for v in range(k)]  # the vertices v reaches, v included
     values = [0] * len(edges)
     flows: list[Vector] = []
-    steps = 0
-
-    def step() -> None:
-        nonlocal steps
-        steps += 1
-        if deadline is not None and not steps % _PER_CHECK and time.monotonic() > deadline:
-            raise BudgetExhaustedError("theta-flows ran past their deadline")
 
     def place(e: int) -> Iterator:
-        step()
+        if deadline is not None:
+            _check(deadline, "theta-flows ran past their deadline")
         if e == len(edges):
             slots = map(itemgetter(2), edges)
             spreads = map(itertools.combinations_with_replacement, slots, values)
             for chosen in itertools.product(*spreads):
+                if deadline is not None:
+                    _check(deadline, "theta-flows ran past their deadline")
                 u = [0] * n
                 for a in itertools.chain(*chosen):
                     u[a] += 1
                 flows.append(tuple(u))
-                step()
             return
         tail, head, _ = edges[e]
         in_h, out_h, in_t, out_t = room[e]
@@ -661,7 +654,8 @@ def toric_relations(
     times the largest generator entry.  Exponent tuples are built only for
     the relations returned.
 
-    ``deadline`` is checked once per degree and once per fiber visited.
+    One deadline step is a parent monomial extended in a layer or a fiber
+    member scanned.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
@@ -674,11 +668,6 @@ def toric_relations(
         raise ValueError("generators must share one length")
     if any(x < 0 for g in gens for x in g):
         raise ValueError("generator entries must be >= 0")
-
-    def check_deadline() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("toric relations ran past their deadline")
-
     width = (2 * degree_bound).bit_length()
     # generator j as a monomial: 1 in field j, field 0 the most significant
     units = [1 << shift for shift in range(width * (ng - 1), -1, -width)]
@@ -701,9 +690,10 @@ def toric_relations(
     # (monomial, image, its largest generator) per monomial of the last degree
     layer = [(0, 0, 0)]
     for _ in range(degree_bound):
-        check_deadline()
         children = []
         for mono, img, low in layer:
+            if deadline is not None:
+                _check(deadline, "toric relations ran past their deadline")
             for j, unit, image in steps[low:]:
                 child, child_img = mono + unit, img + image
                 fibers[child_img].append(child)
@@ -719,7 +709,6 @@ def toric_relations(
     for start, stop in zip([0, *runs], runs):
         order += sorted(img for img in keys[start:stop] if len(fibers[img]) > 1)
     for img in order:
-        check_deadline()
         members = fibers[img]
         index = {m: i for i, m in enumerate(members)}
         root = list(range(len(members)))
@@ -730,6 +719,8 @@ def toric_relations(
             return i
 
         for i, m in enumerate(members):
+            if deadline is not None:
+                _check(deadline, "toric relations ran past their deadline")
             high = m | guard
             for lhs, rhs in moves:
                 if (high - lhs) & guard == guard:
@@ -795,8 +786,8 @@ def is_theta_semistable(
     closed under the nonzero arrows ``support``.  Semistable means theta is
     >= 0 on every proper nonempty closed subset, stable means > 0; the
     witness is a minimizing subset when the verdict is negative, the first
-    one in the order of (size, vertices), read off :func:`_king_table`,
-    which checks ``deadline``.
+    one in the order of (size, vertices), read off :func:`_king_table`.
+    One deadline step is a subset listed there.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
@@ -824,8 +815,7 @@ def _king_table(
     subsets closed under it: semistable iff its theta(X) is 0, and never
     stable.  A support that no row fits is stable.
 
-    There are 2^k - 2 subsets.  ``deadline`` is checked after every
-    1,024th of them.
+    There are 2^k - 2 subsets; one deadline step is a subset listed.
     """
     tails = [0] * s.k
     heads = [0] * s.k
@@ -833,13 +823,13 @@ def _king_table(
         bits = ((1 << len(slots)) - 1) << slots.start
         tails[tail] |= bits
         heads[head] |= bits
-    subsets: Iterator[tuple[int, ...]] = itertools.chain.from_iterable(
+    subsets = itertools.chain.from_iterable(
         itertools.combinations(range(s.k), size) for size in range(1, s.k)
     )
-    if deadline is not None:
-        subsets = _checked(subsets, deadline, "King's test ran past its deadline")
     rows = []
     for subset in subsets:
+        if deadline is not None:
+            _check(deadline, "King's test ran past its deadline")
         value = sum(map(t.__getitem__, subset))
         if value > 0:
             continue
@@ -850,14 +840,6 @@ def _king_table(
         rows.append((value, out & ~into, subset))
     rows.sort(key=itemgetter(0))
     return rows
-
-
-def _checked(items: Iterable, deadline: float, message: str) -> Iterator:
-    """``items`` one by one, reading the clock after every ``_PER_CHECK``-th."""
-    for count, item in enumerate(items, 1):
-        yield item
-        if not count % _PER_CHECK and time.monotonic() > deadline:
-            raise BudgetExhaustedError(message)
 
 
 def semistable_via_semiinvariants(
@@ -882,7 +864,7 @@ def semistable_via_semiinvariants(
     of S gets capacity T, the sum of the positive entries of theta: an
     acyclic flow, to which any flow cancels, carries no more.
 
-    ``deadline`` is checked once per augmenting path.
+    One deadline step is an augmenting path.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
@@ -897,8 +879,8 @@ def semistable_via_semiinvariants(
             residual[tail][head] = cap
     supply, demand = [max(-x, 0) for x in t], [max(x, 0) for x in t]
     while any(supply):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("semistability flow ran past its deadline")
+        if deadline is not None:
+            _check(deadline, "semistability flow ran past its deadline")
         prev = [v if supply[v] else -1 for v in range(k)]
         queue = [v for v in range(k) if supply[v]]
         for v in queue:
@@ -1006,8 +988,8 @@ def proj_charts(
     image is minimal or zero; the images are visited in order of
     coordinate sum, each compared only with the minimal ones kept before it.
 
-    ``deadline`` bounds the graded basis as in
-    :func:`semi_invariant_generators` and is checked once per pivot.
+    One deadline step is a step of :func:`semi_invariant_generators` or a
+    pivot.
     """
     return _graded_charts(s, theta, deadline)[1]
 
@@ -1029,8 +1011,8 @@ def _graded_charts(
     free_rank = _cycle_rank(edges, union)
     charts = []
     for pivot in pivots:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("proj charts ran past their deadline")
+        if deadline is not None:
+            _check(deadline, "proj charts ran past their deadline")
         e = pivot.exponents
         outside = [not x for x in e]
         # the generators by their image, their exponents where e is 0
@@ -1106,8 +1088,8 @@ def central_fiber(
     nonempty (with k = 1 no join is needed, and the empty support touches
     no vertex).
 
-    ``deadline`` is checked once per node of the search and in the subset
-    listing of :func:`_king_table`.
+    One deadline step is a node of the search or a subset listed by
+    :func:`_king_table`.
     """
     t = _theta(s, theta)
     _require_all_ones(s)
@@ -1126,8 +1108,8 @@ def central_fiber(
 
     def visit(support: tuple[int, ...], mask: int, joins: int) -> int:
         """Keep the node's support if semistable; the last arrow its children may take."""
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhaustedError("central fiber ran past its deadline")
+        if deadline is not None:
+            _check(deadline, "central fiber ran past its deadline")
         for top, m in negative:
             if not m & mask:
                 return top

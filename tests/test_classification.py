@@ -679,9 +679,9 @@ class TestTypeClasses:
 
     def test_budget_bounds_the_hilbert_bases(self, monkeypatch):
         # the grouping's clock stands still and the toric clock ticks one
-        # second per reading, so only the once-per-least-vertex check inside
-        # the first setting's cycle walk can exhaust the budget: its first two
-        # least vertices read 1 s and 2 s, past the deadline at 1.5 s
+        # second per reading, so only the once-per-step check inside the
+        # first setting's cycle walk can exhaust the budget: its first two
+        # steps read 1 s and 2 s, past the deadline at 1.5 s
         readings = 0
 
         def monotonic():

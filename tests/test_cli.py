@@ -430,8 +430,8 @@ class TestToricBudget:
 
     def test_exhausted_budget_stops_the_cycle_walk(self, tmp_path):
         # the complete 11-vertex quiver has 10,976,173 simple cycles, nearly
-        # all through vertex 0, so only the check after every 1,024th cycle
-        # can stop the walk in time; never run this without a budget, its
+        # all through vertex 0, so only a check inside one least vertex's
+        # walk can stop it in time; never run this without a budget, its
         # report would be about 10 GB
         args = with_setting_file(
             ["toric", "invariants", "SETTING", "--budget", "0.05"], COMPLETE_11, tmp_path

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import random
 import sys
 import time
@@ -896,10 +897,11 @@ class TestCentralFiber:
         strata = central_fiber(s, (-1, 1))
         assert all(f.support for f in strata)
 
-    def test_deadline_checked_once_per_node(self, conifold, monkeypatch):
-        # with a clock that never passes the deadline, the fiber search reads
-        # it once per node: the root, which misses the row X = {0} and takes
-        # only arrow 0 or 1 next, and the acyclic supports (0,), (0, 1), (1,)
+    def test_deadline_checked_once_per_subset_and_node(self, conifold, monkeypatch):
+        # with a clock that never passes the deadline, King's table reads it
+        # once per subset, {0} and {1}, and the fiber search once per node:
+        # the root, which misses the row X = {0} and takes only arrow 0 or 1
+        # next, and the acyclic supports (0,), (0, 1), (1,)
         readings = 0
 
         def monotonic():
@@ -909,7 +911,7 @@ class TestCentralFiber:
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
         strata = central_fiber(conifold, (-1, 1), deadline=1.0)
-        assert readings == 4
+        assert readings == 2 + 4
         assert [f.support for f in strata] == [(0,), (1,), (0, 1)]
         monkeypatch.undo()
         assert strata == central_fiber(conifold, (-1, 1))
@@ -1436,9 +1438,15 @@ def complete_quiver(k: int) -> MarkedQuiverSetting:
     return MarkedQuiverSetting.make([1] * k, [[int(i != j) for j in range(k)] for i in range(k)])
 
 
-def directed_cycle(k: int) -> MarkedQuiverSetting:
-    """The all-ones directed cycle 0 -> 1 -> ... -> k - 1 -> 0."""
-    arrows = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+def directed_cycle(k: int, multiplicity: int = 1) -> MarkedQuiverSetting:
+    """The all-ones directed cycle 0 -> 1 -> ... -> k - 1 -> 0, each arrow ``multiplicity``-fold."""
+    arrows = [[multiplicity * (j == (i + 1) % k) for j in range(k)] for i in range(k)]
+    return MarkedQuiverSetting.make([1] * k, arrows)
+
+
+def two_cycle_over_tournament(k: int) -> MarkedQuiverSetting:
+    """Arrows 0 -> 1, 1 -> 0 and i -> j for 1 <= i < j < k: one cycle, 2^(k-2) paths from 0."""
+    arrows = [[int(0 < i < j or {i, j} == {0, 1}) for j in range(k)] for i in range(k)]
     return MarkedQuiverSetting.make([1] * k, arrows)
 
 
@@ -1588,22 +1596,31 @@ class TestCycleWalk:
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
         return readings
 
-    def test_reads_once_per_vertex_and_per_1024_cycles(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "s, cycles, extensions",
+        [
+            # every path from a least vertex through higher ones closes one
+            # cycle back to it: 2,365 paths extended and 2,365 cycles
+            (complete_quiver(7), 2365, 2365),
+            # parallel arrows count once per cycle they give: one path 0 -> 1
+            # and 40 arrows each way between the two vertices, 1,600 cycles
+            (MarkedQuiverSetting.make([1, 1], [[0, 40], [40, 0]]), 1600, 1),
+            # the paths from 0 run 0 -> 1 and then through any subset of the
+            # 15 vertices above 1, those from v >= 1 through any nonempty
+            # subset of the 16 - v vertices above v; only 0 -> 1 -> 0 is a cycle
+            (two_cycle_over_tournament(17), 1, 2**15 + sum(2**v - 1 for v in range(16))),
+        ],
+        ids=["complete-7", "parallel-two-cycles", "two-cycle-over-tournament"],
+    )
+    def test_reads_once_per_extension_and_per_cycle(self, monkeypatch, s, cycles, extensions):
         readings = self.ticking_clock(monkeypatch)
-        assert len(invariant_generators(complete_quiver(7), deadline=1e9)) == 2365
-        # 7 least vertices and the 1,024th and 2,048th cycles
-        assert len(readings) == 7 + 2
-        # parallel arrows count once per cycle they give: 40 arrows each way
-        # between two vertices are 1,600 two-cycles
-        readings.clear()
-        s = MarkedQuiverSetting.make([1, 1], [[0, 40], [40, 0]])
-        assert len(invariant_generators(s, deadline=1e9)) == 1600
-        assert len(readings) == 2 + 1
+        assert len(invariant_generators(s, deadline=1e9)) == cycles
+        assert len(readings) == extensions + cycles
 
     def test_deadline_stops_the_walk_inside_vertex_zero(self, monkeypatch):
-        # 13,699 of the 16,064 cycles of the complete 8-vertex quiver pass
-        # through vertex 0, so the walk from vertex 0 reads the clock 1 + 13
-        # times; the 6th reading, after the 5,120th cycle, is past 5.5
+        # the walk from vertex 0 of the complete 8-vertex quiver first
+        # extends the path 0 -> 1 -> ... -> 7, one reading per vertex, and
+        # the 6th reading, the extension to vertex 6, is past 5.5
         readings = self.ticking_clock(monkeypatch)
         with pytest.raises(BudgetExhaustedError, match="invariant cycles"):
             invariant_generators(complete_quiver(8), deadline=5.5)
@@ -1698,15 +1715,16 @@ class TestThetaFlows:
         [
             # 12 parallel arrows carry the 1,365 compositions of 4 into 12
             # parts, all spread from one edge value: the cycle walk reads the
-            # clock twice (no cycles), the flow search at its 1,024th step
-            (MarkedQuiverSetting.make([1, 1], [[0, 12], [0, 0]]), (-4, 4), 2 + 1),
-            # 166 flows among 15,360 to 16,383 steps, nearly all of them
-            # edges visited; the walk reads once per vertex (84 cycles)
-            (complete_quiver(5), (-2, -1, 0, 1, 2), 5 + 15),
+            # clock once (the path 0 -> 1, no cycle), the flow search once per
+            # edge placed (the one edge, then the leaf) and per flow
+            (MarkedQuiverSetting.make([1, 1], [[0, 12], [0, 0]]), (-4, 4), 1 + 2 + 1365),
+            # the walk reads 84 paths and 84 cycles; the flow search places
+            # 15,779 edges and emits 166 flows
+            (complete_quiver(5), (-2, -1, 0, 1, 2), 84 + 84 + 15779 + 166),
         ],
         ids=["spread-over-parallel-arrows", "complete-5"],
     )
-    def test_flow_search_reads_the_clock_per_1024_steps(self, monkeypatch, s, theta, readings):
+    def test_flow_search_reads_the_clock_per_step(self, monkeypatch, s, theta, readings):
         ticks = self.ticking_clock(monkeypatch)
         gens = semi_invariant_generators(s, theta, deadline=1e9)
         assert len(ticks) == readings
@@ -2087,18 +2105,30 @@ class TestPackedRelations:
 
 class TestRelationsDeadline:
     @staticmethod
-    def visited_fibers(gens, degree_bound):
-        """The fibers of the monomial image map that hold more than one monomial."""
-        images = {}
-        for total in range(1, degree_bound + 1):
-            for combo in itertools.combinations_with_replacement(range(len(gens)), total):
-                image = tuple(sum(gens[i][a] for i in combo) for a in range(len(gens[0])))
-                images[image] = images.get(image, 0) + 1
-        return sum(count > 1 for count in images.values())
+    def steps(gens, degree_bound):
+        """The parent monomials the layers extend, and the members of the fibers scanned.
 
-    def test_deadline_checked_once_per_degree_and_fiber(self, dim4_double_triangle, monkeypatch):
-        gens = invariant_generators(dim4_double_triangle)
-        expected = toric_relations(gens, 3)
+        Every monomial of degree below the bound is a parent, the empty one
+        included; the fibers scanned are those of the monomial image map
+        that hold more than one monomial.
+        """
+        ng = len(gens)
+        parents = sum(math.comb(ng + d - 1, d) for d in range(degree_bound))
+        images = collections.Counter(
+            tuple(map(sum, zip(*(gens[i] for i in combo))))
+            for total in range(1, degree_bound + 1)
+            for combo in itertools.combinations_with_replacement(range(ng), total)
+        )
+        return parents + sum(count for count in images.values() if count > 1)
+
+    @pytest.mark.parametrize(
+        "k, degree_bound", [(3, 3), (6, 2)], ids=["doubled-3-cycle", "doubled-6-cycle"]
+    )
+    def test_reads_once_per_parent_and_fiber_member(self, k, degree_bound, monkeypatch):
+        # the doubled 6-cycle has 64 generators, and at degree 2 the 65
+        # parents give 2,144 monomials, 1,824 of them in shared fibers
+        gens = invariant_generators(directed_cycle(k, multiplicity=2))
+        expected = toric_relations(gens, degree_bound)
         readings = 0
 
         def monotonic():
@@ -2107,12 +2137,12 @@ class TestRelationsDeadline:
             return 0.0
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
-        assert toric_relations(gens, 3, deadline=1.0) == expected
-        assert readings == 3 + self.visited_fibers(gens, 3)
+        assert toric_relations(gens, degree_bound, deadline=1.0) == expected
+        assert readings == self.steps(gens, degree_bound)
 
     def test_deadline_stops_the_relations(self, monkeypatch):
         # the clock passes the deadline at its 10th reading, well inside the
-        # thousands of fibers of the complete 4-vertex quiver at degree 4
+        # layers of the complete 4-vertex quiver at degree 4
         gens = invariant_generators(complete_quiver(4))
         readings = 0
 
@@ -2137,9 +2167,9 @@ class TestRelationsDeadline:
 
     def test_report_budget_runs_out_inside_the_relations(self, monkeypatch):
         # the clock ticks one second per reading: the report reads it once to
-        # set its deadline and the Hilbert basis once per round, so a budget
-        # of rounds + 1/2 seconds lets the basis finish and stops the
-        # relations at their first check
+        # set its deadline and the cycle walk once per step, so a budget of
+        # walk + 1/2 seconds lets the walk finish and stops the relations at
+        # their first check
         s = complete_quiver(4)
         readings = 0
 
@@ -2150,16 +2180,15 @@ class TestRelationsDeadline:
 
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
         invariant_generators(s, deadline=1e9)
-        rounds, readings = readings, 0
+        walk, readings = readings, 0
         with pytest.raises(BudgetExhaustedError, match="relations"):
-            toric.toric_report(s, "relations", degree_bound=4, budget_secs=rounds + 0.5)
-        assert readings == 1 + rounds + 1
+            toric.toric_report(s, "relations", degree_bound=4, budget_secs=walk + 0.5)
+        assert readings == 1 + walk + 1
 
 
 class TestKingDeadline:
     # the directed 12-cycle has 2^12 - 2 = 4,094 proper nonempty vertex
-    # subsets, so King's test reads the clock after the 1,024th, 2,048th and
-    # 3,072nd of them
+    # subsets, and King's test reads the clock once per subset
     THETA = (-1, 1) + (0,) * 10
 
     @staticmethod
@@ -2174,13 +2203,13 @@ class TestKingDeadline:
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
         return readings
 
-    def test_reads_once_per_1024_subsets(self, monkeypatch):
+    def test_reads_once_per_subset(self, monkeypatch):
         s = directed_cycle(12)
         support = s.arrow_list()[:2]
         expected = is_theta_semistable(s, support, self.THETA)
         readings = self.ticking_clock(monkeypatch)
         assert is_theta_semistable(s, support, self.THETA, deadline=1e9) == expected
-        assert len(readings) == 3
+        assert len(readings) == 2**12 - 2
 
     def test_deadline_stops_the_subsets(self, monkeypatch):
         readings = self.ticking_clock(monkeypatch)
@@ -2198,15 +2227,15 @@ class TestKingDeadline:
         assert central_fiber(directed_cycle(11), self.THETA[:11])
 
     def test_fiber_checks_the_table(self, monkeypatch):
-        # three times in King's test and once per search node: a support is
-        # semistable iff it holds arrow 0 (0 -> 1), so the search visits the
-        # root and the 2^11 - 1 acyclic supports holding arrow 0, its strata
+        # once per subset in King's test and once per search node: a support
+        # is semistable iff it holds arrow 0 (0 -> 1), so the search visits
+        # the root and the 2^11 - 1 acyclic supports holding arrow 0, its strata
         s = directed_cycle(12)
         expected = central_fiber(s, self.THETA)
         assert len(expected) == 2**11 - 1
         readings = self.ticking_clock(monkeypatch)
         assert central_fiber(s, self.THETA, deadline=1e9) == expected
-        assert len(readings) == 3 + 1 + len(expected)
+        assert len(readings) == 2**12 - 2 + 1 + len(expected)
         # a deadline between the table's first and second check stops the table
         readings.clear()
         with pytest.raises(BudgetExhaustedError, match="King's test"):
