@@ -7,28 +7,23 @@ polynomial ring C[x, y, z] with x = X^2, y = Y^2, z = (XY + YX)/2, and a
 free module of rank 8 over it with basis 1, X, Y, Z, XY, XZ, YZ, XYZ.
 
 An element is a map from the eight basis words to exact polynomial
-coefficients.  It is held in up to two forms, each built on first use and
-then kept: ``coeffs``, one ``CenterPoly`` of ``Fraction`` coefficients per
-word, and the canonical integer form (den, top, terms), every coefficient
-an integer numerator over one denominator den > 0 with gcd(den, every
-numerator) = 1.  The integer form is unique, so equality and hashing use
-it.  Products are built in the integer form and their ``coeffs`` only when
-read; callers must not mutate ``coeffs``.
+coefficients, held in one canonical integer form: integer numerators over
+one denominator (see :class:`ConifoldElement`).  ``coeffs``, one
+``CenterPoly`` of ``Fraction`` coefficients per word, is a view of it.
 
 Words multiply through a six-rule rewrite system oriented by X < Y < Z;
 each rule either shortens the word or lowers its inversion count, so
 rewriting terminates, and the critical pairs of the system can be checked
 by :func:`rewrite_critical_pairs`.
 
-Products are computed over the integers.  Every rewrite coefficient (x, y,
-1, 2z, -1) is integral, so each of the 64 basis products is a sum of one or
-two terms c * x^i y^j z^k with integer c and i, j, k in {0, 1}.
-:func:`multiply` takes each operand's integer form, packs each monomial
-into one integer with a field width fitted to the call's own operands, so
-that multiplying monomials is adding integers, adds every product of two
-terms and a basis-product term straight into the result, and reduces the
-product of the two denominators by one gcd with the result's numerators.
-A chain of products never leaves the integers.
+Sums and products are computed over the integers.  Every rewrite
+coefficient (x, y, 1, 2z, -1) is integral, so each of the 64 basis products
+is a sum of one or two terms c * x^i y^j z^k with integer c and i, j, k in
+{0, 1}.  Both operations pack each monomial into one integer with a field
+width fitted to the call's own operands, so that multiplying monomials is
+adding integers, and end in one canonicalizer, which reduces the
+denominator by one gcd.  Negation flips the numerators and scaling by a
+center polynomial is a product, so a chain of operations stays integral.
 
 Points of the 2-dimensional trace-zero representation scheme are cleared
 the same way, once per point: the lcm q of a point's denominators turns
@@ -183,63 +178,51 @@ def _reduce_word(word: str) -> dict[str, CenterPoly]:
 class ConifoldElement:
     """An element in the rank-8 basis with polynomial coefficients.
 
-    An element holds up to two forms of the same value, each built on first
-    use and then kept:
+    An element holds one form, ``integer_form = (den, top, terms)``:
+    ``terms`` maps each nonzero word to its ``((i, j, k), numerator)`` pairs
+    over the common denominator ``den`` in exponent order, with zero terms
+    dropped; ``den > 0`` and gcd(den, every numerator) = 1; ``top`` is the
+    largest total degree of a monomial (0 for the zero element).  The form
+    of a value is unique, so ``==`` and ``hash`` compare and hash it.
 
-    - ``coeffs``, a read-only property: each nonzero word's ``CenterPoly``
-      coefficient, in the order the element was built.  Callers must not
-      mutate the dict it returns.
-    - ``integer_form``, the canonical integer form ``(den, top, terms)``:
-      ``terms`` maps each nonzero word to its ``((i, j, k), numerator)``
-      pairs over the common denominator ``den`` in exponent order, with zero
-      terms dropped; ``den > 0`` and gcd(den, every numerator) = 1; ``top``
-      is the largest total degree of a monomial (0 for the zero element).
-
-    An element built from a mapping holds ``coeffs``; a product from
-    :func:`multiply` holds ``integer_form``.  The integer form of a value is
-    unique, so ``==`` and ``hash`` compare and hash it.
+    Building from a mapping of words to ``CenterPoly`` coefficients computes
+    the form at once; any other word or coefficient raises ``ValueError``.
+    ``coeffs`` is a read-only view: a fresh dict of each nonzero word's
+    ``CenterPoly``, in the order the element was built, on every read.
     """
 
-    __slots__ = ("_coeffs", "_form")
+    __slots__ = ("integer_form",)
 
     def __init__(self, coeffs: Mapping[str, CenterPoly]):
-        data = {}
+        polys = {}
         for word, poly in coeffs.items():
             if word not in BASIS:
                 raise ValueError(f"{word!r} is not a basis word")
-            if not poly.is_zero:
-                data[word] = poly
-        self._coeffs: dict[str, CenterPoly] | None = data
-        self._form: IntegerForm | None = None
+            if not isinstance(poly, CenterPoly):
+                raise ValueError(f"the coefficient of {word!r} is not a CenterPoly: {poly!r}")
+            if poly.terms:
+                polys[word] = poly.terms
+        # over the lcm of the reduced denominators, gcd(den, every numerator) = 1
+        den = math.lcm(*[c.denominator for t in polys.values() for _, c in t])
+        top = max([sum(mono) for t in polys.values() for mono, _ in t], default=0)
+        self.integer_form: IntegerForm = den, top, {
+            word: tuple([(mono, c.numerator * (den // c.denominator)) for mono, c in t])
+            for word, t in polys.items()
+        }
 
     @classmethod
-    def _from_form(cls, den: int, top: int, terms: dict[str, IntTerms]) -> "ConifoldElement":
+    def _from_form(cls, form: IntegerForm) -> "ConifoldElement":
         element = cls.__new__(cls)
-        element._coeffs = None
-        element._form = (den, top, terms)
+        element.integer_form = form
         return element
 
     @property
     def coeffs(self) -> dict[str, CenterPoly]:
-        if self._coeffs is None:
-            den, _, terms = self._form
-            self._coeffs = {
-                word: CenterPoly(tuple([(mono, Fraction(n, den)) for mono, n in t]))
-                for word, t in terms.items()
-            }
-        return self._coeffs
-
-    @property
-    def integer_form(self) -> IntegerForm:
-        if self._form is None:
-            polys = self._coeffs.values()
-            den = math.lcm(*[c.denominator for poly in polys for _, c in poly.terms])
-            top = max([sum(mono) for poly in polys for mono, _ in poly.terms], default=0)
-            self._form = den, top, {
-                word: tuple([(mono, c.numerator * (den // c.denominator)) for mono, c in poly.terms])
-                for word, poly in self._coeffs.items()
-            }
-        return self._form
+        den, _, terms = self.integer_form
+        return {
+            word: CenterPoly(tuple([(mono, Fraction(n, den)) for mono, n in t]))
+            for word, t in terms.items()
+        }
 
     @classmethod
     def from_word(cls, word: str) -> "ConifoldElement":
@@ -265,7 +248,7 @@ class ConifoldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not (self._form[2] if self._coeffs is None else self._coeffs)
+        return not self.integer_form[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConifoldElement):
@@ -279,13 +262,24 @@ class ConifoldElement:
         return hash((den, frozenset(terms.items())))
 
     def __add__(self, other: "ConifoldElement") -> "ConifoldElement":
-        data = dict(self.coeffs)
-        for word, poly in other.coeffs.items():
-            data[word] = data.get(word, ZERO) + poly
-        return ConifoldElement(data)
+        den_a, top_a, terms_a = self.integer_form
+        den_b, top_b, terms_b = other.integer_form
+        den = math.lcm(den_a, den_b)
+        # no exponent of the sum exceeds the larger top degree
+        width = max(top_a, top_b).bit_length()
+        acc: dict[str, dict[int, int]] = {}
+        for terms, factor in ((terms_a, den // den_a), (terms_b, den // den_b)):
+            for word, t in _packed(terms, width):
+                out = acc.setdefault(word, {})
+                for m, n in t:
+                    out[m] = out.get(m, 0) + n * factor
+        return _canonical(den, width, acc)
 
     def __neg__(self) -> "ConifoldElement":
-        return ConifoldElement({w: -p for w, p in self.coeffs.items()})
+        den, top, terms = self.integer_form
+        return ConifoldElement._from_form(
+            (den, top, {word: tuple([(mono, -n) for mono, n in t]) for word, t in terms.items()})
+        )
 
     def __sub__(self, other: "ConifoldElement") -> "ConifoldElement":
         return self + (-other)
@@ -294,17 +288,13 @@ class ConifoldElement:
         return multiply(self, other)
 
     def scale_poly(self, poly: CenterPoly) -> "ConifoldElement":
-        return ConifoldElement({w: p * poly for w, p in self.coeffs.items()})
+        # the center is central and "" is the unit of the basis products
+        return multiply(ConifoldElement.from_center(poly), self)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for word in BASIS:
-            if word in self.coeffs:
-                label = word if word else "1"
-                parts.append(f"({self.coeffs[word]})*{label}")
-        return " + ".join(parts)
+        coeffs = self.coeffs
+        parts = [f"({coeffs[word]})*{word or '1'}" for word in BASIS if word in coeffs]
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -331,54 +321,20 @@ def _basis_product(w1: str, w2: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(entries)
 
 
-def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
-    """Bilinear extension of the basis product table (coefficients are central).
-
-    The product is computed over the integers on the operands' integer
-    forms: with a = A / D_a and b = B / D_b for integral A and B, the
-    integral product table gives A * B, and the product is returned in its
-    integer form, reduced once by g = gcd(D_a * D_b, every numerator of
-    A * B) to the denominator D_a * D_b / g.  No ``Fraction`` is made; the
-    product's ``coeffs`` are built only if they are read.
-
-    Monomials are packed into one integer, x^i y^j z^k as
-    (i << 2S) | (j << S) | k, so that multiplying monomials is adding
-    integers.  The width S is the call's own: no exponent of A * B exceeds
-    top_a + top_b + 1, the largest total degrees of the operands plus the
-    at most one of a basis product, so S = (top_a + top_b + 1).bit_length()
-    bits hold every field without a carry, and the packed keys sort in
-    the order of the exponent tuples.
-    """
-    den_a, top_a, terms_a = a.integer_form
-    den_b, top_b, terms_b = b.integer_form
-    width = (top_a + top_b + 1).bit_length()
+def _packed(terms: dict[str, IntTerms], width: int) -> list[tuple[str, list[tuple[int, int]]]]:
+    """Each word's terms with x^i y^j z^k packed as (i << 2S) | (j << S) | k for S = width."""
     wide = 2 * width
-    packed_a, packed_b = (
-        [(w, [((i << wide) | (j << width) | k, n) for (i, j, k), n in t]) for w, t in terms.items()]
-        for terms in (terms_a, terms_b)
-    )
-    # the packed monomials x and y, and a basis product's shift bits
-    # (i << 2) | (j << 1) | k spread to width S
-    x, y = 1 << wide, 1 << width
-    shifts = (0, 1, y, y | 1, x, x | 1, x | y, x | y | 1)
-    acc: dict[str, dict[int, int]] = {}
-    for w1, t1 in packed_a:
-        for w2, t2 in packed_b:
-            for word, bits, t in _basis_product(w1, w2):
-                out = acc.get(word)
-                if out is None:
-                    out = acc[word] = {}
-                shift = shifts[bits]
-                for m1, c1 in t1:
-                    m1 += shift
-                    c1 *= t
-                    for m2, c2 in t2:
-                        m = m1 + m2
-                        out[m] = out.get(m, 0) + c1 * c2
-    den = den_a * den_b
-    # den == 1 is already reduced; a zero product reduces to den == 1
+    return [(w, [((i << wide) | (j << width) | k, n) for (i, j, k), n in t]) for w, t in terms.items()]
+
+
+def _canonical(den: int, width: int, acc: dict[str, dict[int, int]]) -> ConifoldElement:
+    """The integer form of ``acc / den``, ``acc`` mapping words to packed monomials' numerators.
+
+    One gcd with the numerators reduces den > 1 (a zero result to den == 1),
+    and zero terms and words are dropped.
+    """
     g = math.gcd(den, *[n for out in acc.values() for n in out.values()]) if den > 1 else 1
-    mask = y - 1
+    wide, mask = 2 * width, (1 << width) - 1
     top = 0
     terms = {}
     for word, out in acc.items():
@@ -392,7 +348,48 @@ def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
         if t:
             terms[word] = t
             top = max(top, *[i + j + k for (i, j, k), _ in t])
-    return ConifoldElement._from_form(den // g, top, terms)
+    return ConifoldElement._from_form((den // g, top, terms))
+
+
+def multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
+    """Bilinear extension of the basis product table (coefficients are central).
+
+    The product is computed over the integers on the operands' integer
+    forms: with a = A / D_a and b = B / D_b for integral A and B, the
+    integral product table gives A * B, and :func:`_canonical` reduces
+    D_a * D_b against its numerators.  No ``Fraction`` is made.
+
+    Monomials are packed into one integer, x^i y^j z^k as
+    (i << 2S) | (j << S) | k, so that multiplying monomials is adding
+    integers.  The width S is the call's own: no exponent of A * B exceeds
+    top_a + top_b + 1, the largest total degrees of the operands plus the
+    at most one of a basis product, so S = (top_a + top_b + 1).bit_length()
+    bits hold every field without a carry, and the packed keys sort in
+    the order of the exponent tuples.
+    """
+    den_a, top_a, terms_a = a.integer_form
+    den_b, top_b, terms_b = b.integer_form
+    width = (top_a + top_b + 1).bit_length()
+    packed_b = _packed(terms_b, width)
+    # the packed monomials x and y, and a basis product's shift bits
+    # (i << 2) | (j << 1) | k spread to width S
+    x, y = 1 << 2 * width, 1 << width
+    shifts = (0, 1, y, y | 1, x, x | 1, x | y, x | y | 1)
+    acc: dict[str, dict[int, int]] = {}
+    for w1, t1 in _packed(terms_a, width):
+        for w2, t2 in packed_b:
+            for word, bits, t in _basis_product(w1, w2):
+                out = acc.get(word)
+                if out is None:
+                    out = acc[word] = {}
+                shift = shifts[bits]
+                for m1, c1 in t1:
+                    m1 += shift
+                    c1 *= t
+                    for m2, c2 in t2:
+                        m = m1 + m2
+                        out[m] = out.get(m, 0) + c1 * c2
+    return _canonical(den_a * den_b, width, acc)
 
 
 def commutator_element() -> ConifoldElement:
@@ -645,10 +642,13 @@ def evaluate_at_point(a: ConifoldElement, point: Sequence) -> tuple[tuple[Fracti
 def _phi(a: ConifoldElement, sign: int) -> Fraction:
     """Image of an element under the 1-dimensional representation X, Y -> 0, Z -> sign."""
     images = {"X": 0, "Y": 0, "Z": sign}
-    total = Fraction(0)
-    for word, poly in a.coeffs.items():
-        total += poly.evaluate(0, 0, 0) * math.prod(images[ch] for ch in word)
-    return total
+    den, _, terms = a.integer_form
+    total = 0
+    for word, ((mono, n), *_) in terms.items():
+        # at x = y = z = 0 a word keeps only its constant term, which sorts first
+        if mono == (0, 0, 0):
+            total += n * math.prod(images[ch] for ch in word)
+    return Fraction(total, den)
 
 
 def _random_element(rng: random.Random) -> ConifoldElement:

@@ -20,6 +20,7 @@ from qsing.conifold import (
     BASIS,
     CenterPoly,
     ConifoldElement,
+    ONE,
     POLY_X,
     POLY_Y,
     POLY_Z,
@@ -27,6 +28,7 @@ from qsing.conifold import (
     X,
     Y,
     Z,
+    ZERO,
     _scaled_point,
     clifford_check,
     commutator_element,
@@ -64,13 +66,28 @@ polys = st.dictionaries(monomials, rationals, max_size=3).map(CenterPoly.from_di
 rational_elements = st.dictionaries(st.sampled_from(BASIS), polys, max_size=8).map(ConifoldElement)
 
 
+def reference_combination(*parts: tuple[CenterPoly, ConifoldElement]) -> ConifoldElement:
+    """The sum of p * e over the (p, e) parts, word by word in CenterPoly arithmetic.
+
+    This is the ``Fraction`` path that sums, negation and center scaling took
+    before they moved to the integer form, kept as an oracle.
+    """
+    data = {}
+    for poly, element in parts:
+        for word, coef in element.coeffs.items():
+            data[word] = data.get(word, ZERO) + coef * poly
+    return ConifoldElement(data)
+
+
 def reference_multiply(a: ConifoldElement, b: ConifoldElement) -> ConifoldElement:
     """Word by word: reduce each concatenated word, sum with CenterPoly arithmetic."""
-    total = ConifoldElement.zero()
-    for w1, p1 in a.coeffs.items():
-        for w2, p2 in b.coeffs.items():
-            total = total + ConifoldElement.from_word(w1 + w2).scale_poly(p1 * p2)
-    return total
+    return reference_combination(
+        *[
+            (p1 * p2, ConifoldElement.from_word(w1 + w2))
+            for w1, p1 in a.coeffs.items()
+            for w2, p2 in b.coeffs.items()
+        ]
+    )
 
 
 @functools.cache
@@ -145,6 +162,18 @@ def assert_exact_product(product: ConifoldElement, expected: ConifoldElement):
         assert all(m1 < m2 for m1, m2 in zip(monos, monos[1:]))
         assert all(type(c) is Fraction for _, c in poly.terms)
         assert all(type(e) is int for m in monos for e in m)
+
+
+def assert_canonical(element: ConifoldElement):
+    """gcd(den, numerators) = 1, no zero terms or words, sorted monomials, and the true top degree."""
+    den, top, terms = element.integer_form
+    numerators = [n for t in terms.values() for _, n in t]
+    assert den > 0 and math.gcd(den, *numerators) == 1
+    assert all(numerators) and all(terms.values())
+    for t in terms.values():
+        monos = [m for m, _ in t]
+        assert monos == sorted(set(monos))
+    assert top == max((sum(m) for t in terms.values() for m, _ in t), default=0)
 
 
 def mat_mul2(a, b):
@@ -706,7 +735,7 @@ class TestIntegerPointKernel:
 
 
 class TestIntegerForm:
-    """Products hold the canonical integer form; ``coeffs`` is built when read."""
+    """Every element holds only the canonical integer form; ``coeffs`` is a view of it."""
 
     @given(rational_elements, rational_elements, rational_elements)
     @hyp_settings(max_examples=60, deadline=None)
@@ -725,14 +754,29 @@ class TestIntegerForm:
     @given(rational_elements, rational_elements)
     @hyp_settings(max_examples=60, deadline=None)
     def test_products_are_canonical(self, a, b):
-        den, top, terms = multiply(a, b).integer_form
-        numerators = [n for t in terms.values() for _, n in t]
-        assert den > 0 and math.gcd(den, *numerators) == 1
-        assert all(numerators) and all(terms.values())
-        for t in terms.values():
-            monos = [m for m, _ in t]
-            assert monos == sorted(set(monos))
-        assert top == max((sum(m) for t in terms.values() for m, _ in t), default=0)
+        assert_canonical(multiply(a, b))
+
+    @given(rational_elements, rational_elements, polys)
+    @example(X, -X, POLY_X)
+    @example(
+        X.scale_poly(CenterPoly.constant(Fraction(1, 6))),
+        X.scale_poly(CenterPoly.constant(Fraction(-1, 3))) + Y,
+        CenterPoly.constant(Fraction(3, 2)),
+    )
+    @example(ConifoldElement.zero(), ConifoldElement.zero(), ZERO)
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_linear_operations_match_the_fraction_path(self, a, b, p):
+        minus_one = ONE.scale(-1)
+        for result, expected in (
+            (a + b, reference_combination((ONE, a), (ONE, b))),
+            (a - b, reference_combination((ONE, a), (minus_one, b))),
+            (-a, reference_combination((minus_one, a))),
+            (a.scale_poly(p), reference_combination((p, a))),
+        ):
+            assert result == expected and hash(result) == hash(expected)
+            assert list(result.coeffs.items()) == list(expected.coeffs.items())
+            assert str(result) == str(expected)
+            assert_canonical(result)
 
     def test_cancelled_denominators_reduce(self):
         # (X/2)(2X) = x: the operands' denominators 2 and 1 cancel
@@ -756,10 +800,8 @@ class TestIntegerForm:
         third = CenterPoly.constant(Fraction(1, 3))
         for left, right in ((one + Z, one - Z), ((one + Z).scale_poly(third), (one - Z).scale_poly(third))):
             product = multiply(left, right)
-            assert product._coeffs is None
             assert product.is_zero
             assert product.integer_form == (1, 0, {})
-            assert product._coeffs is None
             assert product == ConifoldElement.zero()
 
     @given(rational_elements, rational_elements, points)
@@ -768,11 +810,22 @@ class TestIntegerForm:
         product = multiply(a, b)
         assert evaluate_at_point(product, point) == evaluate_at_point(ConifoldElement(product.coeffs), point)
 
-    def test_coeffs_built_once(self):
+    def test_mutating_coeffs_leaves_the_element(self):
+        built = ConifoldElement({"X": CenterPoly.constant(1)})
         product = multiply(dense_element(random.Random(3)), X + Y)
-        assert product._coeffs is None
-        first = product.coeffs
-        assert product.coeffs is first
+        for element, equal in ((built, X), (product, multiply(product, ConifoldElement.one()))):
+            before = (str(element), hash(element), dict(element.coeffs))
+            view = element.coeffs
+            view["Y"] = CenterPoly.constant(5)
+            view.pop("X", None)
+            assert element.coeffs is not view
+            assert (str(element), hash(element), element.coeffs) == before
+            assert element == equal
+
+    @pytest.mark.parametrize("value", [1, Fraction(1, 2), "x", None, {(0, 0, 0): 1}])
+    def test_rejects_coefficients_that_are_not_center_polys(self, value):
+        with pytest.raises(ValueError, match="'XY'"):
+            ConifoldElement({"X": ONE, "XY": value})
 
 
 class TestByteIdentity:

@@ -486,6 +486,26 @@ class TestProjCharts:
         charts = proj_charts(kronecker, theta)
         assert charts and all(c.smooth and c.free_rank == 1 for c in charts)
 
+    def test_census_charts_are_smooth_at_generic_theta(self):
+        # M_theta is smooth at a generic theta for an indivisible dimension
+        # vector; theta = (1, ..., 1, -(k - 1)) with the negative entry at
+        # each vertex in turn is generic for every all-ones class of d <= 6
+        classes = charts = 0
+        for d in range(3, 7):
+            for c in classification.singular_type_classes(classification.enumerate_reduced_singular(d)):
+                s = c.representative
+                if any(x != 1 for x in s.dims):
+                    continue
+                classes += 1
+                for v in range(s.k):
+                    theta = [1] * s.k
+                    theta[v] = 1 - s.k
+                    found = proj_charts(s, theta)
+                    charts += len(found)
+                    singular = [chart.pivot.exponents for chart in found if not chart.smooth]
+                    assert not singular, (s.to_json(), theta, singular)
+        assert (classes, charts) == (59, 3479)
+
     def test_kronecker_chart_with_units(self):
         # at pivot a1*a2 the chart monoid is Z, generated by a1/a2 and a2/a1
         kronecker = MarkedQuiverSetting.make([1, 1], [[0, 2], [0, 0]])
