@@ -42,13 +42,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
 from .errors import QsingError
 
 Monomial = tuple[int, int, int]  # exponents of x, y, z
 IntTerms = tuple[tuple[Monomial, int], ...]  # a polynomial's terms with integer numerators
-IntegerForm = tuple[int, int, dict[str, IntTerms]]  # (den, top, terms) of a ConifoldElement
+IntegerForm = tuple[int, int, Mapping[str, IntTerms]]  # (den, top, terms) of a ConifoldElement
 
 
 @dataclass(frozen=True)
@@ -179,11 +180,12 @@ class ConifoldElement:
     """An element in the rank-8 basis with polynomial coefficients.
 
     An element holds one form, ``integer_form = (den, top, terms)``:
-    ``terms`` maps each nonzero word to its ``((i, j, k), numerator)`` pairs
-    over the common denominator ``den`` in exponent order, with zero terms
-    dropped; ``den > 0`` and gcd(den, every numerator) = 1; ``top`` is the
-    largest total degree of a monomial (0 for the zero element).  The form
-    of a value is unique, so ``==`` and ``hash`` compare and hash it.
+    ``terms`` is a read-only mapping of each nonzero word to its
+    ``((i, j, k), numerator)`` pairs over the common denominator ``den`` in
+    exponent order, with zero terms dropped; ``den > 0`` and gcd(den, every
+    numerator) = 1; ``top`` is the largest total degree of a monomial (0 for
+    the zero element).  The form of a value is unique, so ``==`` and
+    ``hash`` compare and hash it.
 
     Building from a mapping of words to ``CenterPoly`` coefficients computes
     the form at once; any other word or coefficient raises ``ValueError``.
@@ -205,16 +207,21 @@ class ConifoldElement:
         # over the lcm of the reduced denominators, gcd(den, every numerator) = 1
         den = math.lcm(*[c.denominator for t in polys.values() for _, c in t])
         top = max([sum(mono) for t in polys.values() for mono, _ in t], default=0)
-        self.integer_form: IntegerForm = den, top, {
+        self.integer_form: IntegerForm = den, top, MappingProxyType({
             word: tuple([(mono, c.numerator * (den // c.denominator)) for mono, c in t])
             for word, t in polys.items()
-        }
+        })
 
     @classmethod
     def _from_form(cls, form: IntegerForm) -> "ConifoldElement":
+        den, top, terms = form
         element = cls.__new__(cls)
-        element.integer_form = form
+        element.integer_form = den, top, MappingProxyType(terms)
         return element
+
+    def __reduce__(self):
+        den, top, terms = self.integer_form
+        return ConifoldElement._from_form, ((den, top, dict(terms)),)
 
     @property
     def coeffs(self) -> dict[str, CenterPoly]:
@@ -321,7 +328,7 @@ def _basis_product(w1: str, w2: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(entries)
 
 
-def _packed(terms: dict[str, IntTerms], width: int) -> list[tuple[str, list[tuple[int, int]]]]:
+def _packed(terms: Mapping[str, IntTerms], width: int) -> list[tuple[str, list[tuple[int, int]]]]:
     """Each word's terms with x^i y^j z^k packed as (i << 2S) | (j << S) | k for S = width."""
     wide = 2 * width
     return [(w, [((i << wide) | (j << width) | k, n) for (i, j, k), n in t]) for w, t in terms.items()]

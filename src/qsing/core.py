@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -121,14 +122,13 @@ class MarkedQuiverSetting:
 
     def in_weight(self, v: int) -> int:
         """Sum of source dimensions over arrows into v (loops included)."""
-        return sum(self.dims[i] * self.arrows[i][v] for i in range(self.k)) + (
-            self.dims[v] * self.marked_loops[v]
-        )
+        dims = self.dims
+        into = sum([d * row[v] for d, row in zip(dims, self.arrows)])
+        return into + dims[v] * self.marked_loops[v]
 
     def out_weight(self, v: int) -> int:
-        return sum(self.arrows[v][j] * self.dims[j] for j in range(self.k)) + (
-            self.dims[v] * self.marked_loops[v]
-        )
+        dims = self.dims
+        return sum(map(operator.mul, self.arrows[v], dims)) + dims[v] * self.marked_loops[v]
 
     def arrow_list(self) -> tuple[Arrow, ...]:
         """All arrows in a fixed order: unmarked row-major, then marked loops.
@@ -199,37 +199,47 @@ def euler_form(s: MarkedQuiverSetting, beta: Sequence[int], gamma: Sequence[int]
         raise DimensionMismatchError(
             f"vectors must have length {s.k}, got {len(b)} and {len(g)}"
         )
-    m = euler_matrix(s)
-    return sum(b[i] * m[i][j] * g[j] for i in range(s.k) for j in range(s.k))
+    return sum(
+        bi * ((1 - m) * gi - sum(map(operator.mul, row, g)))
+        for bi, gi, row, m in zip(b, g, s.arrows, s.marked_loops)
+        if bi
+    )
 
 
 def strongly_connected(s: MarkedQuiverSetting, support: Iterable[int] | None = None) -> bool:
     """True when the (support-restricted) underlying digraph is strongly connected.
 
     Loops are irrelevant to connectivity.  An empty support is not connected;
-    a single vertex is.
+    a single vertex is.  Support entries must be ``int`` in ``range(k)``,
+    else ``ValueError``.
     """
-    verts = sorted(set(range(s.k)) if support is None else set(support))
-    if not verts:
+    arrows = s.arrows
+    k = len(arrows)
+    mask = (1 << k) - 1
+    if support is not None:
+        mask = 0
+        for v in map(exact_int, support):
+            if not 0 <= v < k:
+                raise ValueError(f"support vertex {v} is not in range({k})")
+            mask |= 1 << v
+    if not mask:
         return False
-    vset = set(verts)
-
-    def reach(start: int, forward: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in verts:
-                if w in seen or w not in vset:
-                    continue
-                edge = s.arrows[v][w] if forward else s.arrows[w][v]
-                if edge > 0:
-                    seen.add(w)
+    root = (mask & -mask).bit_length() - 1
+    verts = range(k)
+    # reach the support from its first vertex along rows, then along columns
+    # (the transpose is built only once the rows reach every vertex)
+    for nbrs in arrows, None:
+        nbrs = nbrs or tuple(zip(*arrows))
+        todo = mask ^ 1 << root  # bitmask of the support vertices not reached yet
+        stack = [root]
+        while todo and stack:
+            for w in itertools.compress(verts, nbrs[stack.pop()]):
+                if todo >> w & 1:
+                    todo ^= 1 << w
                     stack.append(w)
-        return seen
-
-    root = verts[0]
-    return reach(root, True) == vset and reach(root, False) == vset
+        if todo:
+            return False
+    return True
 
 
 def validate(s: MarkedQuiverSetting) -> list[str]:
@@ -256,82 +266,66 @@ def validate(s: MarkedQuiverSetting) -> list[str]:
 # canonical form
 
 
-def _vertex_signature(s: MarkedQuiverSetting, v: int) -> tuple:
-    row = sorted(s.arrows[v][j] for j in range(s.k) if j != v)
-    col = sorted(s.arrows[i][v] for i in range(s.k) if i != v)
-    return (s.dims[v], s.marked_loops[v], s.arrows[v][v], tuple(row), tuple(col))
-
-
-def _twin_pairs(s: MarkedQuiverSetting) -> list[list[bool]]:
-    """twins[u][v] is true when swapping u and v is an automorphism."""
-    k = s.k
-    twins = [[False] * k for _ in range(k)]
-    for u in range(k):
-        for v in range(u + 1, k):
-            if s.dims[u] != s.dims[v] or s.marked_loops[u] != s.marked_loops[v]:
-                continue
-            if s.arrows[u][u] != s.arrows[v][v] or s.arrows[u][v] != s.arrows[v][u]:
-                continue
-            if all(
-                s.arrows[u][w] == s.arrows[v][w] and s.arrows[w][u] == s.arrows[w][v]
-                for w in range(k)
-                if w != u and w != v
-            ):
-                twins[u][v] = twins[v][u] = True
-    return twins
-
-
 def canonical_key(s: MarkedQuiverSetting) -> bytes:
     """Permutation-invariant key: equal keys iff the settings are isomorphic.
 
     Isomorphism means a vertex permutation matching dims, arrow
     multiplicities and marked-loop counts simultaneously.  The key is the
-    lexicographically minimal incremental encoding over all vertex orders,
-    found by branch-and-prune: only orders achieving the running minimum are
-    extended, and of two unused vertices whose transposition is an
-    automorphism only the smaller is placed (the continuations are
-    isomorphic), which tames fully symmetric settings.
+    least encoding over all vertex orders: the vertex placed in round r adds
+    its signature (dims, marks, loops, sorted off-diagonal row and column),
+    then its dims, marks, loops and arrows to and from the placed vertices.
+    Only orders at the running minimum are extended, and of two unused twins
+    (their transposition is an automorphism) only the smaller.
+
+    As each round starts with a signature, a minimal order places the
+    signatures sorted: round r tries only the r-th smallest signature's
+    class.  Twins share a class, so its smallest unused vertex stays a
+    candidate, and dims, marks and loops agree in it, so the arrows to and
+    from the placed vertices decide.  No skipped vertex could reach the
+    minimum, and all surviving orders share one encoding, so the bytes are
+    those of the search over every unused vertex.
     """
     k = s.k
     if k > CANONICAL_KEY_MAX_VERTICES:
         raise CapacityError(
             f"canonical_key supports at most {CANONICAL_KEY_MAX_VERTICES} vertices, got {k}"
         )
-
-    sigs = {v: _vertex_signature(s, v) for v in range(k)}
-    twins = _twin_pairs(s)
-
-    def segment(v: int, placed: list[int]) -> tuple:
-        return (
-            s.dims[v],
-            s.marked_loops[v],
-            s.arrows[v][v],
-            tuple(s.arrows[v][w] for w in placed),
-            tuple(s.arrows[w][v] for w in placed),
-        )
-
-    partial: list[tuple[tuple, list[int]]] = [((), [])]
-    for _ in range(k):
-        extended: list[tuple[tuple, list[int]]] = []
-        best_seg = None
-        for prefix, placed in partial:
-            used = set(placed)
-            unused = [v for v in range(k) if v not in used]
-            cands = [
-                v
-                for v in unused
-                if not any(u < v and twins[u][v] for u in unused)
-            ]
-            for v in cands:
-                seg = (sigs[v], segment(v, placed))
-                if best_seg is None or seg < best_seg:
-                    best_seg = seg
-                    extended = [(prefix + seg, placed + [v])]
-                elif seg == best_seg:
-                    extended.append((prefix + seg, placed + [v]))
-        # distinct prefixes can reach this round only with equal encodings,
-        # so comparing the per-round segment alone is enough
-        partial = extended
-    encoding = partial[0][0]
-    return repr(encoding).encode("utf-8")
-
+    dims, arrows, marks = s.dims, s.arrows, s.marked_loops
+    cols = tuple(zip(*arrows))
+    classes: dict[tuple, list[int]] = {}
+    for v, (row, col) in enumerate(zip(arrows, cols)):
+        sig = (dims[v], marks[v], row[v], tuple(sorted(row[:v] + row[v + 1 :])),
+               tuple(sorted(col[:v] + col[v + 1 :])))
+        classes.setdefault(sig, []).append(v)
+    # smaller[v]: bitmask of the twins u < v, all inside v's class
+    smaller = [0] * k
+    for members in classes.values():
+        for i, v in enumerate(members):
+            for u in members[:i]:
+                if arrows[u][v] == arrows[v][u] and all(
+                    arrows[u][w] == arrows[v][w] and cols[u][w] == cols[v][w]
+                    for w in range(k)
+                    if w != u and w != v
+                ):
+                    smaller[v] |= 1 << u
+    encoding: list = []
+    partial = [((), 0)]  # the surviving orders: placed vertices, their bitmask
+    for sig in sorted(classes):
+        members = classes[sig]
+        for _ in members:
+            best = None
+            extended = []
+            for placed, used in partial:
+                for v in members:
+                    if used >> v & 1 or smaller[v] & ~used:
+                        continue
+                    seg = (tuple(map(arrows[v].__getitem__, placed)),
+                           tuple(map(cols[v].__getitem__, placed)))
+                    if best is None or seg < best:
+                        best = seg
+                        extended = [(placed + (v,), used | 1 << v)]
+                    elif seg == best:
+                        extended.append((placed + (v,), used | 1 << v))
+            partial = extended
+            encoding += sig, sig[:3] + best
+    return repr(tuple(encoding)).encode("utf-8")

@@ -94,32 +94,20 @@ def applicable_moves(s: MarkedQuiverSetting) -> list[Move]:
     """Every legal move on ``s`` in reduce's order: by vertex, then vertex removal, loop
     removal, big-loop removal along the outgoing arrow and along the incoming one."""
     moves: list[Move] = []
-    alpha = s.dims
-    for v in range(s.k):
-        loops = s.loops_at(v)
-        if loops == 0 and s.k >= 2:
-            if s.in_weight(v) <= alpha[v] or s.out_weight(v) <= alpha[v]:
-                moves.append(Move(MoveKind.VERTEX_REMOVAL, v))
-        if s.dims[v] == 1 and s.arrows[v][v] >= 1:
+    dims, arrows, marks = s.dims, s.arrows, s.marked_loops
+    for v, row in enumerate(arrows):
+        dv = dims[v]
+        loops = row[v] + marks[v]
+        if loops == 0 and len(dims) >= 2 and (s.in_weight(v) <= dv or s.out_weight(v) <= dv):
+            moves.append(Move(MoveKind.VERTEX_REMOVAL, v))
+        if dv == 1 and row[v] >= 1:
             moves.append(Move(MoveKind.SMALL_LOOP_REMOVAL, v))
-        if s.dims[v] >= 2 and loops == 1:
-            marked = s.marked_loops[v] == 1
-            out = [(j, s.arrows[v][j]) for j in range(s.k) if j != v and s.arrows[v][j] > 0]
-            if len(out) == 1 and out[0][1] == 1 and s.dims[out[0][0]] == 1:
-                moves.append(
-                    Move(MoveKind.BIG_LOOP_REMOVAL, v, marked=marked, neighbor=out[0][0])
-                )
-            inc = [(i, s.arrows[i][v]) for i in range(s.k) if i != v and s.arrows[i][v] > 0]
-            if len(inc) == 1 and inc[0][1] == 1 and s.dims[inc[0][0]] == 1:
-                moves.append(
-                    Move(
-                        MoveKind.BIG_LOOP_REMOVAL,
-                        v,
-                        marked=marked,
-                        neighbor=inc[0][0],
-                        incoming=True,
-                    )
-                )
+        if dv >= 2 and loops == 1:
+            marked = marks[v] == 1
+            for incoming, ends in (False, row), (True, [r[v] for r in arrows]):
+                nbrs = [j for j, a in enumerate(ends) if a and j != v]
+                if len(nbrs) == 1 and ends[nbrs[0]] == 1 and dims[nbrs[0]] == 1:
+                    moves.append(Move(MoveKind.BIG_LOOP_REMOVAL, v, marked, nbrs[0], incoming))
     return moves
 
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -803,6 +804,18 @@ class TestIntegerForm:
             assert product.is_zero
             assert product.integer_form == (1, 0, {})
             assert product == ConifoldElement.zero()
+
+    def test_terms_are_read_only(self):
+        e = X + Y
+        before = (str(e), hash(e))
+        for element in e, X:
+            with pytest.raises(TypeError):
+                element.integer_form[2]["Y"] = (((0, 0, 0), 5),)
+        assert (str(e), hash(e)) == before and e != X
+        assert X.integer_form == (1, 0, {"X": (((0, 0, 0), 1),)})
+        assert str(X) == "(1)*X"
+        # a read-only mapping still pickles: the form travels as a plain dict
+        assert pickle.loads(pickle.dumps(e)) == e and hash(pickle.loads(pickle.dumps(e))) == hash(e)
 
     @given(rational_elements, rational_elements, points)
     @hyp_settings(max_examples=60, deadline=None)

@@ -108,6 +108,20 @@ class TestEulerForm:
             checked += 1
 
 
+class TestStronglyConnected:
+    def test_support_entries_are_checked(self):
+        # arrows 0 -> 1 -> 0; vertex 2 is isolated
+        s = MarkedQuiverSetting.make([1, 1, 1], [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert strongly_connected(s, [0, 1]) and not strongly_connected(s)
+        for support in [-3, 1], [0, 5], [0, 3]:
+            with pytest.raises(ValueError, match="not in range"):
+                strongly_connected(s, support)
+        for support in [1.0, 0], [True, 0]:
+            with pytest.raises(ValueError, match="expected an integer"):
+                strongly_connected(s, support)
+        assert not strongly_connected(s, [])
+
+
 class TestValidation:
     def test_conifold_ok(self, conifold):
         assert validate(conifold) == []
