@@ -254,101 +254,132 @@ def _fully_tied(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...]) -> li
 
 
 def _offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...], budget: int):
-    """Exact-budget distributions of off-diagonal arrows, up to tied swaps.
+    """Arrow matrices spending exactly the budget off the diagonal, up to tied swaps.
 
-    Slot (i, j) costs dims[i] * dims[j] per arrow.  Vertex removal applies at
-    a loop-free vertex v (k >= 2) whose weighted in-degree or out-degree (the
-    sum of the dimensions at the other ends of its arrows) is at most
-    dims[v], so only matrices where both exceed dims[v] at every such vertex
-    are yielded.
+    The diagonal holds the unmarked loops ``loops[v][0]``; slot (i, j), i != j,
+    costs dims[i] * dims[j] per arrow.  Vertex removal applies at a loop-free
+    vertex v (k >= 2) whose weighted in-degree or out-degree (the sum of the
+    dimensions at the other ends of its arrows) is at most dims[v], so only
+    matrices where both exceed dims[v] at every such vertex are yielded.
 
-    Slots are filled row by row.  Raising the out-weight of row v or the
-    in-weight of column v by one costs at least dims[v], so the rows still to
-    fill need sum dims[v] * (dims[v] + 1) of the budget and the columns
-    dims[v] times their in-weight deficit.  One arrow serves one row and one
-    column, so the larger of the two bounds the cost of any completion; it
-    prunes each row start, and the row part caps every count.  A row's
-    out-weight is final at its last slot and a column's in-weight at its
-    last row, where counts too small to clear dims[v] are cut.
+    One depth-first loop fills the slots row by row, counts descending, from
+    per-slot tables built once.  Raising row v's out-weight or column v's
+    in-weight by one costs at least dims[v], so the rows still to fill need
+    sum dims[v] * (dims[v] + 1) of the budget and the columns dims[v] times
+    their in-weight deficit.  One arrow serves one row and one column, so the
+    larger of the two bounds any completion; it prunes each row start, and
+    the row part caps every count.  A row's out-weight is final at its last
+    slot and a column's in-weight at its last row, so there a slot's lowest
+    count is the least that clears dims[v].
 
     Vertices v and v + 1 with equal dims and equal (loops, marks) are fully
-    tied: swapping them relabels a setting into an isomorphic one.  Counts
-    run in descending order, so matrices come in descending lexicographic
-    order of their slot sequences, and the first of a class's relabellings
-    is its lexicographic maximum.  Only matrices that no swap of a fully
-    tied pair makes lexicographically larger are yielded; that maximum is
-    one of them.  Swapping v and v + 1 exchanges columns v and v + 1 of the
-    rows outside the pair, and rows v and v + 1 with their entries at v and
-    v + 1 crossed over.  The first slot where the two matrices differ is
-    therefore filled at slot (r, v + 1) of a row r outside the pair, against
-    the already filled (r, v), or inside row v + 1 against its image in row
-    v; while all earlier slots agree, such a slot's count is capped by its
-    reference, and a count below the reference settles the pair.
+    tied: swapping them relabels a setting into an isomorphic one.  Matrices
+    come in descending lexicographic order of their slot sequences, so the
+    first of a class's relabellings is its lexicographic maximum; only
+    matrices that no tied swap makes larger are yielded.  The swap exchanges
+    columns v and v + 1 of the rows outside the pair, and rows v and v + 1
+    with their entries at v and v + 1 crossed over, so the first slot where
+    the two differ is (r, v + 1) of a row r outside the pair, against (r, v),
+    or in row v + 1 against its image in row v.  While the pair is undecided
+    that reference caps the slot's count, and a lower count settles the pair.
     """
     k = len(dims)
-    slots = [(i, j) for i in range(k) for j in range(k) if i != j]
+    matrix = [[loops[v][0] if v == w else 0 for w in range(k)] for v in range(k)]
     loop_free = [k >= 2 and sum(loops[v]) == 0 for v in range(k)]
-    guarded = [v for v in range(k) if loop_free[v]]
+    guarded = [(v, dims[v]) for v in range(k) if loop_free[v]]
     row_cost = [dims[v] * (dims[v] + 1) if loop_free[v] else 0 for v in range(k)]
     rows_left_cost = [sum(row_cost[r:]) for r in range(k + 1)]
-    # the last row with a slot in column j; later rows cannot raise its in-weight
-    last_row = [k - 1 if j != k - 1 else k - 2 for j in range(k)]
     tied = _fully_tied(dims, loops)
-    # per slot, the (pair, reference slot) comparisons it decides
-    deciders: list[list[tuple[int, int, int]]] = [[] for _ in slots]
-    for p, v in enumerate(tied):
-        for idx, (i, j) in enumerate(slots):
-            if i == v + 1:
-                deciders[idx].append((p, v, v + 1 if j == v else j))
-            elif i != v and j == v + 1:
-                deciders[idx].append((p, i, v))
-    undecided = [True] * len(tied)
-    matrix = [[0] * k for _ in range(k)]
-    col_in = [0] * k  # weighted in-degree of each column over the rows so far
-
-    def recurse(idx: int, remaining: int):
-        if idx == len(slots):
-            if remaining == 0:
-                yield tuple(tuple(r) for r in matrix)
-            return
-        i, j = slots[idx]
-        if j == (0 if i != 0 else 1):
-            cols_cost = sum(dims[v] * max(0, dims[v] + 1 - col_in[v]) for v in guarded)
-            if remaining < max(rows_left_cost[i], cols_cost):
-                return
-        w = dims[i] * dims[j]
-        # the rows after this one still need rows_left_cost[i + 1]
-        top = (remaining - rows_left_cost[i + 1]) // w
-        live = [(p, matrix[r][c]) for p, r, c in deciders[idx] if undecided[p]]
-        for _, ref in live:
-            top = min(top, ref)
-        if idx + 1 == len(slots):
-            # the last slot takes whatever budget is left, or nothing fits
-            counts = [top] if top * w == remaining else []
+    # per slot: i, j, their dims, the weight, the (pair bit, reference slot)
+    # comparisons it decides, the rows-left cost at a row start (else None) and
+    # after the row, and whether it ends a guarded row or a guarded column
+    table = []
+    for i in range(k):
+        cols = [j for j in range(k) if j != i]
+        for j in cols:
+            deciders = [
+                (1 << p, v, v + 1 if j == v else j) if i == v + 1 else (1 << p, i, v)
+                for p, v in enumerate(tied)
+                if i == v + 1 or (i != v and j == v + 1)
+            ]
+            table.append((
+                i, j, dims[i], dims[j], dims[i] * dims[j],
+                deciders,
+                rows_left_cost[i] if j == cols[0] else None,
+                rows_left_cost[i + 1],
+                loop_free[i] and j == cols[-1],
+                loop_free[j] and i == (k - 1 if j != k - 1 else k - 2),
+            ))
+    last = len(table) - 1
+    if last < 0:
+        if budget == 0:
+            yield tuple(map(tuple, matrix))
+        return
+    undecided = (1 << len(tied)) - 1  # a bit per tied pair
+    col_in = [0] * k  # weighted in-degree of each column over the filled slots
+    row_out = [0] * k  # weighted out-degree of each row over the filled slots
+    # per filled slot: its count, its lowest count and the pairs its count settled
+    counts, lows, settled = [0] * last, [0] * last, [0] * last
+    idx, left = 0, budget
+    while True:
+        i, j, di, dj, w, deciders, start, after, row_end, col_end = table[idx]
+        top = (left - after) // w
+        if start is not None:
+            cols_cost = 0
+            for v, dv in guarded:
+                gap = dv + 1 - col_in[v]
+                if gap > 0:
+                    cols_cost += dv * gap
+            if left < start or left < cols_cost:
+                top = -1
+        low = 0
+        if row_end:
+            low = (di - row_out[i]) // dj + 1
+            if low < 0:
+                low = 0
+        if col_end:
+            low_col = (dj - col_in[j]) // di + 1
+            if low_col > low:
+                low = low_col
+        for bit, r, c in deciders:
+            if undecided & bit and matrix[r][c] < top:
+                top = matrix[r][c]
+        if top >= low and idx < last:
+            count = counts[idx] = matrix[i][j] = top
+            lows[idx] = low
+            left -= top * w
+            col_in[j] += top * di
+            row_out[i] += top * dj
         else:
-            counts = range(top, -1, -1)
-        row_end = loop_free[i] and (idx + 1 == len(slots) or slots[idx + 1][0] != i)
-        col_end = loop_free[j] and i == last_row[j]
-        out_before = sum(matrix[i][t] * dims[t] for t in range(j)) if row_end else 0
-        col_before = col_in[j]
-        for count in counts:
-            # counts only fall from here, so a too-small row or column is final
-            if row_end and out_before + count * dims[j] <= dims[i]:
-                break
-            if col_end and col_before + count * dims[i] <= dims[j]:
-                break
-            matrix[i][j] = count
-            col_in[j] = col_before + count * dims[i]
-            settled = [p for p, ref in live if count < ref]
-            for p in settled:
-                undecided[p] = False
-            yield from recurse(idx + 1, remaining - count * w)
-            for p in settled:
-                undecided[p] = True
-        matrix[i][j] = 0
-        col_in[j] = col_before
-
-    yield from recurse(0, budget)
+            # no count fits here, or this is the last slot, which must spend what is left
+            if top >= low and top * w == left:
+                matrix[i][j] = top
+                yield tuple(map(tuple, matrix))
+            # back to the nearest slot that can still lower its count
+            while True:
+                idx -= 1
+                if idx < 0:
+                    return
+                undecided |= settled[idx]
+                i, j, di, dj, w, deciders = table[idx][:6]
+                count = counts[idx]
+                if count > lows[idx]:
+                    break
+                left += count * w
+                col_in[j] -= count * di
+                row_out[i] -= count * dj
+            count = counts[idx] = matrix[i][j] = count - 1
+            left += w
+            col_in[j] -= di
+            row_out[i] -= dj
+        if deciders:
+            now = 0
+            for bit, r, c in deciders:
+                if undecided & bit and count < matrix[r][c]:
+                    now |= bit
+            undecided ^= now
+            settled[idx] = now
+        idx += 1
 
 
 def enumerate_reduced_singular(
@@ -397,19 +428,12 @@ def enumerate_reduced_singular(
         check_budget(dims)
         if progress is not None:
             progress(dims, len(found))
-        k = len(dims)
         budget = d - 1 + sum(a * a for a in dims)
         for loops, loop_cost in _loop_configs(dims, budget, d):
+            marks = tuple(m for _, m in loops)
             for arrows in _offdiag_matrices(dims, loops, budget - loop_cost):
                 check_budget(dims)
-                full = [list(row) for row in arrows]
-                for v in range(k):
-                    full[v][v] = loops[v][0]
-                s = MarkedQuiverSetting(
-                    dims,
-                    tuple(tuple(r) for r in full),
-                    tuple(m for _, m in loops),
-                )
+                s = MarkedQuiverSetting(dims, arrows, marks)
                 if not strongly_connected(s):
                     continue
                 if applicable_moves(s):

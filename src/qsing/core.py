@@ -82,9 +82,7 @@ class MarkedQuiverSetting:
             raise ValueError("arrow matrix must be k x k")
         if len(self.marked_loops) != k:
             raise ValueError("marked_loops must have one entry per vertex")
-        if any(m < 0 for m in self.marked_loops) or any(
-            a < 0 for row in self.arrows for a in row
-        ):
+        if min(self.marked_loops, default=0) < 0 or min(map(min, self.arrows), default=0) < 0:
             raise ValueError("multiplicities must be non-negative")
 
     @classmethod

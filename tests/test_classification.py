@@ -304,12 +304,13 @@ class TestEnumeration:
 
 
 def brute_force_offdiag(dims, loops, budget) -> set:
-    """Every exact-budget off-diagonal arrow matrix with no removable vertex.
+    """Every exact-budget arrow matrix with no removable vertex.
 
     Distributes the budget over all off-diagonal slots (slot (i, j) costs
     dims[i] * dims[j] per arrow) without pruning, then keeps the matrices in
     which every loop-free vertex of a multi-vertex setting has weighted in-
-    and out-degree above its dimension.
+    and out-degree above its dimension.  The diagonal holds the unmarked
+    loops ``loops[v][0]``.
     """
     k = len(dims)
     slots = [(i, j) for i in range(k) for j in range(k) if i != j]
@@ -319,7 +320,7 @@ def brute_force_offdiag(dims, loops, budget) -> set:
         if idx == len(slots):
             if remaining:
                 return
-            m = [[0] * k for _ in range(k)]
+            m = [[loops[v][0] if v == w else 0 for w in range(k)] for v in range(k)]
             for (i, j), val in zip(slots, values):
                 m[i][j] = val
             for v in range(k):
@@ -432,6 +433,15 @@ class TestPrunedGenerator:
         assert set(pruned) == {m for m in full if survives_tie_break(dims, loops, m)}
         assert 0 < len(pruned) < len(full)
 
+    def test_more_slots_than_the_recursion_limit(self):
+        # 34 loop-free vertices of dimension 1 have 1,122 slots; every row and
+        # every column needs two arrows, and 68 is just enough for that
+        k = 34
+        m = next(classification._offdiag_matrices((1,) * k, ((0, 0),) * k, 2 * k))
+        assert all(m[v][v] == 0 for v in range(k))
+        assert all(sum(m[v]) >= 2 for v in range(k))
+        assert all(sum(row[v] for row in m) >= 2 for v in range(k))
+
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     def test_loop_break_drops_only_relabellings(self, d):
         for dims in classification._dims_multisets(d):
@@ -476,13 +486,9 @@ def unbroken_enumerate(d: int) -> list[MarkedQuiverSetting]:
     for dims in classification._dims_multisets(d):
         budget = d - 1 + sum(a * a for a in dims)
         for loops, loop_cost in unbroken_loop_configs(dims, budget, d):
+            marks = tuple(m for _, m in loops)
             for arrows in classification._offdiag_matrices(dims, loops, budget - loop_cost):
-                full = [list(row) for row in arrows]
-                for v in range(len(dims)):
-                    full[v][v] = loops[v][0]
-                s = MarkedQuiverSetting(
-                    dims, tuple(tuple(r) for r in full), tuple(m for _, m in loops)
-                )
+                s = MarkedQuiverSetting(dims, arrows, marks)
                 if not strongly_connected(s) or applicable_moves(s):
                     continue
                 if not is_simple_dimvector(s, s.dims) or match_smooth_list(s) is not None:

@@ -144,8 +144,24 @@ class TestValidation:
         assert problems == ["note: support is not strongly connected"]
 
     def test_negative_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            MarkedQuiverSetting.make([1], [[-1]])
+        cases = [
+            ([1], [[-1]], None),  # a loop
+            ([2, 1], [[1, 1], [1, -3]], None),  # a loop after positive entries
+            ([1, 1], [[0, 1], [-1, 0]], None),  # an arrow off the diagonal
+            ([1, 1, 1], [[0, 2, 0], [0, 0, -1], [1, 0, 0]], None),
+            ([2], [[0]], [-1]),  # a mark
+            ([2, 2], [[1, 1], [1, 1]], [1, -2]),
+        ]
+        for dims, arrows, marks in cases:
+            with pytest.raises(ValueError, match="multiplicities must be non-negative"):
+                MarkedQuiverSetting.make(dims, arrows, marks)
+        # the empty setting has no entry to reject
+        assert MarkedQuiverSetting((), (), ()).k == 0
+        # the shape checks come first
+        with pytest.raises(ValueError, match="k x k"):
+            MarkedQuiverSetting((1, 1), ((0, -1), (1,)), (0, 0))
+        with pytest.raises(ValueError, match="one entry per vertex"):
+            MarkedQuiverSetting((1,), ((-1,),), ())
 
 
     @pytest.mark.parametrize(

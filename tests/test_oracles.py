@@ -1,11 +1,14 @@
-"""The census filters and canonical key against copies of their earlier versions.
+"""The census generator, filters and canonical key against their earlier versions.
 
-``canonical_key``, ``strongly_connected``, ``euler_form`` and
-``applicable_moves`` were rewritten for speed with unchanged results.  The
-functions below are the earlier versions, kept verbatim (the weight methods
-they called are copied as functions) as oracles: the keys must be
-byte-equal, and every filter must return the same value, on every candidate
-of the d <= 7 census and on hypothesis settings full of ties.
+``canonical_key``, ``strongly_connected``, ``euler_form``,
+``applicable_moves`` and ``_offdiag_matrices`` were rewritten for speed with
+unchanged results.  The functions below are the earlier versions, kept
+verbatim (the weight methods they called are copied as functions) as
+oracles: the keys must be byte-equal, and every filter must return the same
+value, on every candidate of the d <= 7 census and on hypothesis settings
+full of ties.  The arrow matrices must come in the same sequence on every
+d <= 7 block, the earlier generator's with the unmarked loops placed on its
+zero diagonal.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from qsing import classification
+from qsing.classification import _fully_tied
 from qsing.core import (
     CANONICAL_KEY_MAX_VERTICES,
     MarkedQuiverSetting,
@@ -179,6 +183,104 @@ def old_canonical_key(s: MarkedQuiverSetting) -> bytes:
     return repr(encoding).encode("utf-8")
 
 
+def old_offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...], budget: int):
+    """Exact-budget distributions of off-diagonal arrows, up to tied swaps.
+
+    Slot (i, j) costs dims[i] * dims[j] per arrow.  Vertex removal applies at
+    a loop-free vertex v (k >= 2) whose weighted in-degree or out-degree (the
+    sum of the dimensions at the other ends of its arrows) is at most
+    dims[v], so only matrices where both exceed dims[v] at every such vertex
+    are yielded.
+
+    Slots are filled row by row.  Raising the out-weight of row v or the
+    in-weight of column v by one costs at least dims[v], so the rows still to
+    fill need sum dims[v] * (dims[v] + 1) of the budget and the columns
+    dims[v] times their in-weight deficit.  One arrow serves one row and one
+    column, so the larger of the two bounds the cost of any completion; it
+    prunes each row start, and the row part caps every count.  A row's
+    out-weight is final at its last slot and a column's in-weight at its
+    last row, where counts too small to clear dims[v] are cut.
+
+    Vertices v and v + 1 with equal dims and equal (loops, marks) are fully
+    tied: swapping them relabels a setting into an isomorphic one.  Counts
+    run in descending order, so matrices come in descending lexicographic
+    order of their slot sequences, and the first of a class's relabellings
+    is its lexicographic maximum.  Only matrices that no swap of a fully
+    tied pair makes lexicographically larger are yielded; that maximum is
+    one of them.  Swapping v and v + 1 exchanges columns v and v + 1 of the
+    rows outside the pair, and rows v and v + 1 with their entries at v and
+    v + 1 crossed over.  The first slot where the two matrices differ is
+    therefore filled at slot (r, v + 1) of a row r outside the pair, against
+    the already filled (r, v), or inside row v + 1 against its image in row
+    v; while all earlier slots agree, such a slot's count is capped by its
+    reference, and a count below the reference settles the pair.
+    """
+    k = len(dims)
+    slots = [(i, j) for i in range(k) for j in range(k) if i != j]
+    loop_free = [k >= 2 and sum(loops[v]) == 0 for v in range(k)]
+    guarded = [v for v in range(k) if loop_free[v]]
+    row_cost = [dims[v] * (dims[v] + 1) if loop_free[v] else 0 for v in range(k)]
+    rows_left_cost = [sum(row_cost[r:]) for r in range(k + 1)]
+    # the last row with a slot in column j; later rows cannot raise its in-weight
+    last_row = [k - 1 if j != k - 1 else k - 2 for j in range(k)]
+    tied = _fully_tied(dims, loops)
+    # per slot, the (pair, reference slot) comparisons it decides
+    deciders: list[list[tuple[int, int, int]]] = [[] for _ in slots]
+    for p, v in enumerate(tied):
+        for idx, (i, j) in enumerate(slots):
+            if i == v + 1:
+                deciders[idx].append((p, v, v + 1 if j == v else j))
+            elif i != v and j == v + 1:
+                deciders[idx].append((p, i, v))
+    undecided = [True] * len(tied)
+    matrix = [[0] * k for _ in range(k)]
+    col_in = [0] * k  # weighted in-degree of each column over the rows so far
+
+    def recurse(idx: int, remaining: int):
+        if idx == len(slots):
+            if remaining == 0:
+                yield tuple(tuple(r) for r in matrix)
+            return
+        i, j = slots[idx]
+        if j == (0 if i != 0 else 1):
+            cols_cost = sum(dims[v] * max(0, dims[v] + 1 - col_in[v]) for v in guarded)
+            if remaining < max(rows_left_cost[i], cols_cost):
+                return
+        w = dims[i] * dims[j]
+        # the rows after this one still need rows_left_cost[i + 1]
+        top = (remaining - rows_left_cost[i + 1]) // w
+        live = [(p, matrix[r][c]) for p, r, c in deciders[idx] if undecided[p]]
+        for _, ref in live:
+            top = min(top, ref)
+        if idx + 1 == len(slots):
+            # the last slot takes whatever budget is left, or nothing fits
+            counts = [top] if top * w == remaining else []
+        else:
+            counts = range(top, -1, -1)
+        row_end = loop_free[i] and (idx + 1 == len(slots) or slots[idx + 1][0] != i)
+        col_end = loop_free[j] and i == last_row[j]
+        out_before = sum(matrix[i][t] * dims[t] for t in range(j)) if row_end else 0
+        col_before = col_in[j]
+        for count in counts:
+            # counts only fall from here, so a too-small row or column is final
+            if row_end and out_before + count * dims[j] <= dims[i]:
+                break
+            if col_end and col_before + count * dims[i] <= dims[j]:
+                break
+            matrix[i][j] = count
+            col_in[j] = col_before + count * dims[i]
+            settled = [p for p, ref in live if count < ref]
+            for p in settled:
+                undecided[p] = False
+            yield from recurse(idx + 1, remaining - count * w)
+            for p in settled:
+                undecided[p] = True
+        matrix[i][j] = 0
+        col_in[j] = col_before
+
+    yield from recurse(0, budget)
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -285,3 +387,52 @@ class TestTiedSettings:
         for key in canonical_key, old_canonical_key:
             with pytest.raises(CapacityError):
                 key(s)
+
+
+def with_diagonal(m, loops) -> tuple:
+    """``m`` with the unmarked loops ``loops[v][0]`` placed on its diagonal."""
+    return tuple(
+        tuple(loops[v][0] if v == w else a for w, a in enumerate(row)) for v, row in enumerate(m)
+    )
+
+
+def assert_same_sequence(dims, loops, budget) -> list:
+    new = list(classification._offdiag_matrices(dims, loops, budget))
+    old = [with_diagonal(m, loops) for m in old_offdiag_matrices(dims, loops, budget)]
+    assert new == old, (dims, loops, budget)
+    return new
+
+
+class TestOffdiagSequence:
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_census_blocks(self, d):
+        yielded = 0
+        for dims in classification._dims_multisets(d):
+            budget = d - 1 + sum(a * a for a in dims)
+            for loops, loop_cost in classification._loop_configs(dims, budget, d):
+                yielded += len(assert_same_sequence(dims, loops, budget - loop_cost))
+        assert yielded == {2: 0, 3: 2, 4: 4, 5: 22, 6: 198, 7: 2695}[d]
+
+    @pytest.mark.parametrize(
+        "dims, loops, budget",
+        [
+            # tied pairs next to untied vertices of the same dimension
+            ((2, 2, 2), ((0, 1), (0, 1), (1, 0)), 16),
+            ((2, 2, 1, 1), ((1, 0), (0, 1), (0, 0), (0, 0)), 14),
+            ((1, 1, 1, 1), ((0, 0),) * 4, 8),
+        ],
+    )
+    def test_tie_blocks(self, dims, loops, budget):
+        assert len(assert_same_sequence(dims, loops, budget)) > 1
+
+    def test_one_vertex(self):
+        # no slot: the loops alone, and only when no budget is left for arrows
+        assert assert_same_sequence((2,), ((3, 1),), 0) == [((3,),)]
+        assert assert_same_sequence((2,), ((3, 1),), 4) == []
+
+    def test_last_slot_takes_the_rest(self):
+        # (0, 1) needs 1 arrow for row 0 and 3 for column 1, (1, 0) 3 for row 1: the
+        # last slot fits the 6 units left after (0, 1) = 3, and only those
+        assert assert_same_sequence((1, 2), ((0, 0), (0, 0)), 12) == [((0, 3), (3, 0))]
+        # each arrow costs 6, so no count of the last slot spends the 7 left
+        assert assert_same_sequence((2, 3), ((1, 0), (1, 0)), 7) == []
