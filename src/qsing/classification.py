@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from . import toric
 from .core import (
     MarkedQuiverSetting,
-    canonical_key,
+    canonical_encoding,
+    canonical_key,  # wrapped here by perfbench/run.py
     euler_form,
     strongly_connected,
     validate,
@@ -401,12 +402,10 @@ def enumerate_reduced_singular(
     loop or the failed vertex removal puts dims[v] * (1 - marks at v) at
     most both weighted degrees of v.
 
-    The generators yield only the candidates that survive the symmetry break
-    of :func:`_loop_configs` and :func:`_offdiag_matrices`, which is far
-    fewer than every relabelling (167 of 1,630 accepted at d = 6).  The
-    break drops no class's first candidate in generation order, and every
-    candidate it keeps comes in the same order as before, so each class is
-    represented by the same setting with the same vertex labelling.
+    The symmetry break of :func:`_loop_configs` and :func:`_offdiag_matrices`
+    leaves far fewer candidates than every relabelling (167 of 1,630
+    accepted at d = 6) and keeps each class's first in generation order:
+    the same representatives, labelled the same, as without it.
 
     ``deadline`` is a ``time.monotonic()`` reading, checked before each dims
     block and before each candidate inside it; past it the enumeration
@@ -416,15 +415,23 @@ def enumerate_reduced_singular(
     if d < 2:
         raise ValueError("dimension must be >= 2")
     found: dict[bytes, MarkedQuiverSetting] = {}
+    # this dims block's classes; isomorphic settings share dims
+    block: dict[tuple, MarkedQuiverSetting] = {}
+
+    def file_block() -> None:
+        found.update((repr(e).encode("utf-8"), s) for e, s in block.items())
+        block.clear()
 
     def check_budget(dims: tuple[int, ...]) -> None:
         if deadline is not None and time.monotonic() > deadline:
+            file_block()
             raise BudgetExhaustedError(
                 f"enumeration budget exhausted at dims={dims}",
                 partial=[found[key] for key in sorted(found)],
             )
 
     for dims in _dims_multisets(d):
+        file_block()
         check_budget(dims)
         if progress is not None:
             progress(dims, len(found))
@@ -442,7 +449,8 @@ def enumerate_reduced_singular(
                     continue
                 if _raw_expected_dim(s) != d:
                     raise AssertionError(f"enumerated {s.dumps()} is not of expected dimension {d}")
-                found.setdefault(canonical_key(s), s)
+                block.setdefault(canonical_encoding(s), s)
+    file_block()
     return [found[key] for key in sorted(found)]
 
 
@@ -450,12 +458,8 @@ def enumerate_reduced_singular(
 class SingularTypeClass:
     """A group of enumerated settings with provably isomorphic central rings.
 
-    For all-ones settings the invariant ring is a toric semigroup ring, and
-    ring isomorphism is decided exactly by matching the generator-facet
-    incidences of the invariant monoids (see
-    :func:`~qsing.toric.incidence_isomorphism`).  Settings with higher
-    vertex dimensions or marks have non-monomial invariant rings; each
-    stays in its own class with
+    Settings with higher vertex dimensions or marks have non-monomial
+    invariant rings; each stays in its own class with
     ``equivalence_decided=False``, and so does every all-ones setting that a
     grouping budget ran out before placing.
     """
@@ -479,26 +483,21 @@ def singular_type_classes(
 ) -> list[SingularTypeClass]:
     """Group settings by isomorphism of their central (invariant) rings.
 
-    This is the equivalence under which the classification counts types: two
-    non-isomorphic reduced settings can present the same singularity.  Within
-    all-ones settings the grouping is decided exactly: each setting's
-    invariant basis gives its generator-facet incidence
-    (:func:`~qsing.toric.facet_incidence`), and the setting joins the first
-    class whose representative's incidence matches its own under a
-    permutation of the generators and one of the facets
-    (:func:`~qsing.toric.incidence_isomorphism`).  It is compared only with
-    representatives of an equal incidence key.  The match decides monoid
-    isomorphism, so a found match is a proof, and a failed search or a
-    distinct key a disproof.  Classes come in the order of their first
-    members, which represent them.
+    Non-isomorphic reduced settings can present the same singularity, and
+    the classification counts types up to this equivalence.  Within
+    all-ones settings it is decided exactly: a setting joins the first
+    class of an equal incidence key whose representative's generator-facet
+    incidence (:func:`~qsing.toric.invariant_incidence`) matches its own
+    (:func:`~qsing.toric.incidence_isomorphism`).  A match proves monoid
+    isomorphism, and a failed search or a distinct key disproves it.
+    Classes come in the order of their first members, which represent them.
 
     ``deadline`` is a ``time.monotonic()`` reading, checked before each
-    all-ones setting, in its cycle walk (see
-    :func:`~qsing.toric.invariant_generators`) and at every node of the
-    incidence search; past it the grouping raises
-    :class:`BudgetExhaustedError`.  In its partial result every setting not
-    yet placed is a singleton class with ``equivalence_decided=False``.
-    Without a deadline no clock is read.
+    all-ones setting, in its cycle walk and at every node of the incidence
+    search; past it the grouping raises :class:`BudgetExhaustedError`,
+    whose partial result has every setting not yet placed as a singleton
+    class with ``equivalence_decided=False``.  Without a deadline no clock
+    is read.
     """
     # each class as (members, equivalence_decided), in order of its first member
     classes: list[tuple[list[MarkedQuiverSetting], bool]] = []
@@ -513,7 +512,7 @@ def singular_type_classes(
         try:
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhaustedError("grouping budget exhausted")
-            incidence = toric.facet_incidence(toric.invariant_generators(s, deadline=deadline))
+            incidence = toric.invariant_incidence(s, deadline=deadline)
             bucket = buckets.setdefault(incidence.key, [])
             for rep, group in bucket:
                 if toric.incidence_isomorphism(rep, incidence, deadline=deadline) is not None:

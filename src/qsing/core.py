@@ -118,16 +118,6 @@ class MarkedQuiverSetting:
         """Total loops at v, marked and unmarked."""
         return self.arrows[v][v] + self.marked_loops[v]
 
-    def in_weight(self, v: int) -> int:
-        """Sum of source dimensions over arrows into v (loops included)."""
-        dims = self.dims
-        into = sum([d * row[v] for d, row in zip(dims, self.arrows)])
-        return into + dims[v] * self.marked_loops[v]
-
-    def out_weight(self, v: int) -> int:
-        dims = self.dims
-        return sum(map(operator.mul, self.arrows[v], dims)) + dims[v] * self.marked_loops[v]
-
     def arrow_list(self) -> tuple[Arrow, ...]:
         """All arrows in a fixed order: unmarked row-major, then marked loops.
 
@@ -265,23 +255,27 @@ def validate(s: MarkedQuiverSetting) -> list[str]:
 
 
 def canonical_key(s: MarkedQuiverSetting) -> bytes:
-    """Permutation-invariant key: equal keys iff the settings are isomorphic.
+    """The UTF-8 ``repr`` of :func:`canonical_encoding`, a permutation-invariant key."""
+    return repr(canonical_encoding(s)).encode("utf-8")
 
-    Isomorphism means a vertex permutation matching dims, arrow
-    multiplicities and marked-loop counts simultaneously.  The key is the
-    least encoding over all vertex orders: the vertex placed in round r adds
-    its signature (dims, marks, loops, sorted off-diagonal row and column),
-    then its dims, marks, loops and arrows to and from the placed vertices.
-    Only orders at the running minimum are extended, and of two unused twins
-    (their transposition is an automorphism) only the smaller.
 
-    As each round starts with a signature, a minimal order places the
-    signatures sorted: round r tries only the r-th smallest signature's
-    class.  Twins share a class, so its smallest unused vertex stays a
-    candidate, and dims, marks and loops agree in it, so the arrows to and
-    from the placed vertices decide.  No skipped vertex could reach the
-    minimum, and all surviving orders share one encoding, so the bytes are
-    those of the search over every unused vertex.
+def canonical_encoding(s: MarkedQuiverSetting) -> tuple:
+    """Permutation-invariant encoding: equal iff the settings are isomorphic.
+
+    Isomorphism is a vertex permutation matching dims, arrow multiplicities
+    and marked-loop counts.  The encoding is the least over all vertex
+    orders: the vertex placed in round r adds its signature (dims, marks,
+    loops, sorted off-diagonal row and column), then its dims, marks, loops
+    and arrows to and from the placed vertices.  Only orders at the running
+    minimum are extended, and of two unused twins (their transposition is
+    an automorphism) only the smaller.
+
+    A minimal order places the signatures sorted, so round r tries only the
+    r-th smallest signature's class.  Twins share a class, so its smallest
+    unused vertex stays a candidate, and dims, marks and loops agree in it,
+    so the arrows to and from the placed vertices decide.  No skipped vertex
+    could reach the minimum, and all surviving orders share one encoding,
+    that of the search over every unused vertex.
     """
     k = s.k
     if k > CANONICAL_KEY_MAX_VERTICES:
@@ -326,4 +320,4 @@ def canonical_key(s: MarkedQuiverSetting) -> bytes:
                         extended.append((placed + (v,), used | 1 << v))
             partial = extended
             encoding += sig, sig[:3] + best
-    return repr(tuple(encoding)).encode("utf-8")
+    return tuple(encoding)

@@ -1,15 +1,16 @@
-"""Exact linear algebra by fraction-free elimination.
+"""Exact linear algebra on matrices of Python ints.
 
-Every routine takes a matrix of Python ints and brings it to reduced echelon
-form by Bareiss's integer-preserving Gauss-Jordan elimination (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22).  By Sylvester's identity every division in
-the elimination is exact, so entries stay minors of the input and never grow
-into fractions.
+:func:`rref` and :func:`rank` use Bareiss's integer-preserving Gauss-Jordan
+elimination (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22).  By Sylvester's
+identity every division in it is exact, so entries stay minors of the input
+and never grow into fractions.  :func:`hilbert_basis` completes the minimal
+solutions in N^n of M u = 0.
 """
 
 from __future__ import annotations
 
+from operator import add, ge, mul
 from typing import Sequence
 
 
@@ -55,3 +56,49 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals."""
     return len(rref(rows)[1])
 
+
+def hilbert_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Minimal nonzero solutions of M u = 0, u in N^n, sorted.
+
+    The reference of the toric kernels; ``matrix`` is a list of rows of
+    length n.  Round r holds the frontier of degree r, each vector u with
+    g(u) = G u for G = M^T M: the condition <M u, M e_i> < 0 reads
+    g(u)_i < 0, u + e_i carries g(u) + G e_i, and u is a solution iff
+    g(u) = 0.  A round files its solutions before it extends the rest, and
+    no frontier vector dominates a known solution, so u + e_i is compared
+    only with the solutions whose i-th coordinate is u_i + 1.
+    """
+    rows = [tuple(r) for r in matrix]
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    columns = list(zip(*rows))
+    gram = [tuple(sum(map(mul, ci, cj)) for cj in columns) for ci in columns]
+    basis: list[tuple[int, ...]] = []
+    # by_coord[i][c]: the known solutions b with b_i = c > 0
+    by_coord: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(n)]
+    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    frontier: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(unit, gram))
+    while frontier:
+        growing = []
+        for u, g in frontier.items():
+            if any(g):
+                growing.append((u, g))
+                continue
+            basis.append(u)
+            for i, c in enumerate(u):
+                if c:
+                    by_coord[i].setdefault(c, []).append(u)
+        frontier = {}
+        for u, g in growing:
+            for i, x in enumerate(g):
+                if x >= 0:
+                    continue
+                c = u[i] + 1
+                child = u[:i] + (c,) + u[i + 1 :]
+                if child in frontier or any(
+                    all(map(ge, child, b)) for b in by_coord[i].get(c, ())
+                ):
+                    continue
+                frontier[child] = tuple(map(add, g, gram[i]))
+    return sorted(basis)

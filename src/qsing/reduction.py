@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 
 from .core import MarkedQuiverSetting, euler_form, unit_vector
 from .errors import IllegalMoveError
@@ -95,16 +96,18 @@ def applicable_moves(s: MarkedQuiverSetting) -> list[Move]:
     removal, big-loop removal along the outgoing arrow and along the incoming one."""
     moves: list[Move] = []
     dims, arrows, marks = s.dims, s.arrows, s.marked_loops
-    for v, row in enumerate(arrows):
+    for v, (row, col) in enumerate(zip(arrows, zip(*arrows))):
         dv = dims[v]
         loops = row[v] + marks[v]
-        if loops == 0 and len(dims) >= 2 and (s.in_weight(v) <= dv or s.out_weight(v) <= dv):
+        if loops == 0 and len(dims) >= 2 and (
+            sum(map(mul, col, dims)) <= dv or sum(map(mul, row, dims)) <= dv
+        ):
             moves.append(Move(MoveKind.VERTEX_REMOVAL, v))
         if dv == 1 and row[v] >= 1:
             moves.append(Move(MoveKind.SMALL_LOOP_REMOVAL, v))
         if dv >= 2 and loops == 1:
             marked = marks[v] == 1
-            for incoming, ends in (False, row), (True, [r[v] for r in arrows]):
+            for incoming, ends in (False, row), (True, col):
                 nbrs = [j for j, a in enumerate(ends) if a and j != v]
                 if len(nbrs) == 1 and ends[nbrs[0]] == 1 and dims[nbrs[0]] == 1:
                     moves.append(Move(MoveKind.BIG_LOOP_REMOVAL, v, marked, nbrs[0], incoming))

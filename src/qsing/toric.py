@@ -2,35 +2,28 @@
 
 With one-dimensional vertex spaces the base-change torus acts on each arrow
 coordinate by a character, so invariants and semi-invariants are spanned by
-monomials and everything reduces to lattice-point computations: the
-invariant ring is the semigroup ring of the kernel of the weight matrix W,
-a stability vector theta grades the semi-invariants by the multiple l in
-W u = l * theta, and every chart of their proj is a shift of that one graded
-Hilbert basis.
+monomials: the invariant ring is the semigroup ring of the kernel of the
+weight matrix W, a stability vector theta grades the semi-invariants by the
+multiple l in W u = l * theta, and every chart of their proj is a shift of
+that one graded Hilbert basis.
 
-W is the incidence matrix of a digraph, hence totally unimodular, and no
-general Hilbert-basis completion is needed: the invariant generators are
-the simple directed cycles (Le Bruyn-Procesi 1990), the positive-degree
-semi-invariant generators the acyclic integer theta-flows, and a support
-carries a nonvanishing one iff a transshipment problem is feasible, which
-one max-flow decides.  :func:`hilbert_basis`, a Contejean-Devie completion
-(Contejean and Devie 1994), is the reference these kernels are checked
-against.
+W is the incidence matrix of a digraph, hence totally unimodular: the
+invariant generators are the simple directed cycles (Le Bruyn-Procesi
+1990), the positive-degree semi-invariant generators the acyclic integer
+theta-flows, and a support carries a nonvanishing one iff a max-flow
+solves a transshipment problem.  :func:`hilbert_basis`, a
+Contejean-Devie completion (Contejean and Devie 1994), is the reference
+these kernels are checked against.
 
-The kernels number the arrows as ``arrow_list()`` does, through one index,
+The kernels number the arrows as ``arrow_list()`` does, through
 :func:`_edges`: per edge with arrows its tail, head and the range of its
 parallel arrows' numbers.  The cycle walk and the theta-flows step along
-its edges; King's test, the max-flow and the chart ranks work on bitmasks
-of arrows (bit i for arrow i), an edge's arrows being one run of bits.
-The central fiber is a pruned search over the acyclic arrow supports,
-which are exactly those without an invariant, with vertex reach bitmasks
-as in the theta-flows and King's table for the prune.  The binomial
-relations pack monomials and their images into ints, one field per
-coordinate, so a child monomial is one addition and a move's
-applicability one masked subtraction.
+its edges; King's test, the max-flow, the chart ranks and the central
+fiber work on bitmasks of arrows (bit i for arrow i), and the binomial
+relations on monomials packed into ints.
 
 The census groups settings by isomorphism of their invariant monoids,
-decided on the generator-facet incidence (see
+decided on bitmasks over the generators (see
 :func:`incidence_isomorphism`); :func:`semigroup_isomorphism`, a search for
 a linear map between any two Hilbert bases, is its reference.
 
@@ -45,12 +38,14 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import add, ge, itemgetter, lshift, mul, sub
+from operator import add, ge, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
+from .linalg import hilbert_basis  # the reference of the kernels below
 from .core import Arrow, MarkedQuiverSetting, exact_int
 from .errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 
@@ -71,8 +66,6 @@ def _edges(s: MarkedQuiverSetting) -> list[Edge]:
 
     ``slots`` are the indices of the edge's parallel arrows in that list, so
     the slots of all edges concatenate to ``range(len(s.arrow_list()))``.
-    Only the edges with arrows are listed: a sparse setting costs one
-    C-level scan of each row and nothing per empty vertex pair.
     """
     edges, n = [], 0
     cols = range(s.k)
@@ -103,62 +96,14 @@ def _check(deadline: float, message: str) -> None:
 # Hilbert bases
 
 
-def hilbert_basis(matrix: Sequence[Sequence[int]]) -> list[Vector]:
-    """Minimal nonzero solutions of M u = 0, u in N^n (Contejean-Devie), sorted.
-
-    The reference the cycle walk and the theta-flow search are checked
-    against; ``matrix`` is a list of rows of length n.  Round r holds the
-    frontier of degree r, each vector u with g(u) = G u for G = M^T M: the
-    condition <M u, M e_i> < 0 reads g(u)_i < 0, u + e_i carries
-    g(u) + G e_i, and u is a solution iff g(u) = 0.  A round files its
-    solutions before it extends the rest, and no frontier vector dominates
-    a known solution, so u + e_i is compared only with the solutions whose
-    i-th coordinate is u_i + 1.
-    """
-    rows = [tuple(r) for r in matrix]
-    n = len(rows[0]) if rows else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    columns = list(zip(*rows))
-    gram = [tuple(sum(map(mul, ci, cj)) for cj in columns) for ci in columns]
-    basis: list[Vector] = []
-    # by_coord[i][c]: the known solutions b with b_i = c > 0
-    by_coord: list[dict[int, list[Vector]]] = [{} for _ in range(n)]
-    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-    frontier: dict[Vector, Vector] = dict(zip(unit, gram))
-    while frontier:
-        growing = []
-        for u, g in frontier.items():
-            if any(g):
-                growing.append((u, g))
-                continue
-            basis.append(u)
-            for i, c in enumerate(u):
-                if c:
-                    by_coord[i].setdefault(c, []).append(u)
-        frontier = {}
-        for u, g in growing:
-            for i, x in enumerate(g):
-                if x >= 0:
-                    continue
-                c = u[i] + 1
-                child = u[:i] + (c,) + u[i + 1 :]
-                if child in frontier or any(
-                    all(map(ge, child, b)) for b in by_coord[i].get(c, ())
-                ):
-                    continue
-                frontier[child] = tuple(map(add, g, gram[i]))
-    return sorted(basis)
-
-
 class _PairFibers:
     """The pair-sum fibers of a Hilbert basis and the generator profiles.
 
     Every unordered pair {i, j} of generators, i = j included, has its sum
-    g_i + g_j in one fiber of the pair-sum map; ``fiber[i][j]`` is that
-    fiber's id and ``size[f]`` its number of pairs.  A generator's profile
-    is the sorted multiset of (fiber size, is-a-square) over its n pairs,
-    each pair written as the int 2 * size + is-a-square.
+    in one fiber of the pair-sum map; ``fiber[i][j]`` is its id and
+    ``size[f]`` its number of pairs.  A generator's profile is the sorted
+    multiset of (fiber size, is-a-square) over its n pairs, each pair
+    written as the int 2 * size + is-a-square.
     """
 
     __slots__ = ("fiber", "size", "profiles")
@@ -192,18 +137,15 @@ def semigroup_isomorphism(
     """A monoid isomorphism matching two Hilbert bases, or None.
 
     Searches for an injective linear map carrying one Hilbert basis of any
-    kind bijectively onto the other, which identifies the semigroup
-    algebras, and returns the generator matching.  It is the oracle that
-    :func:`incidence_isomorphism` is checked against.
-
-    The map is fixed by the images of a base (the pivots of one elimination
-    of ``basis1``), and the search backtracks over those, fewest
-    equal-profile targets first.  An isomorphism maps each pair-sum fiber
-    bijectively onto one of equal size, so every assignment is checked
-    against all earlier ones, and a generator whose base coordinates are
-    all assigned gets its image at once (an unused generator of ``basis2``
-    with an equal profile).  No check rejects a true isomorphism, and a
-    complete assignment that passes them all is one.
+    kind onto the other, which identifies the semigroup algebras; it is the
+    oracle of :func:`incidence_isomorphism`.  The map is fixed by the images
+    of a base (the pivots of one elimination of ``basis1``), searched
+    fewest equal-profile targets first.  An isomorphism maps each pair-sum
+    fiber onto one of equal size, so every assignment is checked against
+    all earlier ones, and a generator whose base coordinates are all
+    assigned gets its image at once (an unused generator of ``basis2`` with
+    an equal profile).  No check rejects a true isomorphism, and a complete
+    assignment that passes them all is one.
     """
     hb1 = [tuple(v) for v in basis1]
     hb2 = [tuple(v) for v in basis2]
@@ -312,11 +254,11 @@ def semigroup_isomorphism(
 class FacetIncidence:
     """The generator-facet incidence of an invariant basis.
 
-    ``facets`` holds one bitmask over the generators per facet of the cone
-    they span (bit g set iff generator g lies in the facet), sorted by
-    (size, mask).  ``key`` is the number of generators, the number of
-    facets and the sorted multiset over the generators of the sorted sizes
-    of the facets containing them, independent of generator and arrow order.
+    ``facets`` holds a bitmask over the generators per facet of the cone
+    they span (bit g iff generator g lies in it), sorted by (size, mask).
+    ``key`` is the number of generators, the number of facets and the sorted
+    multiset over the generators of the sorted sizes of their facets,
+    independent of generator and arrow order.
     """
 
     generators: int
@@ -328,32 +270,59 @@ def facet_incidence(basis: Sequence[Sequence[int]]) -> FacetIncidence:
     """The facets of the cone spanned by an invariant basis, read off its zeros.
 
     ``basis`` is the 0/1 basis of :func:`invariant_generators`, the
-    generators of the circulation cone C = ker W meet R>=0^arrows.  For an
-    arrow a let Z_a be the set of generators with g_a = 0.  u_a >= 0 on C,
-    so every Z_a spans a face of C, and every facet of C is C meet
-    {u_a = 0} for some arrow a.  Every proper face lies in a facet, so the
-    facets are exactly the inclusion-maximal Z_a that are proper subsets.
-    An arrow on no cycle has Z_a = every generator and names no facet.
+    generators of the circulation cone C = ker W meet R>=0^arrows.  Let Z_a
+    be the generators with g_a = 0.  u_a >= 0 on C, so every Z_a spans a
+    face of C, and every facet of C is C meet {u_a = 0} for some arrow a.
+    Every proper face lies in a facet, so the facets are exactly the
+    inclusion-maximal Z_a that are proper subsets.  An arrow on no cycle
+    has Z_a = every generator and names no facet.
     """
-    m = len(basis)
+    bits = [1 << g for g in range(len(basis))]
+    return _incidence(len(bits), [sum(itertools.compress(bits, c)) for c in zip(*basis)])
+
+
+def invariant_incidence(
+    s: MarkedQuiverSetting, *, deadline: float | None = None
+) -> FacetIncidence:
+    """``facet_incidence(invariant_generators(s))``, from the cycles as masks.
+
+    Arrow a of n is bit n - 1 - a, so int order is the 0/1 vectors' order.
+    The deadline steps are those of :func:`invariant_generators`.
+    """
+    bits = [1 << a for a in reversed(range(sum(map(sum, s.arrows))))]
+    cycles = []
+    for arrows in _cycle_arrows(s, deadline):
+        mask = 0
+        for a in arrows:
+            mask |= bits[a]
+        cycles.append((mask, arrows))
+    cycles.sort()
+    columns = [0] * len(bits)
+    for g, (_, arrows) in enumerate(cycles):
+        for a in arrows:
+            columns[a] |= 1 << g
+    return _incidence(len(cycles), columns)
+
+
+def _incidence(m: int, columns: Iterable[int]) -> FacetIncidence:
+    """The :class:`FacetIncidence` of m generators, given per arrow as masks."""
     everyone = (1 << m) - 1
-    bits = [1 << g for g in range(m)]
-    zero_sets = {everyone ^ sum(itertools.compress(bits, column)) for column in zip(*basis)}
+    zero_sets = set(map(everyone.__xor__, columns))
     zero_sets.discard(everyone)
-    # a zero set that is not maximal lies in a larger maximal one, kept before it
+    # a zero set that is not maximal comes after a larger maximal one
     facets: list[int] = []
-    for z in sorted(zero_sets, key=int.bit_count, reverse=True):
-        if all(z & f != z for f in facets):
+    for z in sorted(sorted(zero_sets, reverse=True), key=int.bit_count, reverse=True):
+        if z not in map(z.__and__, facets):
             facets.append(z)
-    facets.sort(key=lambda z: (z.bit_count(), z))
+    facets.reverse()
     # per generator, the sizes of the facets that contain it, in order of size
     sizes: list[list[int]] = [[] for _ in range(m)]
     for f in facets:
         size = f.bit_count()
         while f:
-            low = f & -f
-            sizes[low.bit_length() - 1].append(size)
-            f ^= low
+            g = f.bit_length() - 1
+            sizes[g].append(size)
+            f ^= 1 << g
     key = (m, len(facets), tuple(sorted(map(tuple, sizes))))
     return FacetIncidence(m, tuple(facets), key)
 
@@ -367,9 +336,9 @@ def incidence_isomorphism(
     """A generator bijection matching two facet incidences, or None.
 
     This decides isomorphism of the invariant monoids of two all-ones
-    settings exactly.  Their generators are 0/1 vectors (the simple
-    cycles), so for any arrow a of a facet F the form u_a is F's primitive
-    support form.  The cone is pointed, so u -> (u_F) over the facets is
+    settings exactly.  Their generators are the 0/1 vectors of the simple
+    cycles, so for any arrow a of a facet F, u_a is F's primitive support
+    form.  The cone is pointed, so u -> (u_F) over the facets is
     injective on the space it spans and carries the monoid onto the one
     generated by the rows of the 0/1 generator x facet matrix.  A monoid
     isomorphism carries generators to generators and facets to facets
@@ -380,48 +349,60 @@ def incidence_isomorphism(
     The search assigns the facets of ``first``, in order of size, to unused
     facets of ``second`` of the same size while the sorted rows restricted
     to the facets assigned so far agree; a full assignment matches the
-    generators of ``first`` to those of ``second`` by their equal rows.
+    generators by their equal rows.  Each side's generators are held as
+    classes of equal rows, paired by row (partition refinement, McKay
+    1981), so f may take facet e iff each pair has as many generators in f
+    as in e.  The stack is explicit.
 
     One deadline step is a node of the search.
     """
     if first.key != second.key:
         return None
-    m = first.generators
-    facets1, facets2 = first.facets, second.facets
-    sizes1 = [f.bit_count() for f in facets1]
-    sizes2 = [f.bit_count() for f in facets2]
-    # rows1[p]: the rows of ``first`` on its first p facets, one int per generator
-    rows1 = [[0] * m]
-    for f in facets1:
-        rows1.append([(r << 1) | (f >> g & 1) for g, r in enumerate(rows1[-1])])
-    targets = [sorted(rows) for rows in rows1]
-    used = [False] * len(facets2)
-
-    def search(p: int, rows2: list[int]) -> list[int] | None:
-        """The rows of ``second`` under a full assignment extending the first p."""
-        if deadline is not None:
-            _check(deadline, "incidence search ran past its deadline")
-        if p == len(facets1):
-            return rows2
-        for q, f in enumerate(facets2):
-            if used[q] or sizes2[q] != sizes1[p]:
+    m, facets1, facets2 = first.generators, first.facets, second.facets
+    n = len(facets1)
+    # facet p may take those of its size from lo[p] on; counts[p]: the
+    # generators in facet p per class of first
+    sizes = list(map(int.bit_count, facets1))
+    lo = [bisect_left(sizes, x) for x in sizes] + [0]
+    classes1, counts = [(1 << m) - 1], []
+    for e in facets1:
+        counts.append([(c & e).bit_count() for c in classes1])
+        classes1 = [part for c in classes1 for part in (c & ~e, c & e) if part]
+    # per node below the root: the facet taken, the classes of second
+    taken, classes2 = [], [[(1 << m) - 1]]
+    used = [False] * n
+    q, late = 0, "incidence search ran past its deadline"
+    if deadline is not None:
+        _check(deadline, late)
+    while len(taken) < n:
+        p, rest = len(taken), classes2[-1]
+        for q in range(q, bisect_right(sizes, sizes[p])):
+            if used[q]:
                 continue
-            grown = [(r << 1) | (f >> g & 1) for g, r in enumerate(rows2)]
-            if sorted(grown) != targets[p + 1]:
-                continue
-            used[q] = True
-            found = search(p + 1, grown)
-            if found is not None:
-                return found
+            f = facets2[q]
+            # most misfits differ in the first classes
+            for c, k in zip(rest, counts[p]):
+                if (c & f).bit_count() != k:
+                    break
+            else:
+                break
+        else:
+            # no fit: the parent node tries its next facet
+            if not taken:
+                return None
+            q = taken.pop()
             used[q] = False
-        return None
-
-    rows2 = search(0, [0] * m)
-    if rows2 is None:
-        return None
-    order1 = sorted(range(m), key=rows1[-1].__getitem__)
-    order2 = sorted(range(m), key=rows2.__getitem__)
-    return dict(zip(order1, order2))
+            classes2.pop()
+            q += 1
+            continue
+        used[q] = True
+        taken.append(q)
+        classes2.append([part for c in rest for part in (c & ~f, c & f) if part])
+        if deadline is not None:
+            _check(deadline, late)
+        q = lo[p + 1]
+    # the facet forms separate the generators, so each class holds one
+    return {a.bit_length() - 1: b.bit_length() - 1 for a, b in zip(classes1, classes2[-1]) if a}
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +438,34 @@ def invariant_generators(
 
     The invariant ring is generated by traces of oriented cycles (Le
     Bruyn-Procesi 1990), here the monomials of their arrows.  W is totally
-    unimodular, so the Hilbert basis of ker W meet N^arrows is the set of
-    0/1 vectors of the simple directed cycles: flow decomposition writes
-    every nonnegative circulation as a sum of simple cycles, and no simple
-    cycle is a sum of two nonzero circulations (Sturmfels, *Groebner Bases
-    and Convex Polytopes*, 1996, ch. 4 and 8).  A loop is a 1-cycle.  The
-    result equals ``hilbert_basis(W)``, sorted.
+    unimodular, so the Hilbert basis of ker W meet N^arrows is the 0/1
+    vectors of the simple directed cycles: flow decomposition writes every
+    nonnegative circulation as a sum of simple cycles, and no simple cycle
+    is a sum of two nonzero circulations (Sturmfels, *Groebner Bases and
+    Convex Polytopes*, 1996, ch. 4 and 8).  A loop is a 1-cycle.  The result
+    is ``hilbert_basis(W)``, sorted.
+
+    One deadline step is a path extended or a cycle emitted.
+    """
+    u = [0] * sum(map(sum, s.arrows))
+    cycles: list[Vector] = []
+    for chosen in _cycle_arrows(s, deadline):
+        for a in chosen:
+            u[a] = 1
+        cycles.append(tuple(u))
+        for a in chosen:
+            u[a] = 0
+    cycles.sort()
+    return cycles
+
+
+def _cycle_arrows(s: MarkedQuiverSetting, deadline: float | None) -> Iterator[tuple[int, ...]]:
+    """The arrows of each simple directed cycle of ``s``.
 
     One walk per least vertex s0 extends simple paths (visited vertices as
     a bitmask) through vertices above s0; every edge back to s0 closes a
     vertex cycle, expanded over the parallel arrows of its edges.  The path
-    is an explicit stack, so a long one needs no recursion.
-
-    One deadline step is a path extended or a cycle emitted.
+    is an explicit stack.
     """
     _require_all_ones(s)
     k = s.k
@@ -477,10 +473,7 @@ def invariant_generators(
     successors: list[list[tuple[int, range]]] = [[] for _ in range(k)]
     for tail, head, slots in _edges(s):
         successors[tail].append((head, slots))
-    cycles: list[Vector] = []
     path: list[range] = []
-    # the 0/1 vector of the cycle being emitted, cleared after each
-    u = [0] * sum(map(sum, s.arrows))
     for s0 in range(k):
         # the path's vertices, and per vertex the successors left to try
         verts, todo, seen = [s0], [iter(successors[s0])], 1 << s0
@@ -492,11 +485,7 @@ def invariant_generators(
                     for chosen in itertools.product(*path):
                         if deadline is not None:
                             _check(deadline, "invariant cycles ran past their deadline")
-                        for a in chosen:
-                            u[a] = 1
-                        cycles.append(tuple(u))
-                        for a in chosen:
-                            u[a] = 0
+                        yield chosen
                     path.pop()
                 elif w > s0 and not seen >> w & 1:
                     if deadline is not None:
@@ -512,8 +501,6 @@ def invariant_generators(
                 seen ^= 1 << v
                 if verts:
                     path.pop()
-    cycles.sort()
-    return cycles
 
 
 def semi_invariant_generators(
@@ -534,14 +521,13 @@ def semi_invariant_generators(
     directed cycle (a loop is one) in the support.
 
     They are searched depth-first over the edges (tail, head), tail != head,
-    each value then spread over the edge's parallel arrows in every way.
-    An acyclic flow is a sum of simple paths from theta < 0 to theta > 0 of
+    each value then spread over the edge's parallel arrows in every way.  An
+    acyclic flow is a sum of simple paths from theta < 0 to theta > 0 of
     total weight T, the sum of the positive entries of theta, so no edge
     carries more than T, and no vertex takes in more than T less its supply
-    or sends out more than T less its demand.  A value is kept only within
-    these bounds, if both its vertices can still balance with at most T on
-    each of their later edges, and, if positive, if its head does not
-    reach its tail.
+    or sends out more than T less its demand.  A value is kept within these
+    bounds, if both its vertices can still balance with at most T on each
+    later edge, and, if positive, if its head does not reach its tail.
 
     One deadline step is a step of :func:`invariant_generators`, an edge
     placed or a flow emitted.
@@ -630,29 +616,27 @@ def toric_relations(
 
     Monomials in the generators (total degree <= degree_bound) are grouped by
     the arrow-exponent vector they evaluate to.  Fibers are visited in order
-    of increasing minimal degree; inside a fiber whose monomials are not yet
-    all connected by the relations already emitted, every pair of distinct
-    connected components contributes one binomial.  Completeness beyond the
-    bound is not claimed.  A degree bound below 1 raises ``ValueError``, and
-    so do generators of unequal length or with an entry that is not an
-    ``int`` >= 0.
+    of increasing minimal degree; in a fiber not yet connected by the
+    relations already emitted, every pair of distinct connected components
+    contributes one binomial.  Completeness beyond the bound is not
+    claimed.  A degree bound below 1 raises ``ValueError``, and so do
+    generators of unequal length or with an entry that is not an ``int``
+    >= 0.
 
     The monomials are built degree by degree, each as its parent times one
     generator no smaller than the parent's largest.  A fiber's components
-    come from a union-find over the moves (lhs, rhs) of the relations
-    emitted so far, m -> m - lhs + rhs for m >= lhs; being undirected, it
-    needs no reverse moves.
+    come from an undirected union-find over the moves m -> m - lhs + rhs,
+    m >= lhs, of the relations emitted so far.
 
     Monomials and images are packed into ints, one fixed-width field per
-    generator or arrow coordinate, the first one most significant, so
-    integer order is tuple order and a child is its parent plus one
-    constant.  A monomial field holds 2 * degree_bound, as m - lhs + rhs
-    can reach that, and its top bit is a guard bit G that no monomial of
-    degree <= degree_bound sets: m >= lhs in every field iff
-    ((m | G) - lhs) & G == G, and a move that overflows a field sets its
-    guard bit and names no monomial.  An image field holds degree_bound
-    times the largest generator entry.  Exponent tuples are built only for
-    the relations returned.
+    generator or arrow coordinate, the first one most significant, so int
+    order is tuple order and a child is its parent plus one constant.  A
+    monomial field holds 2 * degree_bound, as m - lhs + rhs can reach that,
+    and its top bit is a guard bit G that no monomial of degree <=
+    degree_bound sets: m >= lhs in every field iff ((m | G) - lhs) & G ==
+    G, and a move that overflows a field sets its guard bit and names no
+    monomial.  An image field holds degree_bound times the largest
+    generator entry.  Only the relations returned are unpacked into tuples.
 
     One deadline step is a parent monomial extended in a layer or a fiber
     member scanned.
@@ -968,7 +952,7 @@ def proj_charts(
     degree-zero part of the localization at f, generated by the shifts
     u - l * e of the graded generators (u, l): the monoid S of the v with
     W v = 0 and v_a >= 0 wherever e is 0.  Both ranks below are cycle
-    ranks (see :func:`_cycle_rank`), so no elimination is run.
+    ranks (see :func:`_cycle_rank`).
 
     Free rank.  The semi-invariant ring R is a graded domain whose
     transcendence degree r is the rank of its generators (u, l); R_f has
@@ -981,12 +965,12 @@ def proj_charts(
 
     Smoothness.  The units of S are the integer circulations on supp(e).
     The projection p(v) = (v_a where e_a = 0) sends exactly them to 0, and
-    p(S), the exponents of the generators restricted there, is pointed and
+    p(S), the generators' exponents restricted there, is pointed and
     saturated of rank r - 1 less the cycle rank of supp(e).  Its Hilbert
     basis, the minimal nonzero images, spans it, so S is N^a x Z^b iff that
     basis has exactly that many elements.  The chart lists the shifts whose
-    image is minimal or zero; the images are visited in order of
-    coordinate sum, each compared only with the minimal ones kept before it.
+    image is minimal or zero, visited in order of coordinate sum, each
+    compared only with the minimal ones kept before it.
 
     One deadline step is a step of :func:`semi_invariant_generators` or a
     pivot.
@@ -1059,34 +1043,31 @@ def central_fiber(
     non_free_action, without one.
 
     The supports are searched depth-first, adding arrows in increasing
-    order, with an explicit stack; each node is one candidate support, and
-    three lemmas keep the search to the candidates:
+    order, with an explicit stack, one node per candidate support; three
+    lemmas keep the search to the candidates.
 
     Acyclic iff no invariant.  The invariants are spanned by the simple
     directed cycles (see :func:`invariant_generators`), so S carries a
     nonconstant one iff it contains a directed cycle, a loop included.  The
     search admits arrow (tail, head) only if head does not yet reach tail,
-    read off per-vertex reach bitmasks as in the theta-flow search (here
-    the vertices that reach each vertex, so an arrow changes only the masks
-    of its head's descendants), and so visits exactly the acyclic supports
-    and needs no cycle walk.
+    read off per-vertex bitmasks of the vertices that reach it (an arrow
+    changes only those of its head's descendants), so it visits exactly the
+    acyclic supports and needs no cycle walk.
 
     The upward-closed prune.  S is semistable iff it meets the leaving mask
     of every :func:`_king_table` row with theta(X) < 0, and a superset of a
-    semistable support is semistable (King 1994).  A node whose S together
-    with every later arrow misses such a row has no semistable descendant
-    and is cut: the children of S take only arrows up to the last arrow of
-    the first row, in order of last arrow, that S misses.  At theta = 0 no
-    row is negative, and no table is built: an acyclic support on k >= 2
-    vertices has a sink, a closed singleton with theta 0, so none is
-    stable, while k = 1 has no proper subset and every support is stable.
+    semistable support is semistable (King 1994).  So the children of S
+    take only arrows up to the last arrow of the first row, in order of
+    last arrow, that S misses: past it no descendant is semistable.  At
+    theta = 0 no row is negative and no table is built: an acyclic support
+    on k >= 2 vertices has a sink, a closed singleton with theta 0, so none
+    is stable, while k = 1 has no proper subset and every support is stable.
 
-    Spanning by joins.  The search joins the components of an arrow's ends
-    as it adds the arrow (never a loop).  Each join merges two of the
-    components of the vertices, so there are at most k - 1, and exactly
-    k - 1 iff S connects all k vertices; S spans iff it does and is
-    nonempty (with k = 1 no join is needed, and the empty support touches
-    no vertex).
+    Spanning by joins.  Adding an arrow (never a loop) joins the components
+    of its ends.  Each join merges two components, so S has at most k - 1
+    and exactly k - 1 iff it connects all k vertices; S spans iff it does
+    and is nonempty (with k = 1 no join is needed, and the empty support
+    touches no vertex).
 
     One deadline step is a node of the search or a subset listed by
     :func:`_king_table`.

@@ -23,6 +23,7 @@ from qsing.classification import (
 )
 from qsing.core import (
     MarkedQuiverSetting,
+    canonical_encoding,
     canonical_key,
     euler_form,
     strongly_connected,
@@ -517,9 +518,9 @@ class TestSymmetryBreak:
         def counting(s):
             nonlocal calls
             calls += 1
-            return canonical_key(s)
+            return canonical_encoding(s)
 
-        monkeypatch.setattr(classification, "canonical_key", counting)
+        monkeypatch.setattr(classification, "canonical_encoding", counting)
         assert len(enumerate_reduced_singular(6)) == 67
         # 1,697 before the break: one per relabelling, one more per setting to sort
         assert calls <= 200
@@ -663,7 +664,7 @@ class TestTypeClasses:
                 now += 1.0
             return now
 
-        original = toric.invariant_generators
+        original = toric.invariant_incidence
 
         def start_ticking(s, **kwargs):
             nonlocal ticking
@@ -672,7 +673,7 @@ class TestTypeClasses:
 
         monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=monotonic))
         monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=lambda: now))
-        monkeypatch.setattr(toric, "invariant_generators", start_ticking)
+        monkeypatch.setattr(toric, "invariant_incidence", start_ticking)
         report, passed = classification.census_report(5, budget_secs=3.5)
         assert not passed
         assert report["budget_exhausted"].startswith("grouping budget exhausted")

@@ -1,4 +1,4 @@
-"""The census generator, filters and canonical key against their earlier versions.
+"""The census generator, filters, keys and grouping kernels against their earlier versions.
 
 ``canonical_key``, ``strongly_connected``, ``euler_form``,
 ``applicable_moves`` and ``_offdiag_matrices`` were rewritten for speed with
@@ -9,20 +9,30 @@ value, on every candidate of the d <= 7 census and on hypothesis settings
 full of ties.  The arrow matrices must come in the same sequence on every
 d <= 7 block, the earlier generator's with the unmarked loops placed on its
 zero diagonal.
+
+The grouping's kernels, ``facet_incidence``, ``incidence_isomorphism`` and
+the cycle walk of ``invariant_generators``, moved onto generator bitmasks.
+Their earlier versions are kept verbatim too: every all-ones setting of the
+d <= 7 censuses must give the same ``FacetIncidence`` and every search of
+two equal keys the same bijection, entered in the same order, also on
+relabelled bases and settings.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from qsing import classification
+from qsing import classification, toric
 from qsing.classification import _fully_tied
 from qsing.core import (
     CANONICAL_KEY_MAX_VERTICES,
     MarkedQuiverSetting,
+    canonical_encoding,
     canonical_key,
     euler_form,
     euler_matrix,
@@ -31,6 +41,7 @@ from qsing.core import (
 )
 from qsing.errors import CapacityError, DimensionMismatchError
 from qsing.reduction import Move, MoveKind, applicable_moves
+from qsing.toric import FacetIncidence, Vector, _check, _edges, _require_all_ones
 
 from conftest import permuted
 
@@ -281,6 +292,172 @@ def old_offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ..
     yield from recurse(0, budget)
 
 
+def old_facet_incidence(basis: Sequence[Sequence[int]]) -> FacetIncidence:
+    """The facets of the cone spanned by an invariant basis, read off its zeros.
+
+    ``basis`` is the 0/1 basis of :func:`invariant_generators`, the
+    generators of the circulation cone C = ker W meet R>=0^arrows.  For an
+    arrow a let Z_a be the set of generators with g_a = 0.  u_a >= 0 on C,
+    so every Z_a spans a face of C, and every facet of C is C meet
+    {u_a = 0} for some arrow a.  Every proper face lies in a facet, so the
+    facets are exactly the inclusion-maximal Z_a that are proper subsets.
+    An arrow on no cycle has Z_a = every generator and names no facet.
+    """
+    m = len(basis)
+    everyone = (1 << m) - 1
+    bits = [1 << g for g in range(m)]
+    zero_sets = {everyone ^ sum(itertools.compress(bits, column)) for column in zip(*basis)}
+    zero_sets.discard(everyone)
+    # a zero set that is not maximal lies in a larger maximal one, kept before it
+    facets: list[int] = []
+    for z in sorted(zero_sets, key=int.bit_count, reverse=True):
+        if all(z & f != z for f in facets):
+            facets.append(z)
+    facets.sort(key=lambda z: (z.bit_count(), z))
+    # per generator, the sizes of the facets that contain it, in order of size
+    sizes: list[list[int]] = [[] for _ in range(m)]
+    for f in facets:
+        size = f.bit_count()
+        while f:
+            low = f & -f
+            sizes[low.bit_length() - 1].append(size)
+            f ^= low
+    key = (m, len(facets), tuple(sorted(map(tuple, sizes))))
+    return FacetIncidence(m, tuple(facets), key)
+
+
+def old_incidence_isomorphism(
+    first: FacetIncidence,
+    second: FacetIncidence,
+    *,
+    deadline: float | None = None,
+) -> dict[int, int] | None:
+    """A generator bijection matching two facet incidences, or None.
+
+    This decides isomorphism of the invariant monoids of two all-ones
+    settings exactly.  Their generators are 0/1 vectors (the simple
+    cycles), so for any arrow a of a facet F the form u_a is F's primitive
+    support form.  The cone is pointed, so u -> (u_F) over the facets is
+    injective on the space it spans and carries the monoid onto the one
+    generated by the rows of the 0/1 generator x facet matrix.  A monoid
+    isomorphism carries generators to generators and facets to facets
+    (Bruns-Gubeladze, *Polytopes, Rings, and K-theory*, 2009, ch. 2), so
+    two such monoids are isomorphic iff their incidence matrices agree up
+    to a permutation of the rows and one of the columns.
+
+    The search assigns the facets of ``first``, in order of size, to unused
+    facets of ``second`` of the same size while the sorted rows restricted
+    to the facets assigned so far agree; a full assignment matches the
+    generators of ``first`` to those of ``second`` by their equal rows.
+
+    One deadline step is a node of the search.
+    """
+    if first.key != second.key:
+        return None
+    m = first.generators
+    facets1, facets2 = first.facets, second.facets
+    sizes1 = [f.bit_count() for f in facets1]
+    sizes2 = [f.bit_count() for f in facets2]
+    # rows1[p]: the rows of ``first`` on its first p facets, one int per generator
+    rows1 = [[0] * m]
+    for f in facets1:
+        rows1.append([(r << 1) | (f >> g & 1) for g, r in enumerate(rows1[-1])])
+    targets = [sorted(rows) for rows in rows1]
+    used = [False] * len(facets2)
+
+    def search(p: int, rows2: list[int]) -> list[int] | None:
+        """The rows of ``second`` under a full assignment extending the first p."""
+        if deadline is not None:
+            _check(deadline, "incidence search ran past its deadline")
+        if p == len(facets1):
+            return rows2
+        for q, f in enumerate(facets2):
+            if used[q] or sizes2[q] != sizes1[p]:
+                continue
+            grown = [(r << 1) | (f >> g & 1) for g, r in enumerate(rows2)]
+            if sorted(grown) != targets[p + 1]:
+                continue
+            used[q] = True
+            found = search(p + 1, grown)
+            if found is not None:
+                return found
+            used[q] = False
+        return None
+
+    rows2 = search(0, [0] * m)
+    if rows2 is None:
+        return None
+    order1 = sorted(range(m), key=rows1[-1].__getitem__)
+    order2 = sorted(range(m), key=rows2.__getitem__)
+    return dict(zip(order1, order2))
+
+
+def old_invariant_generators(
+    s: MarkedQuiverSetting, *, deadline: float | None = None
+) -> list[Vector]:
+    """Hilbert basis of the weight-zero monomials: the simple directed cycles.
+
+    The invariant ring is generated by traces of oriented cycles (Le
+    Bruyn-Procesi 1990), here the monomials of their arrows.  W is totally
+    unimodular, so the Hilbert basis of ker W meet N^arrows is the set of
+    0/1 vectors of the simple directed cycles: flow decomposition writes
+    every nonnegative circulation as a sum of simple cycles, and no simple
+    cycle is a sum of two nonzero circulations (Sturmfels, *Groebner Bases
+    and Convex Polytopes*, 1996, ch. 4 and 8).  A loop is a 1-cycle.  The
+    result equals ``hilbert_basis(W)``, sorted.
+
+    One walk per least vertex s0 extends simple paths (visited vertices as
+    a bitmask) through vertices above s0; every edge back to s0 closes a
+    vertex cycle, expanded over the parallel arrows of its edges.  The path
+    is an explicit stack, so a long one needs no recursion.
+
+    One deadline step is a path extended or a cycle emitted.
+    """
+    _require_all_ones(s)
+    k = s.k
+    # per vertex its successors w, each with the slots of its arrows to w
+    successors: list[list[tuple[int, range]]] = [[] for _ in range(k)]
+    for tail, head, slots in _edges(s):
+        successors[tail].append((head, slots))
+    cycles: list[Vector] = []
+    path: list[range] = []
+    # the 0/1 vector of the cycle being emitted, cleared after each
+    u = [0] * sum(map(sum, s.arrows))
+    for s0 in range(k):
+        # the path's vertices, and per vertex the successors left to try
+        verts, todo, seen = [s0], [iter(successors[s0])], 1 << s0
+        while todo:
+            v = verts[-1]
+            for w, slots in todo[-1]:
+                if w == s0:
+                    path.append(slots)
+                    for chosen in itertools.product(*path):
+                        if deadline is not None:
+                            _check(deadline, "invariant cycles ran past their deadline")
+                        for a in chosen:
+                            u[a] = 1
+                        cycles.append(tuple(u))
+                        for a in chosen:
+                            u[a] = 0
+                    path.pop()
+                elif w > s0 and not seen >> w & 1:
+                    if deadline is not None:
+                        _check(deadline, "invariant cycles ran past their deadline")
+                    path.append(slots)
+                    verts.append(w)
+                    todo.append(iter(successors[w]))
+                    seen |= 1 << w
+                    break
+            else:
+                todo.pop()
+                verts.pop()
+                seen ^= 1 << v
+                if verts:
+                    path.pop()
+    cycles.sort()
+    return cycles
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -306,7 +483,7 @@ def census_candidates():
         return wrapper
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(classification, "canonical_key", recording(keyed, canonical_key))
+        m.setattr(classification, "canonical_encoding", recording(keyed, canonical_encoding))
         m.setattr(classification, "strongly_connected", recording(filtered, strongly_connected))
         for d in range(2, 8):
             classification.enumerate_reduced_singular(d)
@@ -436,3 +613,91 @@ class TestOffdiagSequence:
         assert assert_same_sequence((1, 2), ((0, 0), (0, 0)), 12) == [((0, 3), (3, 0))]
         # each arrow costs 6, so no count of the last slot spends the 7 left
         assert assert_same_sequence((2, 3), ((1, 0), (1, 0)), 7) == []
+
+
+# ---------------------------------------------------------------------------
+# the grouping's kernels
+
+
+@pytest.fixture(scope="module")
+def census_incidences():
+    """Each all-ones setting of the d <= 7 censuses with its earlier incidence."""
+    return [
+        (s, old_facet_incidence(old_invariant_generators(s)))
+        for d in range(2, 8)
+        for s in classification.enumerate_reduced_singular(d)
+        if set(s.dims) == {1}
+    ]
+
+
+def assert_same_incidence(s: MarkedQuiverSetting) -> FacetIncidence:
+    basis = toric.invariant_generators(s)
+    assert basis == old_invariant_generators(s)
+    incidence = old_facet_incidence(basis)
+    assert toric.facet_incidence(basis) == incidence
+    assert toric.invariant_incidence(s) == incidence, s.dumps()
+    return incidence
+
+
+def assert_same_search(first: FacetIncidence, second: FacetIncidence) -> bool:
+    new = toric.incidence_isomorphism(first, second)
+    old = old_incidence_isomorphism(first, second)
+    assert new == old
+    # the same bijection, entered in the same order
+    assert new is None or list(new.items()) == list(old.items())
+    return new is not None
+
+
+@st.composite
+def small_all_ones(draw):
+    """All-ones settings on k <= 4 vertices, with loops and parallel arrows."""
+    k = draw(st.integers(1, 4))
+    entry = st.sampled_from([0, 0, 1, 1, 2])
+    return MarkedQuiverSetting.make(
+        [1] * k, draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    )
+
+
+class TestGroupingKernels:
+    def test_census_incidences(self, census_incidences):
+        assert len(census_incidences) == 1 + 3 + 11 + 63 + 564
+        for s, incidence in census_incidences:
+            assert assert_same_incidence(s) == incidence
+
+    def test_census_searches(self, census_incidences):
+        by_key = defaultdict(list)
+        for _, incidence in census_incidences:
+            by_key[incidence.key].append(incidence)
+        searches = matched = 0
+        for group in by_key.values():
+            for first, second in itertools.product(group, repeat=2):
+                searches += 1
+                matched += assert_same_search(first, second)
+        assert (searches, matched) == (2280, 2274)
+
+    @given(st.data())
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_relabelled_bases(self, census_incidences, data):
+        s, incidence = data.draw(st.sampled_from(census_incidences[:78]))
+        basis = old_invariant_generators(s)
+        gens = data.draw(st.permutations(range(len(basis))))
+        cols = data.draw(st.permutations(range(len(basis[0]))))
+        relabelled = [tuple(basis[g][c] for c in cols) for g in gens]
+        other = toric.facet_incidence(relabelled)
+        assert other == old_facet_incidence(relabelled)
+        assert assert_same_search(incidence, other)
+        assert assert_same_search(other, incidence)
+
+    @given(st.data())
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_relabelled_settings(self, census_incidences, data):
+        s, incidence = data.draw(st.sampled_from(census_incidences[:78]))
+        other = assert_same_incidence(permuted(s, data.draw(st.permutations(range(s.k)))))
+        assert assert_same_search(incidence, other)
+
+    @given(small_all_ones(), small_all_ones())
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_loops_and_parallel_arrows(self, s, t):
+        first, second = assert_same_incidence(s), assert_same_incidence(t)
+        if first.key == second.key:
+            assert_same_search(first, second)

@@ -1329,6 +1329,19 @@ class TestIncidenceIsomorphism:
                 incidence_isomorphism(incidence, incidence, deadline=stop - 0.5)
             assert readings == stop
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # a flower: vertex 0 with a 2-cycle to each of 1,050 others, so 1,050
+        # generators, each missing from exactly one of 1,050 facets; matched
+        # with itself the search runs straight down one node per facet
+        k = 1051
+        flower = MarkedQuiverSetting.make(
+            [1] * k, [[int((i == 0) != (j == 0)) for j in range(k)] for i in range(k)]
+        )
+        incidence = toric.invariant_incidence(flower)
+        assert (incidence.generators, len(incidence.facets)) == (1050, 1050)
+        assert len(incidence.facets) > sys.getrecursionlimit()
+        assert incidence_isomorphism(incidence, incidence) == {g: g for g in range(1050)}
+
     def test_without_deadline_reads_no_clock(self, monkeypatch):
         def no_clock():
             raise AssertionError("the clock is read without a deadline")
