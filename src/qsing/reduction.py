@@ -180,6 +180,12 @@ def reduce_setting(s: MarkedQuiverSetting, *, strict: bool = False) -> Reduction
     vertex of dimension 1 or 3.  Termination: vertex removal strictly
     decreases the total dimension and loop removals strictly decrease the
     arrow-plus-mark count.
+
+    When the first move removes a loop at a dimension-1 vertex v, all L loops
+    there go at once: z grows by L and the trace records the move L times.
+    This is the same sequence of steps.  No move at another vertex reads the
+    loops at v, and at v vertex removal needs none left while big-loop
+    removal needs dims[v] >= 2, so the next L - 1 moves remove a loop at v.
     """
     current = s
     z = 0
@@ -188,6 +194,18 @@ def reduce_setting(s: MarkedQuiverSetting, *, strict: bool = False) -> Reduction
         moves = applicable_moves(current)
         if not moves:
             return ReductionResult(s, current, z, tuple(trace))
-        current, dz = apply_move(current, moves[0], strict=strict)
-        z += dz
-        trace.append(moves[0])
+        move = moves[0]
+        if move.kind is MoveKind.SMALL_LOOP_REMOVAL:
+            v = move.vertex
+            loops = current.arrows[v][v]
+            arrows = [list(row) for row in current.arrows]
+            arrows[v][v] = 0
+            current = MarkedQuiverSetting(
+                current.dims, tuple(map(tuple, arrows)), current.marked_loops
+            )
+            z += loops
+            trace.extend([move] * loops)
+        else:
+            current, dz = apply_move(current, move, strict=strict)
+            z += dz
+            trace.append(move)

@@ -11,9 +11,7 @@ W is the incidence matrix of a digraph, hence totally unimodular: the
 invariant generators are the simple directed cycles (Le Bruyn-Procesi
 1990), the positive-degree semi-invariant generators the acyclic integer
 theta-flows, and a support carries a nonvanishing one iff a max-flow
-solves a transshipment problem.  :func:`hilbert_basis`, a
-Contejean-Devie completion (Contejean and Devie 1994), is the reference
-these kernels are checked against.
+solves a transshipment problem.
 
 The kernels number the arrows as ``arrow_list()`` does, through
 :func:`_edges`: per edge with arrows its tail, head and the range of its
@@ -24,8 +22,8 @@ relations on monomials packed into ints.
 
 The census groups settings by isomorphism of their invariant monoids,
 decided on bitmasks over the generators (see
-:func:`incidence_isomorphism`); :func:`semigroup_isomorphism`, a search for
-a linear map between any two Hilbert bases, is its reference.
+:func:`incidence_isomorphism`).  The references these kernels are checked
+against live in :mod:`qsing.linalg`.
 
 Every ``deadline`` is a ``time.monotonic()`` reading.  A search given one
 reads the clock once per step of its own work, through :func:`_check`,
@@ -41,11 +39,12 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import add, ge, itemgetter, lshift, sub
+from operator import ge, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
-from . import linalg
-from .linalg import hilbert_basis  # the reference of the kernels below
+# the references of the kernels below, re-exported because the tests and the
+# benchmark's tracer (perfbench/run.py) look both up on this module
+from .linalg import hilbert_basis, semigroup_isomorphism
 from .core import Arrow, MarkedQuiverSetting, exact_int
 from .errors import BudgetExhaustedError, EmptyProjError, UnsupportedSettingError
 
@@ -90,160 +89,6 @@ def _check(deadline: float, message: str) -> None:
     """One step's clock reading: ``BudgetExhaustedError(message)`` if past ``deadline``."""
     if time.monotonic() > deadline:
         raise BudgetExhaustedError(message)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert bases
-
-
-class _PairFibers:
-    """The pair-sum fibers of a Hilbert basis and the generator profiles.
-
-    Every unordered pair {i, j} of generators, i = j included, has its sum
-    in one fiber of the pair-sum map; ``fiber[i][j]`` is its id and
-    ``size[f]`` its number of pairs.  A generator's profile is the sorted
-    multiset of (fiber size, is-a-square) over its n pairs, each pair
-    written as the int 2 * size + is-a-square.
-    """
-
-    __slots__ = ("fiber", "size", "profiles")
-
-    def __init__(self, basis: Sequence[Sequence[int]]):
-        n = len(basis)
-        ids: dict[Vector, int] = {}
-        size: list[int] = []
-        fiber = [[0] * n for _ in range(n)]
-        for i, gi in enumerate(basis):
-            row = fiber[i]
-            for j in range(i, n):
-                key = tuple(map(add, gi, basis[j]))
-                f = ids.get(key)
-                if f is None:
-                    f = ids[key] = len(size)
-                    size.append(0)
-                size[f] += 1
-                row[j] = fiber[j][i] = f
-        self.fiber, self.size = fiber, size
-        self.profiles = [
-            tuple(sorted(2 * size[f] + (i == j) for j, f in enumerate(fiber[i])))
-            for i in range(n)
-        ]
-
-
-def semigroup_isomorphism(
-    basis1: Sequence[Sequence[int]],
-    basis2: Sequence[Sequence[int]],
-) -> dict[int, int] | None:
-    """A monoid isomorphism matching two Hilbert bases, or None.
-
-    Searches for an injective linear map carrying one Hilbert basis of any
-    kind onto the other, which identifies the semigroup algebras; it is the
-    oracle of :func:`incidence_isomorphism`.  The map is fixed by the images
-    of a base (the pivots of one elimination of ``basis1``), searched
-    fewest equal-profile targets first.  An isomorphism maps each pair-sum
-    fiber onto one of equal size, so every assignment is checked against
-    all earlier ones, and a generator whose base coordinates are all
-    assigned gets its image at once (an unused generator of ``basis2`` with
-    an equal profile).  No check rejects a true isomorphism, and a complete
-    assignment that passes them all is one.
-    """
-    hb1 = [tuple(v) for v in basis1]
-    hb2 = [tuple(v) for v in basis2]
-    n = len(hb1)
-    if n != len(hb2):
-        return None
-    fib1, fib2 = _PairFibers(hb1), _PairFibers(hb2)
-    prof1, prof2 = fib1.profiles, fib2.profiles
-    if sorted(prof1) != sorted(prof2):
-        return None
-    # one elimination on the columns of hb1: generator j is
-    # sum_q R[q][j] / d * hb1[base[q]], so its image is the same combination
-    # of the images of the base
-    R, base, d = linalg.rref(list(zip(*hb1)))
-    if n and linalg.rank(hb2) != len(base):
-        # an isomorphism preserves the rank of the group the monoid spans
-        return None
-    candidates = [[t for t in range(n) if prof2[t] == prof1[i]] for i in base]
-    order = sorted(range(len(base)), key=lambda q: (len(candidates[q]), q))
-    position = {q: p for p, q in enumerate(order)}
-    # per search position, the non-base generators (with their nonzero base
-    # coordinates) whose last base coordinate is assigned there
-    completes: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in order]
-    for j in sorted(set(range(n)) - set(base)):
-        support = [q for q in range(len(base)) if R[q][j]]
-        completes[max(position[q] for q in support)].append(
-            (j, [(base[q], R[q][j]) for q in support])
-        )
-    F1, F2, size1, size2 = fib1.fiber, fib2.fiber, fib1.size, fib2.size
-    target_index = {v: t for t, v in enumerate(hb2)}
-    width = len(hb2[0]) if hb2 else 0
-    image = [-1] * n
-    used = [False] * n
-    assigned: list[int] = []
-    fmap = [-1] * len(size1)
-    finv = [-1] * len(size2)
-    trail: list[int] = []
-
-    def bind(i: int, t: int) -> bool:
-        """Assign i -> t and extend the fiber map; False on a conflict."""
-        row1, row2 = F1[i], F2[t]
-        image[i] = t
-        used[t] = True
-        assigned.append(i)
-        for j in assigned:
-            a, b = row1[j], row2[image[j]]
-            mapped = fmap[a]
-            if mapped == b:
-                continue
-            if mapped >= 0 or finv[b] >= 0 or size1[a] != size2[b]:
-                return False
-            fmap[a], finv[b] = b, a
-            trail.append(a)
-        return True
-
-    def undo(depth: int, mark: int) -> None:
-        while len(assigned) > depth:
-            i = assigned.pop()
-            used[image[i]] = False
-            image[i] = -1
-        while len(trail) > mark:
-            a = trail.pop()
-            finv[fmap[a]] = -1
-            fmap[a] = -1
-
-    def bind_derived(j: int, coords: list[tuple[int, int]]) -> bool:
-        """Bind generator j to its image under the assigned base, if that is valid."""
-        num = [0] * width
-        for i, c in coords:
-            for col, x in enumerate(hb2[image[i]]):
-                num[col] += c * x
-        if any(x % d for x in num):
-            return False
-        t = target_index.get(tuple(x // d for x in num), -1)
-        if t < 0 or used[t] or prof2[t] != prof1[j]:
-            return False
-        return bind(j, t)
-
-    def search(p: int) -> bool:
-        if p == len(order):
-            return True
-        i = base[order[p]]
-        depth, mark = len(assigned), len(trail)
-        for t in candidates[order[p]]:
-            if used[t]:
-                continue
-            if (
-                bind(i, t)
-                and all(bind_derived(j, coords) for j, coords in completes[p])
-                and search(p + 1)
-            ):
-                return True
-            undo(depth, mark)
-        return False
-
-    if not search(0):
-        return None
-    return {src: image[src] for src in range(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -1152,19 +997,14 @@ def toric_report(
     the proj charts and ``fiber`` the central fiber with its largest
     orbit-space dimension.  The last three need ``theta``.
 
-    ``budget_secs`` becomes the deadline of every search the action runs.
-    A budget that is not >= 0, NaN included, raises ``ValueError``.
+    ``budget_secs`` becomes the deadline of every search the action runs;
+    the legend is built after them, so no budget waits on it.  A budget that
+    is not >= 0, NaN included, raises ``ValueError``.
     """
     if budget_secs is not None and not budget_secs >= 0:
         raise ValueError("budget must be >= 0 seconds")
     deadline = None if budget_secs is None else time.monotonic() + budget_secs
-    arrows = s.arrow_list()
-    report: dict = {
-        "arrow_legend": [
-            {"index": i, "tail": a.tail, "head": a.head, "slot": a.slot}
-            for i, a in enumerate(arrows)
-        ]
-    }
+    report: dict = {}
     if action in ("invariants", "relations"):
         basis = invariant_generators(s, deadline=deadline)
         report["generators"] = [list(u) for u in basis]
@@ -1172,18 +1012,27 @@ def toric_report(
             relations = toric_relations(basis, degree_bound, deadline=deadline)
             report["relations"] = [r.to_json() for r in relations]
             report["degree_bound"] = degree_bound
-        return report
-    if action not in THETA_ACTIONS:
+    elif action not in THETA_ACTIONS:
         raise ValueError(f"unknown toric action {action!r}")
-    if theta is None:
+    elif theta is None:
         raise ValueError(f"toric {action} needs a stability vector theta")
-    report["theta"] = list(theta)
+    else:
+        report["theta"] = list(theta)
     if action == "semistable":
         if support is None:
             raise ValueError("toric semistable needs a support")
-        if any(not 0 <= i < len(arrows) for i in support):
-            raise ValueError(f"support indices must lie in 0..{len(arrows) - 1}")
-        chosen = [arrows[i] for i in support]
+        n = sum(map(sum, s.arrows)) + s.num_marked_loops
+        if any(not 0 <= i < n for i in support):
+            raise ValueError(f"support indices must lie in 0..{n - 1}")
+        # both searches reject a marked setting before they read the support,
+        # so a marked loop's index needs no arrow
+        wanted = set(support)
+        chosen = [
+            Arrow(tail, head, i - slots.start)
+            for tail, head, slots in _edges(s)
+            for i in slots
+            if i in wanted
+        ]
         verdict = is_theta_semistable(s, chosen, theta, deadline=deadline)
         via = semistable_via_semiinvariants(s, chosen, theta, deadline=deadline)
         report["support"] = list(support)
@@ -1195,10 +1044,16 @@ def toric_report(
         report["charts"] = [c.to_json() for c in charts]
         # the degree-0 part of the graded basis is the cycle walk
         report["degree_zero_generators"] = [list(g.exponents) for g in graded if not g.degree]
-    else:
+    elif action == "fiber":
         strata = central_fiber(s, theta, deadline=deadline)
         report["strata"] = [f.to_json() for f in strata]
         dims = [f.orbit_space_dim for f in strata if f.orbit_space_dim is not None]
         report["max_orbit_space_dim"] = max(dims) if dims else None
-    return report
-
+    # every search above rejects a marked setting, and the arrows of a
+    # mark-free one are the edges' slots
+    legend = [
+        {"index": i, "tail": tail, "head": head, "slot": i - slots.start}
+        for tail, head, slots in _edges(s)
+        for i in slots
+    ]
+    return {"arrow_legend": legend, **report}

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from qsing.classification import expected_dim
+from qsing.classification import classify_report, expected_dim
 from qsing.core import MarkedQuiverSetting, canonical_key
 from qsing.errors import IllegalMoveError
 from qsing.local_structure import is_simple_dimvector
 from qsing.reduction import (
     Move,
     MoveKind,
+    ReductionResult,
     applicable_moves,
     apply_move,
     reduce_setting,
@@ -196,6 +198,24 @@ class TestReduce:
             current, _ = apply_move(s, move)
             terminals.add(canonical_key(reduce_setting(current).reduced))
         assert len(terminals) == 2
+
+    def test_trace_is_one_move_at_a_time(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            s = random_setting(rng)
+            current, z, trace = s, 0, []
+            while moves := applicable_moves(current):
+                current, dz = apply_move(current, moves[0])
+                z += dz
+                trace.append(moves[0])
+            assert reduce_setting(s) == ReductionResult(s, current, z, tuple(trace))
+
+    def test_million_loops_removed_at_once(self):
+        s = MarkedQuiverSetting.make([1], [[10**6]])
+        start = time.monotonic()
+        report = classify_report(s)
+        assert time.monotonic() - start < 1
+        assert report["z"] == 10**6 and report["reduced"]["arrows"] == [[0]]
 
     def test_dimension_bookkeeping_sample(self):
         rng = random.Random(41)

@@ -1021,6 +1021,41 @@ class TestToricReportBudget:
         with pytest.raises(BudgetExhaustedError):
             toric.toric_report(conifold, action, theta=(-1, 1), support=(0,), budget_secs=0)
 
+    @pytest.mark.parametrize("action", ["invariants", *toric.THETA_ACTIONS])
+    def test_budget_read_before_any_legend(self, conifold, action, monkeypatch):
+        # a report builds its legend from the arrow index after the searches,
+        # so a setting with millions of arrows runs out of budget at once
+        readings = 0
+
+        def monotonic():
+            nonlocal readings
+            readings += 1
+            return float(readings)
+
+        def arrow_list(self):
+            raise AssertionError("toric_report built arrow_list()")
+
+        monkeypatch.setattr(toric, "time", SimpleNamespace(monotonic=monotonic))
+        monkeypatch.setattr(MarkedQuiverSetting, "arrow_list", arrow_list)
+        with pytest.raises(BudgetExhaustedError):
+            toric.toric_report(conifold, action, theta=(-1, 1), support=(0,), budget_secs=0)
+
+    def test_legend_and_support_follow_arrow_list(self):
+        rng = random.Random(32)
+        for s, theta in random_charted_settings(32, 40, 3):
+            arrows = s.arrow_list()
+            support = rng.sample(range(len(arrows)), rng.randint(0, len(arrows)))
+            report = toric.toric_report(s, "semistable", theta=theta, support=support)
+            assert report["arrow_legend"] == [
+                {"index": i, "tail": a.tail, "head": a.head, "slot": a.slot}
+                for i, a in enumerate(arrows)
+            ]
+            chosen = [arrows[i] for i in support]
+            assert report["verdict"] == is_theta_semistable(s, chosen, theta).to_json()
+            assert report["via_semi_invariants"] == semistable_via_semiinvariants(
+                s, chosen, theta
+            )
+
     def test_negative_budget_rejected(self, conifold):
         with pytest.raises(ValueError, match="budget"):
             toric.toric_report(conifold, "invariants", budget_secs=-1)
@@ -1209,7 +1244,7 @@ def reference_type_classes(settings):
     buckets: dict[tuple, list[tuple[list, list[MarkedQuiverSetting]]]] = {}
     for s in all_ones:
         basis = toric.invariant_generators(s)
-        invariant = len(basis), tuple(sorted(toric._PairFibers(basis).profiles))
+        invariant = len(basis), tuple(sorted(linalg._PairFibers(basis).profiles))
         bucket = buckets.setdefault(invariant, [])
         for rep_basis, group in bucket:
             if toric.semigroup_isomorphism(rep_basis, basis) is not None:
