@@ -15,6 +15,7 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass
+from operator import add
 
 from . import toric
 from .core import (
@@ -383,6 +384,70 @@ def _offdiag_matrices(dims: tuple[int, ...], loops: tuple[tuple[int, int], ...],
         idx += 1
 
 
+def _orbit_maximum(
+    arrows: tuple[tuple[int, ...], ...], tags: list[int], base: int, check=None
+) -> bool:
+    """Whether no relabelling inside the tied runs makes the slot sequence larger.
+
+    The slot sequence lists arrows[i][j], i != j, row by row, and relabelling
+    by pi puts arrows[pi(i)][pi(j)] at slot (i, j).  ``tags`` marks the runs:
+    equal along a run, positive and falling from run to run.  Every count is
+    below ``base``.  ``check`` is called at every search node.
+
+    The search fixes pi(0), pi(1), ... in turn and keys vertices and
+    positions by integers in base ``base``.  Before row r a vertex's key is
+    its tag followed by its counts from the vertices fixed so far, and a
+    position's key is its tag followed by its column in the rows above; a
+    fixed vertex and its position share one key whose leading digit puts
+    them first, in order.  With pi(r) = p every vertex's key takes p's count
+    to it as its next digit.  Sorted descending, these keys give row r at
+    its best, since positions of equal key have equal columns above and a
+    bijection may still permute them.  Against the positions' keys extended
+    by row r, in position order: above them a larger relabelling exists,
+    below them none does in this branch, and on a tie both key the next
+    row.  The identity ties exactly when the positions' keys descend; once
+    they all differ it is the only relabelling left below.
+    """
+    k = len(arrows)
+    top = tags[0] + k
+    targets: list[list[int]] = []  # per row r: the positions' keys with row r appended
+
+    def target(r: int) -> list[int]:
+        while len(targets) <= r:
+            i = len(targets)
+            keys = list(map(add, map(base.__mul__, targets[i - 1] if i else tags), arrows[i]))
+            keys[i] = (top - i) * base ** (i + 1)
+            targets.append(keys)
+        return targets[r]
+
+    def larger(r: int, pre: list[int]) -> bool:
+        pos = targets[r - 1] if r else tags
+        want = target(r)
+        identity = pre is pos
+        if identity and sorted(want, reverse=True) != want:
+            return True
+        mine, fixed = pos[r], want[r]
+        scaled = list(map(base.__mul__, pre))
+        p = -1
+        for _ in range(pre.count(mine)):
+            p = pre.index(mine, p + 1)
+            if identity and p == r:
+                continue
+            if check is not None:
+                check()
+            keys = list(map(add, scaled, arrows[p]))
+            keys[p] = fixed
+            best = sorted(keys, reverse=True)
+            if best != want:
+                if best > want:
+                    return True
+            elif r + 1 < k and larger(r + 1, keys):
+                return True
+        return identity and r + 2 < k and len(set(want)) < k and larger(r + 1, want)
+
+    return not larger(0, tags)
+
+
 def enumerate_reduced_singular(
     d: int,
     *,
@@ -403,14 +468,19 @@ def enumerate_reduced_singular(
     most both weighted degrees of v.
 
     The symmetry break of :func:`_loop_configs` and :func:`_offdiag_matrices`
-    leaves far fewer candidates than every relabelling (167 of 1,630
-    accepted at d = 6) and keeps each class's first in generation order:
-    the same representatives, labelled the same, as without it.
+    leaves 198 matrices at d = 6, 167 of them accepted by the filters (1,630
+    when every relabelling was generated).  They come in descending order,
+    so a class's first matrix is its maximum under the relabellings inside
+    the tied runs, and only the maxima that :func:`_orbit_maximum` finds
+    reach the filters (94 at d = 6) and the key (67, one per class).  The
+    budget, the filters and the key are invariant under relabelling, so
+    each class keeps the same representative, labelled the same, as when
+    every relabelling was keyed.
 
     ``deadline`` is a ``time.monotonic()`` reading, checked before each dims
-    block and before each candidate inside it; past it the enumeration
-    raises :class:`BudgetExhaustedError` carrying the sorted partial result.
-    Without a deadline no clock is read.
+    block, before each candidate inside it and at each node of the orbit
+    search; past it the enumeration raises :class:`BudgetExhaustedError`
+    carrying the sorted partial result.  Without a deadline no clock is read.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -422,7 +492,7 @@ def enumerate_reduced_singular(
         found.update((repr(e).encode("utf-8"), s) for e, s in block.items())
         block.clear()
 
-    def check_budget(dims: tuple[int, ...]) -> None:
+    def check_budget() -> None:
         if deadline is not None and time.monotonic() > deadline:
             file_block()
             raise BudgetExhaustedError(
@@ -430,16 +500,24 @@ def enumerate_reduced_singular(
                 partial=[found[key] for key in sorted(found)],
             )
 
+    check = None if deadline is None else check_budget
     for dims in _dims_multisets(d):
         file_block()
-        check_budget(dims)
+        check_budget()
         if progress is not None:
             progress(dims, len(found))
         budget = d - 1 + sum(a * a for a in dims)
+        k = len(dims)
         for loops, loop_cost in _loop_configs(dims, budget, d):
             marks = tuple(m for _, m in loops)
+            classes = list(zip(dims, loops))
+            # per vertex, the number of runs of equal (dims, loops) from its own
+            # on; with no two vertices tied there is nothing to search
+            tags = [len(set(classes[v:])) for v in range(k)] if len(set(classes)) < k else None
             for arrows in _offdiag_matrices(dims, loops, budget - loop_cost):
-                check_budget(dims)
+                check_budget()
+                if tags is not None and not _orbit_maximum(arrows, tags, budget + 1, check):
+                    continue
                 s = MarkedQuiverSetting(dims, arrows, marks)
                 if not strongly_connected(s):
                     continue

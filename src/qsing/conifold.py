@@ -338,23 +338,27 @@ def _canonical(den: int, width: int, acc: dict[str, dict[int, int]]) -> Conifold
     """The integer form of ``acc / den``, ``acc`` mapping words to packed monomials' numerators.
 
     One gcd with the numerators reduces den > 1 (a zero result to den == 1),
-    and zero terms and words are dropped.
+    and zero terms and words are dropped.  Each packed monomial is unpacked
+    once, into exponents shared by the words, and the top degree is read there.
     """
     g = math.gcd(den, *[n for out in acc.values() for n in out.values()]) if den > 1 else 1
     wide, mask = 2 * width, (1 << width) - 1
     top = 0
+    exponents: dict[int, tuple[int, int, int]] = {}
     terms = {}
     for word, out in acc.items():
-        t = tuple(
-            [
-                ((m >> wide, (m >> width) & mask, m & mask), n // g)
-                for m, n in sorted(out.items())
-                if n
-            ]
-        )
+        t = []
+        for m in sorted(out):
+            n = out[m]
+            if n:
+                mono = exponents.get(m)
+                if mono is None:
+                    i, j, k = mono = exponents[m] = (m >> wide, (m >> width) & mask, m & mask)
+                    if i + j + k > top:
+                        top = i + j + k
+                t.append((mono, n // g))
         if t:
-            terms[word] = t
-            top = max(top, *[i + j + k for (i, j, k), _ in t])
+            terms[word] = tuple(t)
     return ConifoldElement._from_form((den // g, top, terms))
 
 

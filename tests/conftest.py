@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from qsing.core import MarkedQuiverSetting
+from qsing import classification
+from qsing.core import MarkedQuiverSetting, strongly_connected
 from qsing.reduction import applicable_moves, apply_move
 
 
@@ -81,6 +82,29 @@ def permuted(s: MarkedQuiverSetting, perm) -> MarkedQuiverSetting:
     arrows = tuple(tuple(s.arrows[p[i]][p[j]] for j in range(s.k)) for i in range(s.k))
     return MarkedQuiverSetting(
         tuple(s.dims[v] for v in p), arrows, tuple(s.marked_loops[v] for v in p)
+    )
+
+
+def census_stream(d: int):
+    """Every setting the census generator yields at dimension d, in generation order.
+
+    These are the candidates ``enumerate_reduced_singular(d)`` tests for
+    orbit maxima, before any filter.
+    """
+    for dims in classification._dims_multisets(d):
+        budget = d - 1 + sum(a * a for a in dims)
+        for loops, loop_cost in classification._loop_configs(dims, budget, d):
+            marks = tuple(m for _, m in loops)
+            for arrows in classification._offdiag_matrices(dims, loops, budget - loop_cost):
+                yield MarkedQuiverSetting(dims, arrows, marks)
+
+
+def passes_census_filters(s: MarkedQuiverSetting) -> bool:
+    """The census filters: strongly connected, reduced and off the smooth list."""
+    return (
+        strongly_connected(s)
+        and not applicable_moves(s)
+        and classification.match_smooth_list(s) is None
     )
 
 

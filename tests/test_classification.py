@@ -33,7 +33,7 @@ from qsing.errors import BudgetExhaustedError
 from qsing.local_structure import is_simple_dimvector
 from qsing.reduction import MoveKind, applicable_moves
 
-from conftest import permuted, random_setting
+from conftest import census_stream, passes_census_filters, permuted, random_setting
 
 
 class TestDefect:
@@ -289,6 +289,32 @@ class TestEnumeration:
         # the two settings of the earlier blocks, at most one from this one
         assert len(partial) in (2, 3)
 
+    @pytest.mark.parametrize("cut", [1, 60, 150, 197])
+    def test_deadline_partial_as_without_isomorph_rejection(self, cut, monkeypatch):
+        # the clock reads the number of matrices generated so far, and the
+        # deadline passes with matrix cut + 1: the partial holds the classes
+        # of the first cut matrices, as when every matrix was filtered and keyed
+        classes: dict[tuple, MarkedQuiverSetting] = {}
+        for s in itertools.islice(census_stream(6), cut):
+            if passes_census_filters(s):
+                classes.setdefault(canonical_encoding(s), s)
+        expected = [classes[e].dumps() for e in sorted(classes, key=lambda e: repr(e).encode())]
+        generated = 0
+        generate = classification._offdiag_matrices
+
+        def counting(*args):
+            nonlocal generated
+            for arrows in generate(*args):
+                generated += 1
+                yield arrows
+
+        monkeypatch.setattr(classification, "_offdiag_matrices", counting)
+        monkeypatch.setattr(classification, "time", SimpleNamespace(monotonic=lambda: generated))
+        with pytest.raises(BudgetExhaustedError) as info:
+            enumerate_reduced_singular(6, deadline=cut + 0.5)
+        assert generated == cut + 1
+        assert [s.dumps() for s in info.value.partial] == expected
+
     def test_without_deadline_reads_no_clock(self, monkeypatch):
         def no_clock():
             raise AssertionError("the clock is read without a deadline")
@@ -512,24 +538,158 @@ class TestSymmetryBreak:
             unbroken = [s.dumps() for s in unbroken_enumerate(d)]
         assert broken == unbroken
 
-    def test_dim6_canonical_key_calls(self, monkeypatch):
-        calls = 0
+    @pytest.mark.parametrize("d, classes, orbits", [(6, 67, 94), (7, 579, 1030)])
+    def test_key_once_per_class(self, d, classes, orbits, monkeypatch):
+        calls = {"key": 0, "filter": 0}
 
-        def counting(s):
-            nonlocal calls
-            calls += 1
-            return canonical_encoding(s)
+        def counting(name, f):
+            def wrapper(s):
+                calls[name] += 1
+                return f(s)
 
-        monkeypatch.setattr(classification, "canonical_encoding", counting)
-        assert len(enumerate_reduced_singular(6)) == 67
-        # 1,697 before the break: one per relabelling, one more per setting to sort
-        assert calls <= 200
+            return wrapper
+
+        monkeypatch.setattr(classification, "canonical_encoding", counting("key", canonical_encoding))
+        monkeypatch.setattr(classification, "strongly_connected", counting("filter", strongly_connected))
+        assert len(enumerate_reduced_singular(d)) == classes
+        # the key ran 1,697 times at d = 6 with no tie break, and 167 times
+        # when the adjacent-swap break alone let relabellings through
+        assert calls == {"key": classes, "filter": orbits}
 
     def test_dim7_census_unchanged(self):
         found = enumerate_reduced_singular(7)
         assert len(found) == 579
         text = "\n".join(s.dumps() for s in found)
         assert hashlib.sha256(text.encode()).hexdigest() == DIM7_DIGEST
+
+
+def run_tags(s: MarkedQuiverSetting) -> list[int]:
+    """Per vertex, the number of runs of equal (dim, loops, marks) from its run on."""
+    classes = [(s.dims[v], s.arrows[v][v], s.marked_loops[v]) for v in range(s.k)]
+    runs = [len(list(run)) for _, run in itertools.groupby(classes)]
+    return [len(runs) - i for i, n in enumerate(runs) for _ in range(n)]
+
+
+def brute_orbit_maximum(arrows, tags) -> bool:
+    """No relabelling inside the runs of equal tags makes the slot sequence larger.
+
+    Tries every product of permutations of the runs.
+    """
+    runs = [list(run) for _, run in itertools.groupby(range(len(arrows)), key=tags.__getitem__)]
+    here = slot_sequence(arrows)
+    for parts in itertools.product(*map(itertools.permutations, runs)):
+        pi = [v for part in parts for v in part]
+        if slot_sequence([[arrows[i][j] for j in pi] for i in pi]) > here:
+            return False
+    return True
+
+
+def orbit_maximum(s: MarkedQuiverSetting, check=None) -> bool:
+    base = 1 + max(map(max, s.arrows))
+    return classification._orbit_maximum(s.arrows, run_tags(s), base, check)
+
+
+class TestOrbitMaximum:
+    @pytest.mark.parametrize("d, yielded, survivors", [(5, 22, 15), (6, 198, 94), (7, 2695, 1030)])
+    def test_survivors_are_the_classes(self, d, yielded, survivors):
+        stream = list(census_stream(d))
+        kept = [s for s in stream if orbit_maximum(s)]
+        assert (len(stream), len(kept)) == (yielded, survivors)
+        assert len({canonical_encoding(s) for s in stream}) == survivors
+        assert len({canonical_encoding(s) for s in kept}) == survivors
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_every_yielded_matrix_against_brute_force(self, d):
+        for s in census_stream(d):
+            assert orbit_maximum(s) == brute_orbit_maximum(s.arrows, run_tags(s)), s.dumps()
+
+    @pytest.mark.parametrize(
+        "tags, counts", [([1, 1, 1], 3), ([1, 1, 1, 1], 2), ([2, 2, 1, 1], 2), ([2, 1, 1, 1], 2)]
+    )
+    def test_every_small_matrix_against_brute_force(self, tags, counts):
+        k = len(tags)
+        slots = [(i, j) for i in range(k) for j in range(k) if i != j]
+        for values in itertools.product(range(counts), repeat=len(slots)):
+            arrows = [[0] * k for _ in range(k)]
+            for (i, j), n in zip(slots, values):
+                arrows[i][j] = n
+            arrows = tuple(map(tuple, arrows))
+            assert classification._orbit_maximum(arrows, tags, counts) == brute_orbit_maximum(arrows, tags), arrows
+
+    @given(st.integers(0, 10**6))
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_random_runs_against_brute_force(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 6)
+        dims, loops, marks = [], [], []
+        while len(dims) < k:
+            # a run of equal dims, loops and marks; equal neighbours merge runs
+            n = min(rng.randint(1, 4), k - len(dims))
+            dims += [rng.randint(1, 2)] * n
+            loops += [rng.randint(0, 1)] * n
+            marks += [rng.randint(0, 1)] * n
+        arrows = [
+            [loops[i] if i == j else rng.choice((0, 0, 1, 1, 2, 3)) for j in range(k)]
+            for i in range(k)
+        ]
+        s = MarkedQuiverSetting.make(dims, arrows, marks)
+        tags = run_tags(s)
+        assert orbit_maximum(s) == brute_orbit_maximum(s.arrows, tags)
+        # every relabelling inside the runs reaches the same verdict as brute force
+        pi = list(range(k))
+        for _, run in itertools.groupby(range(k), key=tags.__getitem__):
+            run = list(run)
+            pi[run[0]:run[-1] + 1] = rng.sample(run, len(run))
+        t = permuted(s, pi)
+        assert orbit_maximum(t) == brute_orbit_maximum(t.arrows, tags)
+
+    @pytest.mark.parametrize(
+        "arrows",
+        [
+            # the 5-cycle with every arrow doubled: five rotations fix it
+            [[2 * (j == (i + 1) % 5) for j in range(5)] for i in range(5)],
+            # the complete digraph: every relabelling fixes it
+            [[int(i != j) for j in range(5)] for i in range(5)],
+            # two disjoint doubled 2-cycles joined by single arrows
+            [[0, 2, 1, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 1, 2, 0]],
+        ],
+    )
+    def test_symmetric_inputs(self, arrows):
+        s = MarkedQuiverSetting.make([1] * len(arrows), arrows)
+        tags = run_tags(s)
+        orbit = {permuted(s, pi).arrows for pi in itertools.permutations(range(s.k))}
+        maxima = [m for m in orbit if classification._orbit_maximum(m, tags, 3)]
+        assert maxima == [max(orbit, key=slot_sequence)]
+        for m in orbit:
+            assert classification._orbit_maximum(m, tags, 3) == brute_orbit_maximum(m, tags)
+
+    def test_check_runs_at_every_node(self):
+        complete = MarkedQuiverSetting.make([1] * 5, [[int(i != j) for j in range(5)] for i in range(5)])
+        nodes = 0
+
+        def counting():
+            nonlocal nodes
+            nodes += 1
+
+        assert orbit_maximum(complete, counting)
+        # every relabelling fixes the complete digraph, so the search ends at
+        # no node early: a check raising at any of them stops it there
+        for stop in (1, nodes // 2, nodes):
+            calls = 0
+
+            def expiring():
+                nonlocal calls
+                calls += 1
+                if calls == stop:
+                    raise BudgetExhaustedError("past the deadline")
+
+            with pytest.raises(BudgetExhaustedError):
+                orbit_maximum(complete, expiring)
+            assert calls == stop
+        before = nodes
+        untied = MarkedQuiverSetting.make([2, 1], [[1, 2], [2, 0]])
+        assert orbit_maximum(untied, counting)
+        assert nodes == before
 
 
 class TestTypeClasses:
